@@ -15,16 +15,10 @@ import sys
 import numpy as np
 
 from . import dpn, fileio, presets
-from .dsm import (
-    IndexField,
-    average_and_normalize,
-    index_classical,
-    kernel_gamma,
-    relative_norm,
-)
+from .dsm import IndexField, averaged_index, kernel_gamma, relative_norm
 from .dpn import TrainConfig, probing_set_from_network
 from .errors import NumericalError, ValidationError
-from .finite_space import finite_space_probing, source_lattice
+from .finite_space import finite_space_probing, reconstruct_finite_space, source_lattice
 from .forward import synthesize_far_field
 from .scene import (
     ApertureSet,
@@ -83,59 +77,42 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _classical_field(data, aperture, grid, k) -> IndexField:
-    fields = [
-        index_classical(data, None, aperture, grid, k=k, incidence=j)
-        for j in range(data.n_incidences)
-    ]
-    return average_and_normalize(fields)
-
-
-def _reconstruct_one(args, data, aperture, grid, k, domain, sigma_exp) -> IndexField:
+def _reconstruct_fields(args, data, grid, k, sigma_exps) -> list[IndexField]:
+    """One index field per sigma exponent; what does not depend on sigma is built once."""
     method = args.method
-    if method == "full":
-        if not aperture.is_full_circle():
-            raise ValidationError("method 'full' requires full-circle data")
-        return _classical_field(data, aperture, grid, k)
-    if method == "partial":
-        return _classical_field(data, aperture, grid, k)
     if method in ("ffsm", "fssm"):
-        if sigma_exp is None:
+        if None in sigma_exps:
             raise ValidationError(f"method {method!r} needs --sigma-exp")
-        sources = source_lattice(domain, args.sources, k) if method == "fssm" else None
-        from .finite_space import reconstruct_finite_space
-
-        return reconstruct_finite_space(
-            data, method, args.order, 0.1**sigma_exp, grid, k, sources=sources
-        )
-    if method == "dpn":
+        sources = source_lattice(grid.domain, args.sources, k) if method == "fssm" else None
+        sigmas = [0.1**m for m in sigma_exps]
+        return reconstruct_finite_space(data, method, args.order, sigmas, grid, k, sources=sources)
+    if method == "full" and not data.aperture.is_full_circle():
+        raise ValidationError("method 'full' requires full-circle data")
+    if method in ("full", "partial"):
+        field = averaged_index(data, None, grid, k)
+    elif method == "dpn":
         if not args.checkpoint:
             raise ValidationError("method 'dpn' needs --checkpoint")
         params, ck = fileio.read_checkpoint(args.checkpoint)
         if abs(ck - k) > 1e-9:
             raise ValidationError(f"checkpoint wavenumber {ck} != data wavenumber {k}")
-        probing = probing_set_from_network(params, grid, aperture, k)
-        fields = [
-            index_classical(data, probing, aperture, grid, incidence=j)
-            for j in range(data.n_incidences)
-        ]
-        return average_and_normalize(fields)
-    raise ValidationError(f"unknown reconstruction method {method!r}")
+        field = averaged_index(data, probing_set_from_network(params, grid, data.aperture, k), grid)
+    else:
+        raise ValidationError(f"unknown reconstruction method {method!r}")
+    return [field] * len(sigma_exps)
 
 
 def cmd_reconstruct(args) -> int:
     meta_path = args.meta or _derive_meta_path(args.data)
     meta = fileio.read_metadata(meta_path)
     scene = scene_from_dict(meta["scene"])
-    aperture = scene.aperture
     k = scene.wavenumber
-    domain = scene.domain
-    data = fileio.read_farfield_csv(args.data, aperture)
-    grid = SamplingGrid(domain, args.grid)
-    sigma_exps = args.sigma_exp_list or ([args.sigma_exp] if args.sigma_exp is not None else [None])
+    data = fileio.read_farfield_csv(args.data, scene.aperture)
+    grid = SamplingGrid(scene.domain, args.grid)
+    sigma_exps = args.sigma_exp_list or [args.sigma_exp]
     multi = len(sigma_exps) > 1
-    for exp in sigma_exps:
-        field = _reconstruct_one(args, data, aperture, grid, k, domain, exp)
+    fields = _reconstruct_fields(args, data, grid, k, sigma_exps)
+    for exp, field in zip(sigma_exps, fields):
         stem = f"{args.out}.m{exp}" if multi else args.out
         fileio.write_index_csv(f"{stem}.csv", field)
         fileio.write_pgm(f"{stem}.pgm", field)
@@ -175,8 +152,7 @@ def cmd_train(args) -> int:
         config=dataclasses.asdict(config),
     )
     if args.partition:
-        nx, ny = (int(v) for v in args.partition.lower().split("x"))
-        subdomains = dpn.split_domain(domain, nx, ny)
+        subdomains = dpn.split_domain(domain, *args.partition)
         results = dpn.train_partitioned(config, aperture, subdomains, k, domain)
         for i, (params, trace) in enumerate(results):
             fileio.write_checkpoint(f"{args.out}.part{i}.ckpt", params, k)
@@ -244,8 +220,25 @@ def cmd_rn(args) -> int:
     return 0
 
 
+def _partition(text: str) -> tuple[int, int]:
+    try:
+        nx, ny = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        nx = ny = 0
+    if nx < 1 or ny < 1:
+        raise argparse.ArgumentTypeError(f"expected NXxNY with positive counts, e.g. 2x2; got {text!r}")
+    return nx, ny
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed argument on one line, like every other input error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lapdsm", description=__doc__)
+    p = _Parser(prog="lapdsm", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     sim = sub.add_parser("simulate", help="synthesize far-field data for a scene")
@@ -295,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--points", type=int, default=400)
     tr.add_argument("--max-noise", type=float, default=0.05)
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--partition", help="KxK subdomain tiling, e.g. 2x2")
+    tr.add_argument("--partition", type=_partition, help="NXxNY subdomain tiling, e.g. 2x2")
     tr.add_argument("--out", required=True, metavar="PREFIX")
     tr.set_defaults(func=cmd_train)
 

@@ -63,17 +63,6 @@ def green_far_field(z, angle, k: float):
     return complex(out) if out.ndim == 0 else out
 
 
-def green_probing_set(grid: SamplingGrid, aperture: ApertureSet, k: float) -> ProbingSet:
-    """Classical probing set: G_inf sampled at every (z, receiver) pair."""
-    angles = aperture.receiver_angles()
-    pts = grid.points
-    xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-    phase = k * pts @ xhat.T
-    # cos - i sin of a real array is ~10x cheaper than exp of an imaginary one
-    samples = green_far_prefactor(k) * (np.cos(phase) - 1j * np.sin(phase))
-    return ProbingSet(samples, aperture)
-
-
 def index_classical(
     data: FarFieldData,
     probing: ProbingSet | None,
@@ -84,19 +73,28 @@ def index_classical(
 ) -> IndexField:
     """|<G_probe(z, .), u_inf>_Gamma| per sampling point, one incidence.
 
-    With probing=None the classical G_inf probing set is built from the
-    wavenumber k.  The receivers themselves serve as quadrature nodes.
+    With probing=None the probe is G_inf for the wavenumber k.  On the grid it
+    splits as c e^{-ik x cos t} e^{-ik y sin t}, so the pairing is one
+    (n x Q) @ (Q x n) product and no n_points x Q array is built.  The
+    receivers themselves serve as quadrature nodes.
     """
-    if data.aperture.receiver_angles().shape != aperture.receiver_angles().shape or not np.allclose(
-        data.aperture.receiver_angles(), aperture.receiver_angles()
+    angles = aperture.receiver_angles()
+    if data.aperture.receiver_angles().shape != angles.shape or not np.allclose(
+        data.aperture.receiver_angles(), angles
     ):
         raise ValidationError("data and probing apertures disagree on receiver angles")
-    if probing is None:
-        if k is None:
-            raise ValidationError("k is required when probing defaults to G_inf")
-        probing = green_probing_set(grid, aperture, k)
-    w = aperture.quadrature_weights()
-    vals = np.abs(probing.samples @ (np.conj(data.samples[incidence]) * w))
+    v = np.conj(data.samples[incidence]) * aperture.quadrature_weights()
+    if probing is not None:
+        vals = np.abs(probing.samples @ v)
+    elif k is None:
+        raise ValidationError("k is required when probing defaults to G_inf")
+    else:
+        # cos - i sin of a real array is ~10x cheaper than exp of an imaginary one
+        px = k * np.outer(grid.xs, np.cos(angles))
+        py = k * np.outer(grid.ys, np.sin(angles))
+        ex = np.cos(px) - 1j * np.sin(px)
+        ey = np.cos(py) - 1j * np.sin(py)
+        vals = np.abs(green_far_prefactor(k) * ((ey * v) @ ex.T)).ravel()
     return IndexField(grid=grid, values=vals, normalized=False)
 
 
@@ -144,6 +142,12 @@ def average_and_normalize(fields: list[IndexField]) -> IndexField:
     if peak == 0.0:
         raise ValidationError("all-zero index field cannot be normalized")
     return IndexField(grid=grid, values=mean / peak, normalized=True)
+
+
+def averaged_index(data: FarFieldData, probing: ProbingSet | None, grid: SamplingGrid, k=None) -> IndexField:
+    """index_classical for every incidence, averaged and normalized."""
+    fields = [index_classical(data, probing, data.aperture, grid, k, j) for j in range(data.n_incidences)]
+    return average_and_normalize(fields)
 
 
 def dominant_peaks(

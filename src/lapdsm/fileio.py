@@ -31,27 +31,52 @@ def write_farfield_csv(path, data: FarFieldData) -> None:
 
 
 def read_farfield_csv(path, aperture: ApertureSet, noise_level: float = 0.0, seed: int = 0) -> FarFieldData:
+    """Far-field samples, checked row by row against the aperture's receivers.
+
+    Each incidence 0..J-1 must list every receiver once, in receiver order,
+    at its angle to within 1e-12.
+    """
+    angles = aperture.receiver_angles()
+    q = angles.shape[0]
     rows: dict[int, list[complex]] = {}
     with open(path) as f:
         header = f.readline().strip()
         if header != "incidence_index,theta_radians,re,im":
             raise ValidationError(f"unexpected far-field CSV header: {header!r}")
-        for line in f:
-            idx, _, re, im = line.strip().split(",")
-            rows.setdefault(int(idx), []).append(float(re) + 1j * float(im))
+        for lineno, line in enumerate(f, start=2):
+            try:
+                idx, theta, re, im = line.strip().split(",")
+                j, theta, u = int(idx), float(theta), float(re) + 1j * float(im)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected incidence_index,theta_radians,re,im; got {line.strip()!r}"
+                ) from None
+            col = rows.setdefault(j, [])
+            if len(col) == q:
+                raise ValidationError(f"{path}:{lineno}: incidence {j} has more than {len(col)} receivers")
+            want = float(angles[len(col)])
+            if not abs(theta - want) <= 1e-12:
+                raise ValidationError(
+                    f"{path}:{lineno}: angle {theta!r} is not receiver {len(col)}'s angle {want!r}"
+                )
+            col.append(u)
     if not rows:
         raise ValidationError("far-field CSV contains no samples")
-    samples = np.array([rows[j] for j in sorted(rows)])
+    if sorted(rows) != list(range(len(rows))):
+        raise ValidationError(f"{path}: incidence indices {sorted(rows)} do not run 0..{len(rows) - 1}")
+    for j, col in sorted(rows.items()):
+        if len(col) != q:
+            raise ValidationError(f"{path}: incidence {j} has {len(col)} rows, expected {q}")
+    samples = np.array([rows[j] for j in range(len(rows))])
     return FarFieldData(samples, aperture, noise_level=noise_level, seed=seed)
 
 
 def write_index_csv(path, field: IndexField) -> None:
     """Rows: x,y,value over the sampling grid (row-major)."""
-    pts = field.grid.points
+    rows = np.column_stack([field.grid.points, field.values])
     with open(path, "w") as f:
         f.write("x,y,value\n")
-        for (x, y), v in zip(pts, field.values):
-            f.write(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}\n")
+        f.write(("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def write_pgm(path, field: IndexField) -> None:

@@ -10,13 +10,14 @@ sampling point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
 from scipy import special as sp
 
-from .dsm import IndexField, ProbingSet, average_and_normalize, index_classical
+from .dsm import IndexField, ProbingSet, averaged_index
 from .errors import NumericalError, ValidationError
 from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
 
@@ -102,7 +103,7 @@ def ffsm_rhs_field(points: np.ndarray, order: int, k: float) -> np.ndarray:
     theta = np.arctan2(pts[:, 1], pts[:, 0])
     theta[r == 0.0] = 0.0
     ns = np.arange(-p, p + 1)
-    jn = sp.jv(np.abs(ns)[None, :], (k * r)[:, None])
+    jn = sp.jv(np.arange(p + 1)[None, :], (k * r)[:, None])[:, np.abs(ns)]
     sign = np.where((ns < 0) & (np.abs(ns) % 2 == 1), -1.0, 1.0)
     pre = (1j) ** (-ns) * np.exp(1j * np.pi / 4.0) / (2.0 * np.sqrt(k))
     return pre[None, :] * sign[None, :] * jn * np.exp(-1j * np.outer(theta, ns))
@@ -223,6 +224,31 @@ def build_system(
     raise ValidationError(f"unknown finite-space method {method!r}")
 
 
+def finite_space_probings(
+    method: str,
+    aperture: ApertureSet,
+    grid: SamplingGrid,
+    order: int,
+    sigmas: Sequence[float],
+    k: float,
+    sources: SourceTestingSpace | None = None,
+    truncation: int | None = None,
+) -> Iterator[ProbingSet]:
+    """Yield the probing set on a grid for each sigma in turn.
+
+    The system and the right-hand side do not depend on sigma, so they are
+    assembled once; each sigma costs one Tikhonov solve and one evaluation.
+    """
+    system, src = build_system(method, aperture, order, sigmas[0], k, sources, truncation)
+    if method.lower() == "ffsm":
+        rhs = ffsm_rhs_field(grid.points, order, k)
+    else:
+        rhs = fssm_rhs_field(grid.points, src)
+    for sigma in sigmas:
+        coeffs = tikhonov_solve(replace(system, sigma=sigma), rhs)
+        yield probing_from_coefficients(coeffs, aperture)
+
+
 def finite_space_probing(
     method: str,
     aperture: ApertureSet,
@@ -234,29 +260,20 @@ def finite_space_probing(
     truncation: int | None = None,
 ) -> ProbingSet:
     """Assemble, regularize, and evaluate the probing set on a grid."""
-    system, src = build_system(method, aperture, order, sigma, k, sources, truncation)
-    if method.lower() == "ffsm":
-        rhs = ffsm_rhs_field(grid.points, order, k)
-    else:
-        rhs = fssm_rhs_field(grid.points, src)
-    coeffs = tikhonov_solve(system, rhs)
-    return probing_from_coefficients(coeffs, aperture)
+    (probing,) = finite_space_probings(method, aperture, grid, order, [sigma], k, sources, truncation)
+    return probing
 
 
 def reconstruct_finite_space(
     data: FarFieldData,
     method: str,
     order: int,
-    sigma: float,
+    sigmas: Sequence[float],
     grid: SamplingGrid,
     k: float,
     sources: SourceTestingSpace | None = None,
     truncation: int | None = None,
-) -> IndexField:
-    """End-to-end Algorithm: probing construction, pairing, averaging, normalizing."""
-    probing = finite_space_probing(method, data.aperture, grid, order, sigma, k, sources, truncation)
-    fields = [
-        index_classical(data, probing, data.aperture, grid, incidence=j)
-        for j in range(data.n_incidences)
-    ]
-    return average_and_normalize(fields)
+) -> list[IndexField]:
+    """End-to-end Algorithm per sigma: probing construction, pairing, averaging, normalizing."""
+    probings = finite_space_probings(method, data.aperture, grid, order, sigmas, k, sources, truncation)
+    return [averaged_index(data, probing, grid) for probing in probings]

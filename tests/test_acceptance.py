@@ -229,10 +229,10 @@ def test_criterion_07_end_to_end_localization():
     f_part = average_and_normalize([index_classical(noisy, None, scene.aperture, grid, k=K)])
     partial_fails = not _localizes(f_part, centers)
 
-    f_ffsm = reconstruct_finite_space(noisy, "ffsm", 20, 0.1**8, grid, K)
+    (f_ffsm,) = reconstruct_finite_space(noisy, "ffsm", 20, [0.1**8], grid, K)
     ffsm_ok = _localizes(f_ffsm, centers)
     sources = source_lattice(DOMAIN, 20, K)
-    f_fssm = reconstruct_finite_space(noisy, "fssm", 20, 0.1**4, grid, K, sources=sources)
+    (f_fssm,) = reconstruct_finite_space(noisy, "fssm", 20, [0.1**4], grid, K, sources=sources)
     fssm_ok = _localizes(f_fssm, centers)
 
     elapsed = time.time() - t0

@@ -105,6 +105,16 @@ class TestReconstruct:
         assert (tmp_path / "sweep.m4.0.csv").exists()
         assert (tmp_path / "sweep.m8.0.csv").exists()
 
+    @pytest.mark.parametrize("method", ["ffsm", "fssm"])
+    def test_sigma_exp_list_matches_single_runs(self, sim_dir, tmp_path, method):
+        args = ["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"), "--method", method,
+                "--sources", "8", "--grid", "16"]
+        assert main(args + ["--sigma-exp-list", "4,8", "--out", str(tmp_path / "sweep")]) == 0
+        for m in ("4", "8"):
+            assert main(args + ["--sigma-exp", m, "--out", str(tmp_path / f"one{m}")]) == 0
+            for ext in ("csv", "pgm"):
+                assert read_bytes(tmp_path / f"sweep.m{m}.0.{ext}") == read_bytes(tmp_path / f"one{m}.{ext}")
+
     def test_determinism(self, sim_dir, tmp_path):
         args = ["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"),
                 "--method", "ffsm", "--sigma-exp", "8", "--grid", "24"]
@@ -112,6 +122,39 @@ class TestReconstruct:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert read_bytes(tmp_path / "a.csv") == read_bytes(tmp_path / "b.csv")
         assert read_bytes(tmp_path / "a.pgm") == read_bytes(tmp_path / "b.pgm")
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:], "expected incidence_index"),
+            (lambda lines: lines[:5] + [lines[5].replace(",", ",x", 1)] + lines[6:], "expected incidence_index"),
+            (lambda lines: lines[:-1], "has 99 rows, expected 100"),
+            (lambda lines: [lines[0]] + [line.replace("0,", "1,", 1) for line in lines[1:]], "do not run 0..0"),
+        ],
+        ids=["short-row", "non-numeric", "missing-receiver", "incidence-gap"],
+    )
+    def test_malformed_farfield_csv_is_one_line_error(self, sim_dir, tmp_path, capsys, edit, message):
+        lines = (sim_dir / "ex1_1.noisy.csv").read_text().splitlines()
+        (tmp_path / "bad.noisy.csv").write_text("\n".join(edit(lines)) + "\n")
+        (tmp_path / "bad.meta.json").write_text((sim_dir / "ex1_1.meta.json").read_text())
+        code = main(["reconstruct", "--data", str(tmp_path / "bad.noisy.csv"), "--method", "partial",
+                     "--grid", "8", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and err.count("\n") == 1
+
+    def test_wrong_receiver_angle_is_rejected(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "ex1_1.noisy.csv").read_text().splitlines()
+        row = lines[40].split(",")
+        row[1] = repr(float(row[1]) + 1e-9)
+        lines[40] = ",".join(row)
+        (tmp_path / "bad.noisy.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "bad.meta.json").write_text((sim_dir / "ex1_1.meta.json").read_text())
+        code = main(["reconstruct", "--data", str(tmp_path / "bad.noisy.csv"), "--method", "partial",
+                     "--grid", "8", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "is not receiver 39's angle" in err and err.count("\n") == 1
 
     def test_ffsm_without_sigma_is_validation_error(self, sim_dir, tmp_path):
         code = main(
@@ -156,6 +199,16 @@ class TestTrainAndDpnReconstruct:
         assert code == 0
         assert (tmp_path / "part.part0.ckpt").exists()
         assert (tmp_path / "part.part1.ckpt").exists()
+
+    @pytest.mark.parametrize("partition", ["2", "ax2", "2x2x2", "0x2", "2x", ""])
+    def test_malformed_partition_is_one_line_error(self, tmp_path, capsys, partition):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train-dpn", "--config", "1", "--iterations", "1", "--partition", partition,
+                  "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert err.count("\n") == 1 and "--partition" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_dpn_reconstruct_requires_checkpoint(self, sim_dir, tmp_path):
         code = main(

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_probing import green_probing_set
 from lapdsm.dsm import (
     IndexField,
     average_and_normalize,
@@ -10,7 +13,6 @@ from lapdsm.dsm import (
     dominant_peaks,
     green_far_field,
     green_norm_on_aperture,
-    green_probing_set,
     index_classical,
     kernel_gamma,
     relative_norm,
@@ -92,7 +94,39 @@ class TestKernel:
         assert v == pytest.approx(np.conj(w), abs=1e-14)
 
 
+@st.composite
+def apertures(draw):
+    """One to three disjoint arcs, each inside its own sector of the circle."""
+    n = draw(st.integers(1, 3))
+    offset = draw(st.floats(-np.pi / n, np.pi / n))
+    arcs = []
+    for i in range(n):
+        alpha = draw(st.floats(0.05, 0.95)) * np.pi / n
+        beta = np.pi - (np.pi - offset - 2.0 * np.pi * i / n) % (2.0 * np.pi)  # in (-pi, pi]
+        arcs.append(Arc(alpha=alpha, beta=beta, receivers=draw(st.integers(1, 40))))
+    return ApertureSet(tuple(arcs))
+
+
 class TestIndexClassical:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ap=apertures(),
+        resolution=st.integers(1, 24),
+        k=st.floats(0.5, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+        incidences=st.integers(1, 3),
+    )
+    def test_separable_pairing_matches_dense_probing_set(self, ap, resolution, k, seed, incidences):
+        rng = np.random.default_rng(seed)
+        q = ap.total_receivers
+        data = FarFieldData(rng.normal(size=(incidences, q)) + 1j * rng.normal(size=(incidences, q)), ap)
+        grid = SamplingGrid(Box(-1.0, 1.5, -0.5, 1.0), resolution)
+        probing = green_probing_set(grid, ap, k)
+        for j in range(incidences):
+            got = index_classical(data, None, ap, grid, k=k, incidence=j).values
+            dense = np.abs(probing.samples @ (np.conj(data.samples[j]) * ap.quadrature_weights()))
+            assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
+
     def test_point_source_data_peaks_at_source(self):
         # far-field of a point source at y0 restricted to the aperture
         ap = config1_aperture()

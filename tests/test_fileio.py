@@ -1,0 +1,56 @@
+"""Text file formats: byte-exact index CSV and checked far-field CSV."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lapdsm.dsm import IndexField
+from lapdsm.errors import ValidationError
+from lapdsm.fileio import read_farfield_csv, write_farfield_csv, write_index_csv
+from lapdsm.presets import config1_aperture, config2_aperture
+from lapdsm.scene import Box, FarFieldData, SamplingGrid
+
+
+def per_row_index_csv(path, field):
+    """The row-at-a-time writer that write_index_csv replaced, kept as its oracle."""
+    with open(path, "w") as f:
+        f.write("x,y,value\n")
+        for (x, y), v in zip(field.grid.points, field.values):
+            f.write(f"{'%.17g' % x},{'%.17g' % y},{'%.17g' % v}\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    resolution=st.integers(1, 20),
+    corner=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    size=st.floats(1e-6, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-300, 1e-8, 1.0, 1e300]),
+)
+def test_index_csv_is_byte_identical_to_per_row_writer(tmp_path_factory, resolution, corner, size, seed, scale):
+    x0, y0 = corner
+    grid = SamplingGrid(Box(x0, x0 + size, y0, y0 + 2.0 * size), resolution)
+    values = scale * np.random.default_rng(seed).uniform(0.0, 1.0, resolution**2)
+    field = IndexField(grid, values)
+    d = tmp_path_factory.mktemp("csv")
+    write_index_csv(d / "new.csv", field)
+    per_row_index_csv(d / "old.csv", field)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+def test_farfield_csv_roundtrip_is_exact(tmp_path):
+    ap = config2_aperture()
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=(3, ap.total_receivers)) + 1j * rng.normal(size=(3, ap.total_receivers))
+    write_farfield_csv(tmp_path / "u.csv", FarFieldData(samples, ap))
+    back = read_farfield_csv(tmp_path / "u.csv", ap)
+    np.testing.assert_array_equal(back.samples, samples)
+
+
+def test_farfield_csv_from_another_aperture_is_rejected(tmp_path):
+    ap = config2_aperture()
+    samples = np.ones((1, ap.total_receivers), dtype=complex)
+    write_farfield_csv(tmp_path / "u.csv", FarFieldData(samples, ap))
+    with pytest.raises(ValidationError, match="angle"):
+        read_farfield_csv(tmp_path / "u.csv", config1_aperture(receivers=ap.total_receivers))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sp
 
 from lapdsm.dsm import bessel_j0_kernel, green_far_field, kernel_gamma
 from lapdsm.errors import ValidationError
@@ -14,16 +17,18 @@ from lapdsm.finite_space import (
     ffsm_rhs,
     ffsm_rhs_field,
     finite_space_probing,
+    finite_space_probings,
     fssm_matrix,
     fssm_rhs,
     probing_from_coefficients,
+    reconstruct_finite_space,
     source_lattice,
     tikhonov_solve,
 )
 from lapdsm.numerics import gauss_arc_nodes
 from lapdsm.presets import config1_aperture, config2_aperture
 from lapdsm.rng import CounterRng
-from lapdsm.scene import ApertureSet, Arc, Box, SamplingGrid, full_circle
+from lapdsm.scene import ApertureSet, Arc, Box, FarFieldData, SamplingGrid, full_circle
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)
@@ -89,6 +94,29 @@ class TestFfsmRhs:
         field = ffsm_rhs_field(pts, 6, K)
         for row, z in zip(field, pts):
             np.testing.assert_allclose(row, ffsm_rhs(z, 6, K), rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(1, 30),
+        k=st.floats(0.5, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+        with_origin=st.booleans(),
+    )
+    def test_field_equals_all_orders_formula_bit_for_bit(self, order, k, seed, with_origin):
+        # one Bessel evaluation per order |n|, gathered for n = -P..P, is the
+        # same arithmetic as evaluating J_|n| separately for every n
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(50, 2))
+        if with_origin:
+            pts[7] = 0.0
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        theta[r == 0.0] = 0.0
+        ns = np.arange(-order, order + 1)
+        jn = sp.jv(np.abs(ns)[None, :], (k * r)[:, None])
+        sign = np.where((ns < 0) & (np.abs(ns) % 2 == 1), -1.0, 1.0)
+        pre = (1j) ** (-ns) * np.exp(1j * np.pi / 4.0) / (2.0 * np.sqrt(k))
+        want = pre[None, :] * sign[None, :] * jn * np.exp(-1j * np.outer(theta, ns))
+        np.testing.assert_array_equal(ffsm_rhs_field(pts, order, k), want)
 
 
 class TestFssm:
@@ -203,3 +231,21 @@ class TestProbingConstruction:
     def test_fssm_requires_sources(self):
         with pytest.raises(ValidationError):
             build_system("fssm", config1_aperture(), 4, 1e-4, K)
+
+    @pytest.mark.parametrize("method", ["ffsm", "fssm"])
+    def test_sigma_sweep_equals_single_sigma_runs(self, method):
+        ap = config2_aperture()
+        grid = SamplingGrid(DOMAIN, 6)
+        sources = source_lattice(DOMAIN, 5, K) if method == "fssm" else None
+        sigmas = [1e-2, 1e-6, 1e-4]
+        sweep = list(finite_space_probings(method, ap, grid, 10, sigmas, K, sources))
+        assert len(sweep) == len(sigmas)
+        for sigma, probe in zip(sigmas, sweep):
+            single = finite_space_probing(method, ap, grid, 10, sigma, K, sources)
+            np.testing.assert_array_equal(probe.samples, single.samples)
+        u = np.exp(1j * np.linspace(0.0, 5.0, ap.total_receivers))
+        data = FarFieldData(np.stack([u, u**2]), ap)
+        fields = reconstruct_finite_space(data, method, 10, sigmas, grid, K, sources)
+        for sigma, field in zip(sigmas, fields):
+            (single,) = reconstruct_finite_space(data, method, 10, [sigma], grid, K, sources)
+            np.testing.assert_array_equal(field.values, single.values)
