@@ -25,6 +25,8 @@ from .scene import (
     Box,
     SamplingGrid,
     add_noise,
+    aperture_to_dict,
+    box_to_dict,
     full_circle,
     load_scene,
     scene_from_dict,
@@ -105,6 +107,8 @@ def _reconstruct_fields(args, data, grid, k, sigma_exps) -> list[IndexField]:
 def cmd_reconstruct(args) -> int:
     meta_path = args.meta or _derive_meta_path(args.data)
     meta = fileio.read_metadata(meta_path)
+    if not isinstance(meta, dict) or "scene" not in meta:
+        raise ValidationError(f"{meta_path}: no \"scene\" entry; pass the .meta.json that simulate wrote")
     scene = scene_from_dict(meta["scene"])
     k = scene.wavenumber
     data = fileio.read_farfield_csv(args.data, scene.aperture)
@@ -146,25 +150,18 @@ def cmd_train(args) -> int:
     )
     meta = _meta_base(args, "train-dpn")
     meta.update(
-        aperture=fileio.aperture_to_dict(aperture),
+        aperture=aperture_to_dict(aperture),
         wavenumber=k,
-        domain=fileio.box_to_dict(domain),
+        domain=box_to_dict(domain),
         config=dataclasses.asdict(config),
     )
-    if args.partition:
-        subdomains = dpn.split_domain(domain, *args.partition)
-        results = dpn.train_partitioned(config, aperture, subdomains, k, domain)
-        for i, (params, trace) in enumerate(results):
-            fileio.write_checkpoint(f"{args.out}.part{i}.ckpt", params, k)
-            fileio.write_loss_trace(f"{args.out}.part{i}.loss.csv", trace)
-    else:
 
-        def checkpoint_writer(iteration, params, trace):
-            fileio.write_checkpoint(f"{args.out}.ckpt", params, k)
-
-        params, trace = dpn.train(config, aperture, domain, k, callback=checkpoint_writer)
+    def checkpoint_writer(iteration, params, trace):
         fileio.write_checkpoint(f"{args.out}.ckpt", params, k)
-        fileio.write_loss_trace(f"{args.out}.loss.csv", trace)
+
+    params, trace = dpn.train(config, aperture, domain, k, callback=checkpoint_writer)
+    fileio.write_checkpoint(f"{args.out}.ckpt", params, k)
+    fileio.write_loss_trace(f"{args.out}.loss.csv", trace)
     fileio.write_metadata(f"{args.out}.meta.json", meta)
     return 0
 
@@ -218,16 +215,6 @@ def cmd_rn(args) -> int:
     meta.update(max_rn=float(field.values.max()), wavenumber=k)
     fileio.write_metadata(f"{args.out}.meta.json", meta)
     return 0
-
-
-def _partition(text: str) -> tuple[int, int]:
-    try:
-        nx, ny = (int(v) for v in text.lower().split("x"))
-    except ValueError:
-        nx = ny = 0
-    if nx < 1 or ny < 1:
-        raise argparse.ArgumentTypeError(f"expected NXxNY with positive counts, e.g. 2x2; got {text!r}")
-    return nx, ny
 
 
 class _Parser(argparse.ArgumentParser):
@@ -288,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--points", type=int, default=400)
     tr.add_argument("--max-noise", type=float, default=0.05)
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--partition", type=_partition, help="NXxNY subdomain tiling, e.g. 2x2")
     tr.add_argument("--out", required=True, metavar="PREFIX")
     tr.set_defaults(func=cmd_train)
 

@@ -15,12 +15,13 @@ so training is bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as sp
 
 from .errors import NumericalError, ValidationError
+from .numerics import directions, fourier_modes, plane_waves
 from .scene import ApertureSet, Box
 from .rng import CounterRng
 
@@ -107,29 +108,40 @@ class NetworkParams:
         )
 
 
-def _forward_cached(params: NetworkParams, z: np.ndarray):
-    """Forward pass keeping pre-activations for reverse mode."""
-    a = np.asarray(z, dtype=float)
-    acts = [a]
-    pres = []
+def _layers(params: NetworkParams, a: np.ndarray):
+    """Yield each hidden layer's rectified activation, then the linear output."""
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = acts[-1] @ w + b
-        pres.append(h)
-        acts.append(np.maximum(h, 0.0) if i < last else h)
-    return acts, pres
+        a = a @ w
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+        yield a
 
 
-def network_forward(params: NetworkParams, z) -> np.ndarray:
-    """Complex Fourier coefficients f_{-P..P}(z) for points z of shape (n, 2)."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    acts, _ = _forward_cached(params, z)
-    y = acts[-1]
-    half = 2 * params.order + 1
+def _forward_cached(params: NetworkParams, z: np.ndarray) -> list[np.ndarray]:
+    """Forward pass keeping the input and every activation for reverse mode."""
+    z = np.asarray(z, dtype=float)
+    return [z, *_layers(params, z)]
+
+
+def _coefficients(y: np.ndarray, order: int) -> np.ndarray:
+    """Pair the 4P+2 real network outputs into 2P+1 complex coefficients."""
+    half = 2 * order + 1
     return y[:, :half] + 1j * y[:, half:]
 
 
-def _backward(params: NetworkParams, acts, pres, dout: np.ndarray):
+def network_forward(params: NetworkParams, z) -> np.ndarray:
+    """Complex Fourier coefficients f_{-P..P}(z) for points z of shape (n, 2).
+
+    Unlike _forward_cached it holds one activation at a time.
+    """
+    for y in _layers(params, np.atleast_2d(np.asarray(z, dtype=float))):
+        pass
+    return _coefficients(y, params.order)
+
+
+def _backward(params: NetworkParams, acts, dout: np.ndarray):
     """Gradients of a scalar loss given d(loss)/d(output), matching _forward_cached."""
     gw = [None] * len(params.weights)
     gb = [None] * len(params.biases)
@@ -138,29 +150,27 @@ def _backward(params: NetworkParams, acts, pres, dout: np.ndarray):
         gw[i] = acts[i].T @ delta
         gb[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (pres[i - 1] > 0.0)
+            # a rectified activation is positive exactly where its pre-activation is
+            delta = (delta @ params.weights[i].T) * (acts[i] > 0.0)
     return gw, gb
 
 
-def _fourier_basis(order: int, angles: np.ndarray) -> np.ndarray:
-    """e^{i n theta} for n = -order..order, shape (2*order+1, n_angles)."""
-    ns = np.arange(-order, order + 1)
-    return np.exp(1j * np.outer(ns, angles))
+def _probe(coeffs: np.ndarray, z: np.ndarray, angles: np.ndarray, k: float) -> np.ndarray:
+    """Fourier sum of the coefficients plus the plane-wave initial guess, shape (n_points, n_angles).
+
+    Training and inference both evaluate the probe here.
+    """
+    order = (coeffs.shape[1] - 1) // 2
+    probe = plane_waves(z, directions(angles), k)
+    probe += coeffs @ fourier_modes(order, angles)
+    return probe
 
 
 def probing_eval(params: NetworkParams, z, angles, k: float) -> np.ndarray:
-    """Probing values: Fourier sum plus the plane-wave initial guess.
-
-    Returns shape (n_points, n_angles).
-    """
+    """Probing values of the network at points z (n, 2) and angles, shape (n_points, n_angles)."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    coeffs = network_forward(params, z)
-    basis = _fourier_basis(params.order, angles)
-    xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-    phase = k * z @ xhat.T
-    # cos - i sin of a real array is ~5x cheaper than exp of an imaginary one
-    return coeffs @ basis + (np.cos(phase) - 1j * np.sin(phase))
+    return _probe(network_forward(params, z), z, angles, k)
 
 
 @dataclass(frozen=True)
@@ -181,23 +191,16 @@ def sample_batch(
     aperture: ApertureSet,
     k: float,
     rng: CounterRng,
-    point_domain: Box | None = None,
 ) -> TrainingBatch:
-    """Draw one training batch; draw order is fixed for reproducibility.
-
-    point_domain restricts only the z samples (multi-network partitioning);
-    sources always cover the full domain.
-    """
+    """Draw one training batch; draw order is fixed for reproducibility."""
     m, n, l = config.batch_functions, config.sources_per_function, config.points_per_iteration
     y = rng.uniform_box(m * n, domain.xmin, domain.xmax, domain.ymin, domain.ymax).reshape(m, n, 2)
     c = (rng.normals(m * n) + 1j * rng.normals(m * n)).reshape(m, n)
     delta = float(rng.uniforms(1)[0] * config.max_noise)
     angles = aperture.receiver_angles()
-    xhat = np.column_stack([np.cos(angles), np.sin(angles)])
     q = angles.shape[0]
     # v_m(xhat) = sum_n c_nm exp(-i k xhat . y_nm)
-    phases = np.exp(-1j * k * np.einsum("qd,mnd->mnq", xhat, y))
-    v = np.einsum("mn,mnq->mq", c, phases)
+    v = np.einsum("mn,mnq->mq", c, plane_waves(y, directions(angles), k))
     if delta > 0.0:
         w = aperture.quadrature_weights()
         norms = np.sqrt(np.real((np.abs(v) ** 2) @ w))
@@ -206,8 +209,7 @@ def sample_batch(
         v_noisy = v + delta * (eta_r + 1j * eta_i) * (norms / np.sqrt(aperture.measure))[:, None]
     else:
         v_noisy = v.copy()
-    pd = point_domain if point_domain is not None else domain
-    z = rng.uniform_box(l, pd.xmin, pd.xmax, pd.ymin, pd.ymax)
+    z = rng.uniform_box(l, domain.xmin, domain.xmax, domain.ymin, domain.ymax)
     return TrainingBatch(
         source_points=y,
         source_coeffs=c,
@@ -228,17 +230,12 @@ def _batch_target(batch: TrainingBatch, k: float) -> np.ndarray:
 def _residual(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float):
     """Residual matrix of the discrete loss plus the caches reverse mode needs."""
     angles = aperture.receiver_angles()
-    basis = _fourier_basis(params.order, angles)
-    xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-    acts, pres = _forward_cached(params, batch.eval_points)
-    y = acts[-1]
-    half = 2 * params.order + 1
-    coeffs = y[:, :half] + 1j * y[:, half:]
-    g = coeffs @ basis + np.exp(-1j * k * batch.eval_points @ xhat.T)  # (L, Q)
+    acts = _forward_cached(params, batch.eval_points)
+    g = _probe(_coefficients(acts[-1], params.order), batch.eval_points, angles, k)  # (L, Q)
     w_eff = aperture.measure / angles.shape[0]
     inner = w_eff * (g @ np.conj(batch.v_noisy).T)  # (L, M)
     r = inner - _batch_target(batch, k)
-    return r, acts, pres, basis, w_eff
+    return r, acts, w_eff
 
 
 def loss(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float) -> float:
@@ -250,13 +247,14 @@ def loss_gradient(
     params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Loss value plus exact gradients for every weight matrix and bias."""
-    r, acts, pres, basis, w_eff = _residual(params, batch, aperture, k)
+    r, acts, w_eff = _residual(params, batch, aperture, k)
+    basis = fourier_modes(params.order, aperture.receiver_angles())
     l_pts, m_fns = r.shape
     # Wirtinger: d loss / d conj(G_{lq}) = (w/(ML)) (R V)_{lq}
     d_conj_g = (w_eff / (l_pts * m_fns)) * (r @ batch.v_noisy)  # (L, Q)
     m_mat = np.conj(d_conj_g) @ basis.T  # (L, 2P+1): sum_q conj(D_lq) e^{i n theta_q}
     dout = np.concatenate([2.0 * np.real(m_mat), -2.0 * np.imag(m_mat)], axis=1)
-    gw, gb = _backward(params, acts, pres, dout)
+    gw, gb = _backward(params, acts, dout)
     return float(np.mean(np.abs(r) ** 2)), gw, gb
 
 
@@ -297,7 +295,6 @@ def train(
     aperture: ApertureSet,
     domain: Box,
     k: float,
-    point_domain: Box | None = None,
     callback=None,
 ) -> tuple[NetworkParams, np.ndarray]:
     """Run the full training loop; returns final parameters and the loss trace.
@@ -311,7 +308,7 @@ def train(
     trace = np.empty(config.iterations)
     initial = None
     for j in range(config.iterations):
-        batch = sample_batch(config, domain, aperture, k, batch_rng, point_domain)
+        batch = sample_batch(config, domain, aperture, k, batch_rng)
         value, gw, gb = loss_gradient(params, batch, aperture, k)
         trace[j] = value
         if initial is None:
@@ -326,90 +323,6 @@ def train(
     return params, trace
 
 
-def train_partitioned(
-    config: TrainConfig,
-    aperture: ApertureSet,
-    subdomains: list[Box],
-    k: float,
-    domain: Box | None = None,
-) -> list[tuple[NetworkParams, np.ndarray]]:
-    """Independent networks, one per subdomain; z samples stay inside each piece."""
-    if not subdomains:
-        raise ValidationError("need at least one subdomain")
-    if domain is None:
-        domain = Box(
-            min(b.xmin for b in subdomains),
-            max(b.xmax for b in subdomains),
-            min(b.ymin for b in subdomains),
-            max(b.ymax for b in subdomains),
-        )
-    results = []
-    for i, sub in enumerate(subdomains):
-        sub_config = replace(config, seed=(config.seed * 1000003 + i) & 0xFFFFFFFFFFFFFFFF)
-        results.append(train(sub_config, aperture, domain, k, point_domain=sub))
-    return results
-
-
-def split_domain(domain: Box, nx: int, ny: int) -> list[Box]:
-    """Axis-aligned nx x ny tiling of the domain, row-major."""
-    xs = np.linspace(domain.xmin, domain.xmax, nx + 1)
-    ys = np.linspace(domain.ymin, domain.ymax, ny + 1)
-    return [
-        Box(xs[i], xs[i + 1], ys[j], ys[j + 1]) for j in range(ny) for i in range(nx)
-    ]
-
-
-@dataclass(frozen=True)
-class PartitionedProbing:
-    """Dispatches each sampling point to its subdomain's network (ties: lowest index)."""
-
-    networks: tuple[NetworkParams, ...]
-    subdomains: tuple[Box, ...]
-
-    def eval(self, z, angles, k: float) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        angles = np.atleast_1d(np.asarray(angles, dtype=float))
-        out = np.empty((z.shape[0], angles.shape[0]), dtype=np.complex128)
-        assigned = np.full(z.shape[0], -1)
-        for i, sub in enumerate(self.subdomains):
-            mask = (assigned < 0) & sub.contains(z)
-            if np.any(mask):
-                out[mask] = probing_eval(self.networks[i], z[mask], angles, k)
-                assigned[mask] = i
-        if np.any(assigned < 0):
-            bad = z[assigned < 0][0]
-            raise ValidationError(f"sampling point {tuple(bad)} lies in no subdomain")
-        return out
-
-
-@dataclass(frozen=True)
-class RescaledProbing:
-    """Probing evaluator for a new wavenumber via input rescaling.
-
-    Evaluating the trained network at (k_new/k_old) z makes its plane-wave
-    term exp(-i k_new xhat . z); valid wherever the scaled point stays in
-    the training domain.
-    """
-
-    params: NetworkParams
-    k_old: float
-    k_new: float
-    domain: Box
-
-    def eval(self, z, angles) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        scaled = (self.k_new / self.k_old) * z
-        if not np.all(self.domain.contains(scaled)):
-            raise ValidationError("rescaled evaluation point leaves the training domain")
-        return probing_eval(self.params, scaled, np.asarray(angles, dtype=float), self.k_old)
-
-
-def rescale_for_wavenumber(
-    params: NetworkParams, k_old: float, k_new: float, domain: Box
-) -> RescaledProbing:
-    return RescaledProbing(params=params, k_old=k_old, k_new=k_new, domain=domain)
-
-
 def validation_residual(
     params: NetworkParams,
     config: TrainConfig,
@@ -418,12 +331,11 @@ def validation_residual(
     k: float,
     n_functions: int = 100,
     seed: int = 12345,
-    point_domain: Box | None = None,
 ) -> float:
     """Mean squared loss bracket on fresh unpolluted test functions."""
     cfg = replace(config, batch_functions=n_functions, max_noise=0.0)
     rng = CounterRng(seed, stream=777)
-    batch = sample_batch(cfg, domain, aperture, k, rng, point_domain)
+    batch = sample_batch(cfg, domain, aperture, k, rng)
     return loss(params, batch, aperture, k)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .forward import green_far_prefactor
-from .numerics import bessel_j, gauss_arc_nodes
+from .numerics import directions, gauss_arc_nodes, plane_waves
 from .scene import ApertureSet, FarFieldData, SamplingGrid
 
 
@@ -54,15 +54,6 @@ class ProbingSet:
         object.__setattr__(self, "samples", s)
 
 
-def green_far_field(z, angle, k: float):
-    """G_inf(z, xhat) = e^{i pi/4}/sqrt(8 k pi) * e^{-i k xhat . z} in 2-D."""
-    z = np.asarray(z, dtype=float)
-    angle = np.asarray(angle, dtype=float)
-    xhat_dot_z = np.cos(angle) * z[..., 0] + np.sin(angle) * z[..., 1]
-    out = green_far_prefactor(k) * np.exp(-1j * k * xhat_dot_z)
-    return complex(out) if out.ndim == 0 else out
-
-
 def index_classical(
     data: FarFieldData,
     probing: ProbingSet | None,
@@ -89,11 +80,9 @@ def index_classical(
     elif k is None:
         raise ValidationError("k is required when probing defaults to G_inf")
     else:
-        # cos - i sin of a real array is ~10x cheaper than exp of an imaginary one
-        px = k * np.outer(grid.xs, np.cos(angles))
-        py = k * np.outer(grid.ys, np.sin(angles))
-        ex = np.cos(px) - 1j * np.sin(px)
-        ey = np.cos(py) - 1j * np.sin(py)
+        xhat, zero = directions(angles), np.zeros(grid.resolution)
+        ex = plane_waves(np.column_stack([grid.xs, zero]), xhat, k)
+        ey = plane_waves(np.column_stack([zero, grid.ys]), xhat, k)
         vals = np.abs(green_far_prefactor(k) * ((ey * v) @ ex.T)).ravel()
     return IndexField(grid=grid, values=vals, normalized=False)
 
@@ -109,8 +98,7 @@ def kernel_gamma(z, y, aperture: ApertureSet, k: float, quadrature_points: int =
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     angles, weights = gauss_arc_nodes(aperture, quadrature_points)
-    xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-    integrand = np.exp(1j * k * xhat @ (y - z)) / (8.0 * k * np.pi)
+    integrand = plane_waves(z - y, directions(angles), k) / (8.0 * k * np.pi)
     return complex(integrand @ weights)
 
 
@@ -185,8 +173,3 @@ def dominant_peaks(
             if max_peaks is not None and len(kept) >= max_peaks:
                 break
     return kept
-
-
-def bessel_j0_kernel(k: float, r) -> np.ndarray:
-    """J_0(k r) / (4 k): the full-circle translation kernel K_{S^1}."""
-    return bessel_j(0, k * np.abs(np.asarray(r, dtype=float))) / (4.0 * k)

@@ -13,7 +13,7 @@ import numpy as np
 from .dpn import NetworkParams
 from .dsm import IndexField
 from .errors import ValidationError
-from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
+from .scene import ApertureSet, FarFieldData, SamplingGrid
 
 
 def _fmt(x: float) -> str:
@@ -125,30 +125,29 @@ def write_checkpoint(path, params: NetworkParams, k: float) -> None:
 
 
 def read_checkpoint(path) -> tuple[NetworkParams, float]:
+    """Network and wavenumber from a checkpoint; malformed content raises ValidationError."""
     with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 5 or header[0] != "DPN" or header[1] != "v1":
-            raise ValidationError(f"unrecognized checkpoint header: {' '.join(header)!r}")
-        order = int(header[2].removeprefix("P="))
-        dims = tuple(int(d) for d in header[3].removeprefix("layers=").split(","))
-        k = float(header[4].removeprefix("k="))
+        lines = [line.split() for line in f]
+    i = 0
+    try:
+        tag, version, order, dims, k = lines[0]
+        order, k = int(order.removeprefix("P=")), float(k.removeprefix("k="))
+        dims = [int(d) for d in dims.removeprefix("layers=").split(",")]
+        if (tag, version) != ("DPN", "v1") or len(dims) < 2 or dims[0] != 2 or dims[-1] != 4 * order + 2:
+            raise ValueError("expected header 'DPN v1 P=<order> layers=2,...,<4P+2> k=<wavenumber>'")
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            tag = f.readline().split()
-            if tag[:1] != ["layer"] or (int(tag[1]), int(tag[2])) != (fan_in, fan_out):
-                raise ValidationError("checkpoint layer block does not match the header dims")
-            w = np.array([[float(v) for v in f.readline().split()] for _ in range(fan_in)])
-            b = np.array([float(v) for v in f.readline().split()])
-            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-                raise ValidationError("checkpoint layer block has the wrong shape")
-            weights.append(w)
-            biases.append(b)
+            i += 1
+            if lines[i] != ["layer", str(fan_in), str(fan_out)]:
+                raise ValueError(f"expected 'layer {fan_in} {fan_out}'")
+            rows = []
+            for _ in range(fan_in + 1):
+                i += 1
+                rows.append([float(v) for v in lines[i]])
+                if len(rows[-1]) != fan_out:
+                    raise ValueError(f"expected {fan_out} values, got {len(rows[-1])}")
+            weights.append(np.array(rows[:-1]))
+            biases.append(np.array(rows[-1]))
+    except (ValueError, IndexError) as e:
+        raise ValidationError(f"{path}:{i + 1}: malformed checkpoint: {e}") from None
     return NetworkParams(weights=weights, biases=biases, order=order), k
-
-
-def aperture_to_dict(aperture: ApertureSet) -> dict:
-    return {"arcs": [{"alpha": a.alpha, "beta": a.beta, "receivers": a.receivers} for a in aperture.arcs]}
-
-
-def box_to_dict(box: Box) -> dict:
-    return {"xmin": box.xmin, "xmax": box.xmax, "ymin": box.ymin, "ymax": box.ymax}

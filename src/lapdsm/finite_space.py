@@ -19,6 +19,7 @@ from scipy import special as sp
 
 from .dsm import IndexField, ProbingSet, averaged_index
 from .errors import NumericalError, ValidationError
+from .numerics import fourier_modes
 from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
 
 
@@ -31,10 +32,6 @@ class FourierTrialSpace:
     def __post_init__(self):
         if self.order < 1:
             raise ValidationError("Fourier space order must be >= 1")
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.order + 1
 
 
 @dataclass(frozen=True)
@@ -90,13 +87,8 @@ def ffsm_matrix(aperture: ApertureSet, order: int) -> np.ndarray:
     return a
 
 
-def ffsm_rhs(z, order: int, k: float) -> np.ndarray:
-    """B_n(z) = i^{-n} e^{i pi/4}/(2 sqrt(k)) J_n(k|z|) e^{-i n theta_z}."""
-    return ffsm_rhs_field(np.asarray(z, dtype=float)[None, :], order, k)[0]
-
-
 def ffsm_rhs_field(points: np.ndarray, order: int, k: float) -> np.ndarray:
-    """ffsm_rhs vectorized over sampling points, shape (n_points, 2P+1)."""
+    """B_n(z) = i^{-n} e^{i pi/4}/(2 sqrt(k)) J_n(k|z|) e^{-i n theta_z}, shape (n_points, 2P+1)."""
     p = order
     pts = np.asarray(points, dtype=float)
     r = np.hypot(pts[:, 0], pts[:, 1])
@@ -106,7 +98,7 @@ def ffsm_rhs_field(points: np.ndarray, order: int, k: float) -> np.ndarray:
     jn = sp.jv(np.arange(p + 1)[None, :], (k * r)[:, None])[:, np.abs(ns)]
     sign = np.where((ns < 0) & (np.abs(ns) % 2 == 1), -1.0, 1.0)
     pre = (1j) ** (-ns) * np.exp(1j * np.pi / 4.0) / (2.0 * np.sqrt(k))
-    return pre[None, :] * sign[None, :] * jn * np.exp(-1j * np.outer(theta, ns))
+    return pre[None, :] * sign[None, :] * jn * np.conj(fourier_modes(p, theta)).T
 
 
 def default_fssm_truncation(k: float, sources: SourceTestingSpace) -> int:
@@ -137,19 +129,16 @@ def fssm_matrix(
     ms = np.arange(-p, p + 1)
     a = np.zeros((pts.shape[0], 2 * p + 1), dtype=np.complex128)
     pre = np.exp(-1j * np.pi / 4.0) / (2.0 * np.pi * np.sqrt(k))
+    modes = fourier_modes(truncation, theta)  # (2T+1, n_sources)
     for q in range(-truncation, truncation + 1):
-        radial = (1j) ** q * sp.jv(q, k * r) * np.exp(1j * q * theta)  # (n_sources,)
+        radial = (1j) ** q * sp.jv(q, k * r) * modes[q + truncation]  # (n_sources,)
         angular = np.array([_arc_mode_integral(aperture, m - q) for m in ms])
         a += np.outer(radial, angular)
     return pre * a
 
 
-def fssm_rhs(z, sources: SourceTestingSpace) -> np.ndarray:
-    """B_n(z) = J_0(k |z - y_n|) / (4k), the full-circle kernel against each source."""
-    return fssm_rhs_field(np.asarray(z, dtype=float)[None, :], sources)[0]
-
-
 def fssm_rhs_field(points: np.ndarray, sources: SourceTestingSpace) -> np.ndarray:
+    """B_n(z) = J_0(k |z - y_n|) / (4k) against each source, shape (n_points, n_sources)."""
     pts = np.asarray(points, dtype=float)
     k = sources.wavenumber
     d = np.hypot(
@@ -196,10 +185,7 @@ def probing_from_coefficients(
     coeffs: CoefficientField, aperture: ApertureSet
 ) -> ProbingSet:
     """G_Gamma(z, theta_q) = sum_n f_n(z) e^{i n theta_q} / sqrt(2 pi)."""
-    p = coeffs.order
-    ns = np.arange(-p, p + 1)
-    angles = aperture.receiver_angles()
-    basis = np.exp(1j * np.outer(ns, angles)) / np.sqrt(2.0 * np.pi)  # (2P+1, Q)
+    basis = fourier_modes(coeffs.order, aperture.receiver_angles()) / np.sqrt(2.0 * np.pi)  # (2P+1, Q)
     return ProbingSet(coeffs.coefficients @ basis, aperture)
 
 

@@ -18,6 +18,7 @@ from scipy import linalg
 from scipy import special as sp
 
 from .errors import NumericalError, ValidationError
+from .numerics import directions, plane_waves
 from .scene import FarFieldData, Scene, SamplingGrid, refractive_index_grid
 
 MIN_CELLS_PER_WAVELENGTH = 10.0
@@ -76,7 +77,7 @@ class ForwardSolution:
         k = self.wavenumber
         grid = self.grid
         mask = grid.q != 0.0
-        u = np.exp(1j * k * grid.points @ np.asarray(self.incidence))
+        u = plane_waves(grid.points, -np.asarray(self.incidence)[None, :], k)[:, 0]  # u^i = e^{ik d . x}
         if np.any(mask):
             diff = grid.points[~mask][:, None, :] - grid.points[mask][None, :, :]
             r = np.hypot(diff[..., 0], diff[..., 1])
@@ -111,7 +112,7 @@ def solve_scattering(scene: Scene, incidence_index: int, grid: ContrastGrid) -> 
     k = scene.wavenumber
     d = np.asarray(scene.incidences[incidence_index])
     mask = grid.q != 0.0
-    u = np.exp(1j * k * grid.points @ d)  # u^i; overwritten on the contrast cells
+    u = plane_waves(grid.points, -d[None, :], k)[:, 0]  # u^i = e^{ik d . x}, then u on the contrast cells
     if np.any(mask):
         q_d = grid.q[mask]
         g = _interaction_matrix(k, grid.points[mask], grid.h)
@@ -151,9 +152,10 @@ def far_field(solution: ForwardSolution, angles, k: float) -> np.ndarray:
         return np.zeros(angles.shape, dtype=np.complex128)
     pts = solution.grid.points[mask]
     cur = solution.current[mask]
-    xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-    phase = np.exp(-1j * k * (xhat @ pts.T))  # (n_angles, n_cells)
-    return green_far_prefactor(k) * solution.grid.cell_area * (phase @ cur)
+    # the phase k xhat . y is symmetric in xhat and y; with the angles first the
+    # (angles x cells) @ current sum keeps its accumulation order, hence its bits
+    waves = plane_waves(directions(angles), pts, k)  # (n_angles, n_cells)
+    return green_far_prefactor(k) * solution.grid.cell_area * (waves @ cur)
 
 
 def born_far_field(scene: Scene, incidence_index: int, angles, grid: ContrastGrid) -> np.ndarray:

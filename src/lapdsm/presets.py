@@ -15,7 +15,6 @@ from .scene import ApertureSet, Arc, Box, Disk, Rectangle, Ring, Scene
 
 WAVENUMBER = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)
-DEFAULT_NOISE_LEVELS = (0.01, 0.05)
 
 
 def config1_aperture(receivers: int = 100) -> ApertureSet:
@@ -87,12 +86,6 @@ def preset_scene(name: str, aperture: ApertureSet | None = None) -> Scene:
         incidences=spec["incidences"],
         aperture=aperture,
     )
-
-
-def preset_config(name: str) -> int:
-    if name not in _PRESETS:
-        raise ValidationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return _PRESETS[name]["config"]
 
 
 def true_centers(name: str) -> list[tuple[float, float]]:

@@ -92,11 +92,6 @@ def full_circle(receivers: int = 512) -> ApertureSet:
     return ApertureSet((Arc(alpha=np.pi, beta=0.0, receivers=receivers),))
 
 
-def receiver_angles(aperture: ApertureSet) -> np.ndarray:
-    """Concatenated per-arc uniform receiver angles (deterministic ordering)."""
-    return aperture.receiver_angles()
-
-
 # --------------------------------------------------------------------------
 # Scatterer shapes
 # --------------------------------------------------------------------------
@@ -237,17 +232,6 @@ class Scene:
                 raise ValidationError(f"scatterer {s} is not contained in the domain")
 
 
-def refractive_index_at(scene: Scene, point) -> float:
-    """Index of the innermost scatterer containing the point, else 1 (background)."""
-    pt = np.asarray(point, dtype=float)
-    best = None
-    for s in scene.scatterers:
-        if bool(s.contains(pt)):
-            if best is None or s.area < best.area:
-                best = s
-    return best.refractive_index if best is not None else 1.0
-
-
 def refractive_index_grid(scene: Scene, pts: np.ndarray) -> np.ndarray:
     """Vectorized refractive index over points (n, 2); innermost shape wins."""
     n = np.ones(pts.shape[0])
@@ -351,6 +335,14 @@ def add_noise(data: FarFieldData, delta: float, seed: int) -> FarFieldData:
 # --------------------------------------------------------------------------
 # JSON serialization
 # --------------------------------------------------------------------------
+def box_to_dict(box: Box) -> dict:
+    return {"xmin": box.xmin, "xmax": box.xmax, "ymin": box.ymin, "ymax": box.ymax}
+
+
+def aperture_to_dict(aperture: ApertureSet) -> dict:
+    return {"arcs": [{"alpha": a.alpha, "beta": a.beta, "receivers": a.receivers} for a in aperture.arcs]}
+
+
 def scene_to_dict(scene: Scene) -> dict:
     scat = []
     for s in scene.scatterers:
@@ -380,21 +372,17 @@ def scene_to_dict(scene: Scene) -> dict:
             )
     return {
         "wavenumber": scene.wavenumber,
-        "domain": {
-            "xmin": scene.domain.xmin,
-            "xmax": scene.domain.xmax,
-            "ymin": scene.domain.ymin,
-            "ymax": scene.domain.ymax,
-        },
+        "domain": box_to_dict(scene.domain),
         "scatterers": scat,
         "incidences": [list(d) for d in scene.incidences],
-        "aperture": {
-            "arcs": [{"alpha": a.alpha, "beta": a.beta, "receivers": a.receivers} for a in scene.aperture.arcs]
-        },
+        "aperture": aperture_to_dict(scene.aperture),
     }
 
 
 def scene_from_dict(d: dict) -> Scene:
+    """Scene from its JSON form; a missing key or a value of the wrong type raises ValidationError."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"scene must be a JSON object, got {type(d).__name__}")
     try:
         dom = Box(**d["domain"])
         scat = []
@@ -418,6 +406,10 @@ def scene_from_dict(d: dict) -> Scene:
         )
     except KeyError as e:
         raise ValidationError(f"scene file missing key {e}") from e
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, IndexError) as e:
+        raise ValidationError(f"malformed scene: {e}") from e
 
 
 def load_scene(path) -> Scene:

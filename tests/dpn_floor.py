@@ -13,13 +13,14 @@ from dataclasses import replace
 import numpy as np
 
 from lapdsm import dpn
+from lapdsm.numerics import fourier_modes
 from lapdsm.rng import CounterRng
 
 
-def validation_batch(config, aperture, domain, k, n_functions=100, seed=12345, point_domain=None):
+def validation_batch(config, aperture, domain, k, n_functions=100, seed=12345):
     """The batch `dpn.validation_residual` scores, drawn with the same arguments."""
     cfg = replace(config, batch_functions=n_functions, max_noise=0.0)
-    return dpn.sample_batch(cfg, domain, aperture, k, CounterRng(seed, stream=777), point_domain)
+    return dpn.sample_batch(cfg, domain, aperture, k, CounterRng(seed, stream=777))
 
 
 def attainable_floor(config, aperture, domain, k, **batch_kw):
@@ -31,7 +32,8 @@ def attainable_floor(config, aperture, domain, k, **batch_kw):
     """
     batch = validation_batch(config, aperture, domain, k, **batch_kw)
     # the zero network's residual is the plane-wave pairing minus the target
-    r0, _, _, basis, w_eff = dpn._residual(dpn.NetworkParams.zeros(config), batch, aperture, k)
+    r0, _, w_eff = dpn._residual(dpn.NetworkParams.zeros(config), batch, aperture, k)
+    basis = fourier_modes(config.order, aperture.receiver_angles())
     # residual(f) = f @ a + r0, with a the pairing of each Fourier mode with v_m
     a = w_eff * (basis @ np.conj(batch.v_noisy).T)  # (2P+1, M)
     coeffs = np.linalg.lstsq(a.T, -r0.T, rcond=None)[0].T  # (L, 2P+1)

@@ -15,9 +15,7 @@ from lapdsm import dpn
 from lapdsm.cli import main as cli_main
 from lapdsm.dsm import (
     average_and_normalize,
-    bessel_j0_kernel,
     dominant_peaks,
-    green_far_field,
     green_norm_on_aperture,
     index_classical,
     kernel_gamma,
@@ -35,6 +33,7 @@ from lapdsm.numerics import arc_norm, gauss_arc_nodes
 from lapdsm.presets import DOMAIN, WAVENUMBER, config1_aperture, config2_aperture, preset_scene, true_centers
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, FarFieldData, SamplingGrid, add_noise, full_circle
+from reference import bessel_j0_kernel, green_far_field
 
 K = WAVENUMBER
 

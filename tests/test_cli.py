@@ -7,6 +7,29 @@ import numpy as np
 import pytest
 
 from lapdsm.cli import main
+from lapdsm.dpn import NetworkParams, TrainConfig
+from lapdsm.fileio import write_checkpoint
+from lapdsm.presets import preset_scene
+from lapdsm.rng import CounterRng
+from lapdsm.scene import scene_to_dict
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["reconstruct", "--data", "d.csv", "--method", "partial", "--grid", "abc"], "--grid"),
+        (["reconstruct", "--data", "d.csv", "--method", "ffsm", "--sigma-exp-list", "4,x"], "--sigma-exp-list"),
+        (["train-dpn", "--config", "3"], "--config"),
+    ],
+    ids=["grid", "sigma-exp-list", "config"],
+)
+def test_malformed_argument_is_one_line_error(tmp_path, capsys, argv, option):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.count("\n") == 1 and option in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def read_bytes(path):
@@ -65,6 +88,22 @@ class TestSimulate:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["simulate", "--scene", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda scene: [scene], "scene must be a JSON object, got list"),
+            (lambda scene: scene["scatterers"][0].update(radius="abc") or scene, "malformed scene"),
+        ],
+        ids=["json-list", "string-radius"],
+    )
+    def test_malformed_scene_is_one_line_error(self, tmp_path, capsys, edit, message):
+        scene = scene_to_dict(preset_scene("ex2_1"))
+        (tmp_path / "bad.json").write_text(json.dumps(edit(scene)))
+        code = main(["simulate", "--scene", str(tmp_path / "bad.json"), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and err.count("\n") == 1
 
 
 class TestReconstruct:
@@ -156,6 +195,15 @@ class TestReconstruct:
         assert code == 2
         assert "is not receiver 39's angle" in err and err.count("\n") == 1
 
+    def test_metadata_without_scene_is_one_line_error(self, sim_dir, tmp_path, capsys):
+        (tmp_path / "bad.meta.json").write_text(json.dumps({"command": "simulate"}))
+        code = main(["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"), "--meta",
+                     str(tmp_path / "bad.meta.json"), "--method", "partial", "--grid", "8",
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert 'no "scene" entry' in err and err.count("\n") == 1
+
     def test_ffsm_without_sigma_is_validation_error(self, sim_dir, tmp_path):
         code = main(
             ["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"),
@@ -190,25 +238,28 @@ class TestTrainAndDpnReconstruct:
         assert read_bytes(tmp_path / "n1.ckpt") == read_bytes(tmp_path / "n2.ckpt")
         assert read_bytes(tmp_path / "n1.loss.csv") == read_bytes(tmp_path / "n2.loss.csv")
 
-    def test_partitioned_training(self, tmp_path):
-        out = str(tmp_path / "part")
-        code = main(
-            ["train-dpn", "--config", "1", "--iterations", "2", "--batch-functions", "6",
-             "--points", "6", "--partition", "2x1", "--out", out]
-        )
-        assert code == 0
-        assert (tmp_path / "part.part0.ckpt").exists()
-        assert (tmp_path / "part.part1.ckpt").exists()
-
-    @pytest.mark.parametrize("partition", ["2", "ax2", "2x2x2", "0x2", "2x", ""])
-    def test_malformed_partition_is_one_line_error(self, tmp_path, capsys, partition):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["train-dpn", "--config", "1", "--iterations", "1", "--partition", partition,
-                  "--out", str(tmp_path / "p")])
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda lines: lines[:2] + ["x" + lines[2]] + lines[3:], "3: malformed checkpoint"),
+            (lambda lines: [lines[0].replace("P=3", "P=x")] + lines[1:], "1: malformed checkpoint"),
+            (lambda lines: [lines[0].replace("P=3", "P=4")] + lines[1:], "1: malformed checkpoint: expected header"),
+            (lambda lines: lines[:1] + ["layer"] + lines[2:], "2: malformed checkpoint: expected 'layer 2 12'"),
+            (lambda lines: lines[:2] + [lines[2].rsplit(" ", 1)[0]] + lines[3:], "3: malformed checkpoint: expected 12 values, got 11"),
+        ],
+        ids=["x-prefixed-weight", "header-P", "header-P-mismatch", "bare-layer-tag", "short-row"],
+    )
+    def test_malformed_checkpoint_is_one_line_error(self, tmp_path, capsys, edit, message):
+        params = NetworkParams.initialize(TrainConfig(order=3, hidden=(12,)), CounterRng(0))
+        write_checkpoint(tmp_path / "net.ckpt", params, 8.0)
+        lines = (tmp_path / "net.ckpt").read_text().splitlines()
+        (tmp_path / "bad.ckpt").write_text("\n".join(edit(lines)) + "\n")
+        args = ["rn", "--method", "dpn", "--config", "1", "--grid", "8", "--out", str(tmp_path / "x")]
+        assert main(args + ["--checkpoint", str(tmp_path / "net.ckpt")]) == 0
+        code = main(args + ["--checkpoint", str(tmp_path / "bad.ckpt")])
         err = capsys.readouterr().err
-        assert exit_info.value.code == 2
-        assert err.count("\n") == 1 and "--partition" in err and "Traceback" not in err
-        assert not list(tmp_path.iterdir())
+        assert code == 2
+        assert message in err and err.count("\n") == 1
 
     def test_dpn_reconstruct_requires_checkpoint(self, sim_dir, tmp_path):
         code = main(

@@ -9,20 +9,15 @@ from dpn_floor import attainable_floor, validation_batch
 from lapdsm import dpn
 from lapdsm.dpn import (
     NetworkParams,
-    PartitionedProbing,
     TrainConfig,
     loss,
     loss_gradient,
     network_forward,
     probing_eval,
-    rescale_for_wavenumber,
     sample_batch,
-    split_domain,
     train,
-    train_partitioned,
     validation_residual,
 )
-from lapdsm.errors import ValidationError
 from lapdsm.presets import config1_aperture
 from lapdsm.rng import CounterRng
 from lapdsm.scene import Box, full_circle
@@ -62,11 +57,19 @@ class TestNetworkForward:
         from lapdsm.dpn import _forward_cached
 
         z = np.array([[0.4, 0.1]])
-        acts, _ = _forward_cached(params, z)
+        acts = _forward_cached(params, z)
         params.weights[0] *= 2.0
         params.biases[0] *= 2.0
-        acts2, _ = _forward_cached(params, z)
+        acts2 = _forward_cached(params, z)
         np.testing.assert_allclose(acts2[1], 2.0 * acts[1], rtol=1e-12)
+
+    def test_matches_cached_forward_bit_for_bit(self):
+        # inference drops the activations reverse mode keeps, not a single bit
+        cfg = tiny_config(order=4, hidden=(16, 9, 16))
+        params = NetworkParams.initialize(cfg, CounterRng(7))
+        z = CounterRng(8).uniform_box(50, -1.0, 1.0, -1.0, 1.0)
+        acts = dpn._forward_cached(params, z)
+        np.testing.assert_array_equal(network_forward(params, z), dpn._coefficients(acts[-1], cfg.order))
 
     def test_finite_difference_of_output(self):
         cfg = tiny_config()
@@ -109,6 +112,17 @@ class TestProbingEval:
         expect = 1.0 + np.exp(-1j * K * z @ xhat.T)
         np.testing.assert_allclose(probing_eval(params, z, angles, K), expect, rtol=1e-12)
 
+    def test_training_probe_is_the_inference_probe(self):
+        # the loss pairs exactly the probe that reconstruct and rn evaluate
+        cfg = tiny_config(max_noise=0.0)
+        ap = config1_aperture(receivers=20)
+        params = NetworkParams.initialize(cfg, CounterRng(12))
+        batch = sample_batch(cfg, DOMAIN, ap, K, CounterRng(13))
+        r, *_ = dpn._residual(params, batch, ap, K)
+        g = probing_eval(params, batch.eval_points, ap.receiver_angles(), K)
+        w_eff = ap.measure / ap.total_receivers
+        np.testing.assert_array_equal(r, w_eff * (g @ np.conj(batch.v_noisy).T) - dpn._batch_target(batch, K))
+
     def test_angle_periodicity(self):
         params = NetworkParams.initialize(tiny_config(), CounterRng(2))
         z = np.array([[0.1, 0.9]])
@@ -144,14 +158,6 @@ class TestSampleBatch:
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
         v = np.exp(-1j * K * xhat @ y[0, 0])
         np.testing.assert_allclose(v, 1.0)
-
-    def test_point_domain_restricts_eval_points(self):
-        cfg = tiny_config(points_per_iteration=200)
-        sub = Box(0.0, 1.0, -1.0, 0.0)
-        b = sample_batch(cfg, DOMAIN, config1_aperture(), K, CounterRng(1), point_domain=sub)
-        assert np.all(sub.contains(b.eval_points))
-        # sources still roam the full domain
-        assert np.any(b.source_points[..., 0] < 0.0)
 
 
 class TestLoss:
@@ -274,63 +280,6 @@ class TestTraining:
         train(cfg, config1_aperture(receivers=20), DOMAIN, K,
               callback=lambda it, p, tr: seen.append(it))
         assert seen == [2, 4, 6]
-
-
-class TestPartitioned:
-    def test_single_subdomain_matches_direct_seeding(self):
-        cfg = tiny_config(iterations=4)
-        ap = config1_aperture(receivers=20)
-        results = train_partitioned(cfg, ap, [DOMAIN], K)
-        assert len(results) == 1
-        from dataclasses import replace
-
-        direct, _ = train(replace(cfg, seed=cfg.seed * 1000003), ap, DOMAIN, K, point_domain=DOMAIN)
-        for w1, w2 in zip(results[0][0].weights, direct.weights):
-            np.testing.assert_array_equal(w1, w2)
-
-    def test_split_domain_tiles(self):
-        subs = split_domain(DOMAIN, 2, 2)
-        assert len(subs) == 4
-        assert subs[0] == Box(-1.0, 0.0, -1.0, 0.0)
-        assert subs[3] == Box(0.0, 1.0, 0.0, 1.0)
-
-    def test_dispatch_and_uncovered_point(self):
-        cfg = tiny_config()
-        nets = (NetworkParams.zeros(cfg), NetworkParams.zeros(cfg))
-        probing = PartitionedProbing(nets, (Box(-1, 0, -1, 1), Box(0, 1, -1, 1)))
-        vals = probing.eval(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.array([0.0]), K)
-        assert vals.shape == (2, 1)
-        with pytest.raises(ValidationError):
-            probing.eval(np.array([[2.0, 0.0]]), np.array([0.0]), K)
-
-
-class TestRescale:
-    def test_identity_at_same_wavenumber(self):
-        cfg = tiny_config()
-        params = NetworkParams.initialize(cfg, CounterRng(8))
-        wrapper = rescale_for_wavenumber(params, K, K, DOMAIN)
-        z = np.array([[0.2, -0.6]])
-        angles = np.linspace(0, 2 * np.pi, 6)
-        np.testing.assert_allclose(wrapper.eval(z, angles), probing_eval(params, z, angles, K))
-
-    def test_plane_wave_term_at_new_wavenumber(self):
-        cfg = tiny_config()
-        params = NetworkParams.zeros(cfg)
-        k_new = 0.8 * K
-        wrapper = rescale_for_wavenumber(params, K, k_new, DOMAIN)
-        z = np.array([[0.5, 0.25]])
-        angles = np.linspace(0, 2 * np.pi, 6)
-        xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-        np.testing.assert_allclose(
-            wrapper.eval(z, angles), np.exp(-1j * k_new * z @ xhat.T), rtol=1e-12
-        )
-
-    def test_out_of_domain_rejected(self):
-        cfg = tiny_config()
-        params = NetworkParams.zeros(cfg)
-        wrapper = rescale_for_wavenumber(params, K, 2.0 * K, DOMAIN)
-        with pytest.raises(ValidationError):
-            wrapper.eval(np.array([[0.9, 0.9]]), np.array([0.0]))
 
 
 class TestValidationResidual:

@@ -9,19 +9,18 @@ from dense_probing import green_probing_set
 from lapdsm.dsm import (
     IndexField,
     average_and_normalize,
-    bessel_j0_kernel,
     dominant_peaks,
-    green_far_field,
     green_norm_on_aperture,
     index_classical,
     kernel_gamma,
     relative_norm,
 )
 from lapdsm.errors import ValidationError
-from lapdsm.numerics import arc_norm, bessel_j
+from lapdsm.numerics import arc_norm
 from lapdsm.presets import config1_aperture, config2_aperture
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, Box, FarFieldData, SamplingGrid, full_circle
+from reference import bessel_j, bessel_j0_kernel, green_far_field
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)

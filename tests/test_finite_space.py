@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from lapdsm.dsm import bessel_j0_kernel, green_far_field, kernel_gamma
+from lapdsm.dsm import kernel_gamma
 from lapdsm.errors import ValidationError
 from lapdsm.finite_space import (
     CoefficientField,
@@ -14,12 +14,10 @@ from lapdsm.finite_space import (
     build_system,
     default_fssm_truncation,
     ffsm_matrix,
-    ffsm_rhs,
     ffsm_rhs_field,
     finite_space_probing,
     finite_space_probings,
     fssm_matrix,
-    fssm_rhs,
     probing_from_coefficients,
     reconstruct_finite_space,
     source_lattice,
@@ -29,6 +27,7 @@ from lapdsm.numerics import gauss_arc_nodes
 from lapdsm.presets import config1_aperture, config2_aperture
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, Box, FarFieldData, SamplingGrid, full_circle
+from reference import bessel_j0_kernel, ffsm_rhs, fssm_rhs, green_far_field
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)

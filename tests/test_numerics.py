@@ -1,18 +1,14 @@
-"""Bessel/Hankel evaluations pinned against independent oracles."""
+"""Plane waves, Fourier modes, quadrature, and scipy's Bessel/Hankel values pinned against oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapdsm.errors import ValidationError
-from lapdsm.numerics import (
-    arc_norm,
-    arc_quadrature,
-    bessel_j,
-    bessel_j_signed,
-    gauss_arc_nodes,
-    hankel1,
-)
+from lapdsm.numerics import arc_norm, arc_quadrature, directions, fourier_modes, gauss_arc_nodes, plane_waves
 from lapdsm.scene import ApertureSet, Arc, full_circle
+from reference import bessel_j, bessel_j_signed, hankel1
 
 
 def bessel_series(n, x, terms=60):
@@ -105,6 +101,50 @@ class TestHankel1:
             hankel1(0, 0.0)
         with pytest.raises(ValidationError):
             hankel1(2, 1.0)
+
+
+class TestPlaneWaves:
+    def test_matches_exponential(self):
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1.0, 1.0, (30, 2))
+        angles = np.linspace(-np.pi, np.pi, 17)
+        xhat = np.column_stack([np.cos(angles), np.sin(angles)])
+        for k in (1.0, 7.3, 8.0):
+            np.testing.assert_allclose(plane_waves(pts, directions(angles), k), np.exp(-1j * k * pts @ xhat.T),
+                                       rtol=0, atol=1e-14)
+
+    def test_shapes_follow_points(self):
+        xhat = directions(np.linspace(0.0, 1.0, 5))
+        assert plane_waves(np.zeros((3, 4, 2)), xhat, 8.0).shape == (3, 4, 5)
+        assert plane_waves(np.zeros(2), xhat, 8.0).shape == (5,)
+        np.testing.assert_array_equal(plane_waves(np.zeros((3, 2)), xhat, 8.0), 1.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+        q=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+        k=st.floats(0.5, 20.0),
+    )
+    def test_unit_modulus_translation_and_incident_sign(self, p, q, k):
+        xhat = directions(np.linspace(-np.pi, np.pi, 13))
+        wp, wq = plane_waves(np.array(p), xhat, k), plane_waves(np.array(q), xhat, k)
+        np.testing.assert_allclose(np.abs(wp), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(plane_waves(np.add(p, q), xhat, k), wp * wq, rtol=0, atol=1e-12)
+        # e^{ik d . x}, the incident wave, is the plane wave of direction -d
+        np.testing.assert_allclose(plane_waves(np.array(p), -xhat, k), np.conj(wp), rtol=0, atol=1e-15)
+
+
+class TestFourierModes:
+    def test_matches_exponential(self):
+        angles = np.linspace(-np.pi, np.pi, 23)
+        ns = np.arange(-6, 7)
+        np.testing.assert_allclose(fourier_modes(6, angles), np.exp(1j * np.outer(ns, angles)), rtol=0, atol=1e-14)
+
+    def test_constant_mode_and_conjugate_symmetry(self):
+        modes = fourier_modes(4, np.linspace(0.0, 3.0, 9))
+        assert modes.shape == (9, 9)
+        np.testing.assert_array_equal(modes[4], 1.0)
+        np.testing.assert_allclose(modes[::-1], np.conj(modes), rtol=0, atol=1e-15)
 
 
 class TestArcQuadrature:

@@ -16,13 +16,13 @@ from lapdsm.scene import (
     Scene,
     add_noise,
     full_circle,
-    refractive_index_at,
     refractive_index_grid,
     scene_from_dict,
     scene_to_dict,
 )
 from lapdsm.numerics import arc_norm
 from lapdsm.presets import config1_aperture, config2_aperture, preset_scene
+from reference import refractive_index_at
 
 
 class TestArcs:
