@@ -170,7 +170,12 @@ def cmd_kernel(args) -> int:
     from .scene import Arc
 
     aperture = ApertureSet((Arc(alpha=args.alpha, beta=0.0, receivers=64),))
-    betas = [float(b) for b in args.beta_list.split(",")]
+    try:
+        betas = [float(b) for b in args.beta_list.split(",")]
+    except ValueError:
+        raise ValidationError(f"--beta-list must be comma-separated numbers, got {args.beta_list!r}") from None
+    if not np.all(np.isfinite(betas)):
+        raise ValidationError(f"--beta-list angles must be finite, got {args.beta_list!r}")
     radii = np.linspace(0.0, args.r_max, args.r_steps)
     columns = []
     for b in betas:

@@ -23,11 +23,12 @@ def _fmt(x: float) -> str:
 def write_farfield_csv(path, data: FarFieldData) -> None:
     """Rows: incidence_index,theta_radians,re,im in receiver order."""
     angles = data.aperture.receiver_angles()
+    n_inc, q = data.samples.shape
+    u = data.samples.ravel()
+    rows = np.column_stack([np.repeat(np.arange(n_inc), q), np.tile(angles, n_inc), u.real, u.imag])
     with open(path, "w") as f:
         f.write("incidence_index,theta_radians,re,im\n")
-        for j in range(data.n_incidences):
-            for theta, u in zip(angles, data.samples[j]):
-                f.write(f"{j},{_fmt(theta)},{_fmt(u.real)},{_fmt(u.imag)}\n")
+        f.write(("%d,%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def read_farfield_csv(path, aperture: ApertureSet, noise_level: float = 0.0, seed: int = 0) -> FarFieldData:

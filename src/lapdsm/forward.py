@@ -3,7 +3,9 @@ r"""Far-field synthesis by a Lippmann-Schwinger volume-integral solver.
 The total field obeys u = u^i + k^2 \int_D G(y, .) (n(y) - 1) u(y) dy; we
 discretize with piecewise-constant collocation on the cells of a uniform
 grid, solve the dense system restricted to contrast-carrying cells, and
-radiate the induced current to the far field.  Two independent oracles
+radiate the induced current to the far field.  The kernel is gathered from
+one table of integer cell offsets, and the system is factored once per grid
+and reused by every incidence.  Two independent oracles
 (Born approximation and the penetrable-disk separation-of-variables
 series) validate the solver in the test suite.
 """
@@ -26,16 +28,36 @@ MIN_CELLS_PER_WAVELENGTH = 10.0
 
 @dataclass(frozen=True)
 class ContrastGrid:
-    """Uniform cell-center lattice with contrast values q = n - 1."""
+    """Uniform cell-center lattice with contrast values q = n - 1 at wavenumber k."""
 
-    points: np.ndarray  # (n_cells, 2)
+    points: np.ndarray  # (n_cells, 2), row-major as SamplingGrid.points
     q: np.ndarray  # (n_cells,)
     h: float  # cell side
     resolution: int
+    wavenumber: float
 
     @property
     def cell_area(self) -> float:
         return self.h * self.h
+
+    @cached_property
+    def system(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """I - k^2 G Q on the contrast cells and its LU factors, built on first use.
+
+        Every incidence solves with the same operator, so it is assembled and
+        factored once per grid.
+        """
+        k = self.wavenumber
+        cells = np.flatnonzero(self.q != 0.0)
+        g = _interaction_matrix(k, self.h, self.resolution, cells)
+        a = np.eye(cells.size, dtype=np.complex128) - k**2 * g * self.q[cells][None, :]
+        try:
+            lu = linalg.lu_factor(a)
+        except linalg.LinAlgError as e:  # pragma: no cover - pathological input
+            raise NumericalError(f"forward system factorization failed: {e}") from e
+        for arr in (a, *lu):
+            arr.setflags(write=False)
+        return a, lu
 
 
 def contrast_grid(scene: Scene, resolution: int) -> ContrastGrid:
@@ -53,39 +75,15 @@ def contrast_grid(scene: Scene, resolution: int) -> ContrastGrid:
     grid = SamplingGrid(dom, resolution)
     pts = grid.points
     q = refractive_index_grid(scene, pts) - 1.0
-    return ContrastGrid(points=pts, q=q, h=hx, resolution=resolution)
+    return ContrastGrid(points=pts, q=q, h=hx, resolution=resolution, wavenumber=scene.wavenumber)
 
 
 @dataclass(frozen=True)
 class ForwardSolution:
-    """Total field and induced current on the contrast grid."""
+    """Induced current I = (n - 1) k^2 u on the contrast grid, zero off the scatterers."""
 
     grid: ContrastGrid
-    contrast_field: np.ndarray  # u on the cells with q != 0, in grid order
-    current: np.ndarray  # I = (n - 1) k^2 u, zero off the scatterers
-    wavenumber: float
-    incidence: tuple[float, float]
-
-    @cached_property
-    def total_field(self) -> np.ndarray:
-        """u at every cell, computed on first access.
-
-        The passive cells get u^i plus the scattered field radiated back from
-        the contrast cells.  The far field never needs them (the current is
-        zero there), so the solve does not pay for this.
-        """
-        k = self.wavenumber
-        grid = self.grid
-        mask = grid.q != 0.0
-        u = plane_waves(grid.points, -np.asarray(self.incidence)[None, :], k)[:, 0]  # u^i = e^{ik d . x}
-        if np.any(mask):
-            diff = grid.points[~mask][:, None, :] - grid.points[mask][None, :, :]
-            r = np.hypot(diff[..., 0], diff[..., 1])
-            g_out = (1j / 4.0) * sp.hankel1(0, k * np.maximum(r, 1e-300)) * grid.h**2
-            u[~mask] += k**2 * g_out @ (grid.q[mask] * self.contrast_field)
-            u[mask] = self.contrast_field
-        u.setflags(write=False)
-        return u
+    current: np.ndarray
 
 
 def _self_term(k: float, h: float) -> complex:
@@ -97,39 +95,39 @@ def _self_term(k: float, h: float) -> complex:
     return (1j * np.pi * a / (2.0 * k)) * sp.hankel1(1, k * a) - 1.0 / k**2
 
 
-def _interaction_matrix(k: float, pts: np.ndarray, h: float) -> np.ndarray:
-    """Integrated Green kernel between contrast cells (self cell regularized)."""
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
-    g = (1j / 4.0) * sp.hankel1(0, k * r) * h * h
-    np.fill_diagonal(g, _self_term(k, h))
-    return g
+def _interaction_matrix(k: float, h: float, resolution: int, cells: np.ndarray) -> np.ndarray:
+    """Integrated Green kernel between the given cells (self cell regularized).
+
+    On the uniform lattice the kernel depends only on the integer offset
+    (|di|, |dj|) of two cells, so H_0^(1) is evaluated once on the
+    resolution x resolution offset table and gathered; `cells` are row-major
+    flat indices, as in SamplingGrid.points.
+    """
+    offset = np.arange(resolution, dtype=float)
+    r = h * np.hypot(offset[:, None], offset[None, :])
+    r[0, 0] = 1.0  # placeholder, overwritten below
+    table = (1j / 4.0) * sp.hankel1(0, k * r) * h * h
+    table[0, 0] = _self_term(k, h)
+    rows, cols = divmod(cells, resolution)
+    return table[np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :])]
 
 
 def solve_scattering(scene: Scene, incidence_index: int, grid: ContrastGrid) -> ForwardSolution:
     """Solve the collocation system on contrast cells for one incidence."""
     k = scene.wavenumber
+    if grid.wavenumber != k:
+        raise ValidationError(f"contrast grid was built for k = {grid.wavenumber:g}, not the scene's k = {k:g}")
     d = np.asarray(scene.incidences[incidence_index])
     mask = grid.q != 0.0
     u = plane_waves(grid.points, -d[None, :], k)[:, 0]  # u^i = e^{ik d . x}, then u on the contrast cells
     if np.any(mask):
-        q_d = grid.q[mask]
-        g = _interaction_matrix(k, grid.points[mask], grid.h)
-        a = np.eye(mask.sum(), dtype=np.complex128) - k**2 * g * q_d[None, :]
-        u[mask] = _dense_solve(a, u[mask])
-    current = grid.q * k**2 * u
-    return ForwardSolution(
-        grid=grid, contrast_field=u[mask], current=current, wavenumber=k, incidence=tuple(d)
-    )
+        u[mask] = _lu_solve(grid.system, u[mask])
+    return ForwardSolution(grid=grid, current=grid.q * k**2 * u)
 
 
-def _dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        lu, piv = linalg.lu_factor(a)
-    except linalg.LinAlgError as e:  # pragma: no cover - pathological input
-        raise NumericalError(f"forward system factorization failed: {e}") from e
-    x = linalg.lu_solve((lu, piv), b)
+def _lu_solve(system, b: np.ndarray) -> np.ndarray:
+    a, lu = system
+    x = linalg.lu_solve(lu, b)
     resid = np.linalg.norm(a @ x - b) / max(np.linalg.norm(b), 1e-300)
     if not np.all(np.isfinite(x)) or resid > 1e-8:
         cond = np.linalg.cond(a)

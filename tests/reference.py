@@ -2,9 +2,10 @@
 
 Pointwise forms of what the package evaluates on whole grids -- the
 far-field Green function, the FFSM and FSSM right-hand sides, the refractive
-index at one point -- and range-checked wrappers of scipy's Bessel and Hankel
-functions.  No program code calls them; the tests pin the vectorized
-program paths and scipy against them.
+index at one point, the forward kernel between every pair of contrast cells,
+the total field on every forward cell -- and range-checked wrappers of
+scipy's Bessel and Hankel functions.  No program code calls them; the tests
+pin the vectorized program paths and scipy against them.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ from scipy import special as sp
 
 from lapdsm.errors import ValidationError
 from lapdsm.finite_space import SourceTestingSpace, ffsm_rhs_field, fssm_rhs_field
-from lapdsm.forward import green_far_prefactor
+from lapdsm.forward import ForwardSolution, _self_term, green_far_prefactor
+from lapdsm.numerics import plane_waves
 from lapdsm.scene import Scene
 
 MAX_BESSEL_ORDER = 200
@@ -80,3 +82,36 @@ def refractive_index_at(scene: Scene, point) -> float:
             if best is None or s.area < best.area:
                 best = s
     return best.refractive_index if best is not None else 1.0
+
+
+def pairwise_interaction_matrix(k: float, pts: np.ndarray, h: float) -> np.ndarray:
+    """Integrated Green kernel from the distance of every cell pair (self cell regularized).
+
+    The pairwise form that the offset-table gather replaced, kept as its oracle.
+    """
+    diff = pts[:, None, :] - pts[None, :, :]
+    r = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
+    g = (1j / 4.0) * sp.hankel1(0, k * r) * h * h
+    np.fill_diagonal(g, _self_term(k, h))
+    return g
+
+
+def total_field(scene: Scene, incidence_index: int, solution: ForwardSolution) -> np.ndarray:
+    """u at every forward cell: u^i plus the field the contrast cells radiate.
+
+    On the contrast cells u = I / (k^2 q); the passive cells get u^i plus the
+    scattered field of the induced current, summed over every cell pair.
+    """
+    k = scene.wavenumber
+    grid = solution.grid
+    d = np.asarray(scene.incidences[incidence_index])
+    mask = grid.q != 0.0
+    u = plane_waves(grid.points, -d[None, :], k)[:, 0]  # u^i = e^{ik d . x}
+    if np.any(mask):
+        diff = grid.points[~mask][:, None, :] - grid.points[mask][None, :, :]
+        r = np.hypot(diff[..., 0], diff[..., 1])
+        g_out = (1j / 4.0) * sp.hankel1(0, k * np.maximum(r, 1e-300)) * grid.h**2
+        u[~mask] += g_out @ solution.current[mask]  # k^2 G (q u) = G I
+        u[mask] = solution.current[mask] / (k**2 * grid.q[mask])
+    return u

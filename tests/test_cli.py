@@ -284,6 +284,16 @@ class TestKernelAndRn:
         assert first[0] == 0.0
         # coincident value alpha / (4 k pi) with defaults alpha = pi/3, k = 8
         assert first[1] == pytest.approx(1.0 / 96.0, abs=1e-8)
+        # the list is checked in the command body, so the metadata echoes its string
+        assert json.loads((tmp_path / "ker.meta.json").read_text())["args"]["beta_list"] == "0,1.5707963267948966"
+
+    @pytest.mark.parametrize("beta_list", ["0,x", "0,,1", "0,inf"])
+    def test_malformed_beta_list_is_one_line_error(self, tmp_path, capsys, beta_list):
+        code = main(["kernel", "--beta-list", beta_list, "--out", str(tmp_path / "ker")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--beta-list" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_rn_artifacts(self, tmp_path):
         out = str(tmp_path / "rn")

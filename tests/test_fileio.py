@@ -1,4 +1,4 @@
-"""Text file formats: byte-exact index CSV and checked far-field CSV."""
+"""Text file formats: byte-exact index and far-field CSVs, and the checked far-field reader."""
 
 import numpy as np
 import pytest
@@ -36,6 +36,36 @@ def test_index_csv_is_byte_identical_to_per_row_writer(tmp_path_factory, resolut
     d = tmp_path_factory.mktemp("csv")
     write_index_csv(d / "new.csv", field)
     per_row_index_csv(d / "old.csv", field)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+def per_row_farfield_csv(path, data):
+    """The value-at-a-time writer that write_farfield_csv replaced, kept as its oracle."""
+    angles = data.aperture.receiver_angles()
+    with open(path, "w") as f:
+        f.write("incidence_index,theta_radians,re,im\n")
+        for j in range(data.n_incidences):
+            for theta, u in zip(angles, data.samples[j]):
+                f.write(f"{j},{'%.17g' % theta},{'%.17g' % u.real},{'%.17g' % u.imag}\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=st.sampled_from([1, 2]),
+    receivers=st.integers(1, 40),
+    incidences=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, -0.0, 1e-300, 1e-8, 1.0, 1e300]),
+)
+def test_farfield_csv_is_byte_identical_to_per_row_writer(tmp_path_factory, config, receivers, incidences, seed, scale):
+    ap = config1_aperture(receivers=receivers) if config == 1 else config2_aperture(receivers_per_arc=receivers)
+    rng = np.random.default_rng(seed)
+    shape = (incidences, ap.total_receivers)
+    samples = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    data = FarFieldData(samples, ap)
+    d = tmp_path_factory.mktemp("csv")
+    write_farfield_csv(d / "new.csv", data)
+    per_row_farfield_csv(d / "old.csv", data)
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
 
 

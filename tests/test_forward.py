@@ -1,10 +1,17 @@
 """Forward solver pinned against the Born and disk-series oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
-from lapdsm.errors import ValidationError
+from lapdsm.cli import main
+from lapdsm.errors import NumericalError, ValidationError
 from lapdsm.forward import (
+    _interaction_matrix,
     born_far_field,
     contrast_grid,
     disk_far_field_series,
@@ -13,7 +20,10 @@ from lapdsm.forward import (
     solve_scattering,
     synthesize_far_field,
 )
-from lapdsm.scene import Box, Disk, Scene, full_circle
+from lapdsm.presets import preset_scene
+from lapdsm.scene import Box, Disk, Rectangle, Scene, full_circle
+
+from reference import pairwise_interaction_matrix, total_field
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)
@@ -45,7 +55,7 @@ class TestSolver:
     def test_no_scatterer_gives_zero_far_field(self):
         sc = make_scene([Disk((0, 0), 0.2, 2.0)])
         g = contrast_grid(sc, 64)
-        g = type(g)(points=g.points, q=np.zeros_like(g.q), h=g.h, resolution=g.resolution)
+        g = dataclasses.replace(g, q=np.zeros_like(g.q))
         sol = solve_scattering(sc, 0, g)
         np.testing.assert_array_equal(far_field(sol, np.linspace(0, 6, 13), K), 0.0)
 
@@ -55,7 +65,7 @@ class TestSolver:
         sol = solve_scattering(sc, 0, g)
         # far from the scatterer, |u| stays close to |u_inc| = 1
         far_mask = np.hypot(g.points[:, 0] + 0.8, g.points[:, 1] + 0.8) < 0.1
-        assert np.all(np.abs(np.abs(sol.total_field[far_mask]) - 1.0) < 0.5)
+        assert np.all(np.abs(np.abs(total_field(sc, 0, sol)[far_mask]) - 1.0) < 0.5)
 
     def test_single_cell_current_radiates_green_far_field(self):
         # one contrast cell at y acts as a point source: u_inf = pre * h^2 * I * e^{-ik xhat.y}
@@ -69,6 +79,87 @@ class TestSolver:
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
         expect = green_far_prefactor(K) * g.cell_area * np.exp(-1j * K * xhat @ pts.T) @ cur
         np.testing.assert_allclose(u, expect, rtol=1e-12)
+
+
+    def test_grid_for_another_wavenumber_is_rejected(self):
+        g = contrast_grid(make_scene([Disk((0, 0), 0.2, 2.0)], k=4.0), 64)
+        with pytest.raises(ValidationError, match="k = 4"):
+            solve_scattering(make_scene([Disk((0, 0), 0.2, 2.0)]), 0, g)
+
+
+_shape = st.one_of(
+    st.builds(
+        Disk,
+        center=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+        radius=st.floats(0.05, 0.35),
+        refractive_index=st.floats(1.1, 3.0),
+    ),
+    st.builds(
+        Rectangle,
+        center=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+        width=st.floats(0.05, 0.7),
+        height=st.floats(0.05, 0.7),
+        refractive_index=st.floats(1.1, 3.0),
+    ),
+)
+
+
+class TestOperator:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        resolution=st.integers(8, 48),
+        k_share=st.floats(0.05, 1.0),
+        shapes=st.lists(_shape, min_size=1, max_size=3),
+    )
+    def test_offset_table_matches_pairwise_kernel(self, resolution, k_share, shapes):
+        # k up to pi * resolution / 10 keeps >= 10 cells per wavelength on [-1, 1]^2
+        k = k_share * np.pi * resolution / 10.0
+        g = contrast_grid(make_scene(shapes, k=k), resolution)
+        cells = np.flatnonzero(g.q != 0.0)
+        assume(cells.size >= 2)
+        table = _interaction_matrix(k, g.h, resolution, cells)
+        oracle = pairwise_interaction_matrix(k, g.points[cells], g.h)
+        off_diagonal = ~np.eye(cells.size, dtype=bool)
+        np.testing.assert_array_equal(np.diag(table), np.diag(oracle))
+        assert np.max(np.abs(table - oracle)) <= 1e-14 * np.max(np.abs(oracle[off_diagonal]))
+
+    def test_one_factorization_serves_every_incidence(self, monkeypatch):
+        scene = preset_scene("ex2_2")
+        factored = []
+        lu_factor = linalg.lu_factor
+        monkeypatch.setattr(linalg, "lu_factor", lambda a, **kw: factored.append(a.shape) or lu_factor(a, **kw))
+        data = synthesize_far_field(scene, 120)
+        assert len(factored) == 1 and len(scene.incidences) == 3
+        angles = scene.aperture.receiver_angles()
+        for j in range(3):
+            alone = far_field(solve_scattering(scene, j, contrast_grid(scene, 120)), angles, scene.wavenumber)
+            assert np.max(np.abs(data.samples[j] - alone)) <= 1e-14 * np.max(np.abs(alone))
+        assert len(factored) == 4  # one per fresh grid
+
+    @staticmethod
+    def _spoil_second_solve(monkeypatch):
+        solves = []
+        lu_solve = linalg.lu_solve
+
+        def spoiled(lu, b, **kw):
+            solves.append(b)
+            x = lu_solve(lu, b, **kw)
+            return x * (1.0 + 1e-6) if len(solves) == 2 else x
+
+        monkeypatch.setattr(linalg, "lu_solve", spoiled)
+
+    def test_bad_solve_for_one_incidence_is_numerical_error(self, monkeypatch):
+        self._spoil_second_solve(monkeypatch)
+        with pytest.raises(NumericalError, match="relative residual"):
+            synthesize_far_field(preset_scene("ex2_2"), 40)
+
+    def test_bad_solve_for_one_incidence_exits_3(self, monkeypatch, tmp_path, capsys):
+        self._spoil_second_solve(monkeypatch)
+        code = main(["simulate", "--preset", "ex2_2", "--forward-grid", "40", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestDiskSeriesOracle:
