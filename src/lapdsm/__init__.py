@@ -24,7 +24,7 @@ from .scene import (
 )
 from .forward import synthesize_far_field
 from .dsm import IndexField, ProbingSet, average_and_normalize, index_classical
-from .finite_space import finite_space_probing, reconstruct_finite_space, source_lattice
+from .finite_space import reconstruct_finite_space, source_lattice
 from .dpn import TrainConfig, train
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "ValidationError",
     "add_noise",
     "average_and_normalize",
-    "finite_space_probing",
     "full_circle",
     "index_classical",
     "load_scene",

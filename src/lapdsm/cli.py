@@ -18,7 +18,7 @@ from . import dpn, fileio, presets
 from .dsm import IndexField, averaged_index, kernel_gamma, relative_norm
 from .dpn import TrainConfig, probing_set_from_network
 from .errors import NumericalError, ValidationError
-from .finite_space import finite_space_probing, reconstruct_finite_space, source_lattice
+from .finite_space import finite_space_probings, reconstruct_finite_space, source_lattice
 from .forward import synthesize_far_field
 from .scene import (
     ApertureSet,
@@ -79,26 +79,38 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _finite_space_inputs(args, sigma_exps, domain: Box, k: float):
+    """The sigma for each exponent and, for fssm, the source lattice over the domain."""
+    if None in sigma_exps:
+        raise ValidationError(f"method {args.method!r} needs --sigma-exp")
+    sources = source_lattice(domain, args.sources, k) if args.method == "fssm" else None
+    with np.errstate(over="ignore"):  # 0.1^m beyond the float range is inf, which tikhonov_solve rejects
+        return [np.float64(0.1) ** m for m in sigma_exps], sources
+
+
+def _load_checkpoint(args, k: float):
+    """The network of --checkpoint, which must have been trained at wavenumber k."""
+    if not args.checkpoint:
+        raise ValidationError("method 'dpn' needs --checkpoint")
+    params, ck = fileio.read_checkpoint(args.checkpoint)
+    if abs(ck - k) > 1e-9:
+        raise ValidationError(f"checkpoint wavenumber {ck} != wavenumber {k} in use")
+    return params
+
+
 def _reconstruct_fields(args, data, grid, k, sigma_exps) -> list[IndexField]:
     """One index field per sigma exponent; what does not depend on sigma is built once."""
     method = args.method
     if method in ("ffsm", "fssm"):
-        if None in sigma_exps:
-            raise ValidationError(f"method {method!r} needs --sigma-exp")
-        sources = source_lattice(grid.domain, args.sources, k) if method == "fssm" else None
-        sigmas = [0.1**m for m in sigma_exps]
+        sigmas, sources = _finite_space_inputs(args, sigma_exps, grid.domain, k)
         return reconstruct_finite_space(data, method, args.order, sigmas, grid, k, sources=sources)
     if method == "full" and not data.aperture.is_full_circle():
         raise ValidationError("method 'full' requires full-circle data")
     if method in ("full", "partial"):
         field = averaged_index(data, None, grid, k)
     elif method == "dpn":
-        if not args.checkpoint:
-            raise ValidationError("method 'dpn' needs --checkpoint")
-        params, ck = fileio.read_checkpoint(args.checkpoint)
-        if abs(ck - k) > 1e-9:
-            raise ValidationError(f"checkpoint wavenumber {ck} != data wavenumber {k}")
-        field = averaged_index(data, probing_set_from_network(params, grid, data.aperture, k), grid)
+        probing = probing_set_from_network(_load_checkpoint(args, k), grid, data.aperture, k)
+        field = averaged_index(data, probing, grid)
     else:
         raise ValidationError(f"unknown reconstruction method {method!r}")
     return [field] * len(sigma_exps)
@@ -169,6 +181,10 @@ def cmd_train(args) -> int:
 def cmd_kernel(args) -> int:
     from .scene import Arc
 
+    if not (np.isfinite(args.k) and args.k > 0):
+        raise ValidationError(f"--k must be finite and positive, got {args.k!r}")
+    if not np.isfinite(args.r_max):
+        raise ValidationError(f"--r-max must be finite, got {args.r_max!r}")
     aperture = ApertureSet((Arc(alpha=args.alpha, beta=0.0, receivers=64),))
     try:
         betas = [float(b) for b in args.beta_list.split(",")]
@@ -198,19 +214,10 @@ def cmd_rn(args) -> int:
     aperture, k, domain = _aperture_for_config(args)
     grid = SamplingGrid(domain, args.grid)
     if args.method in ("ffsm", "fssm"):
-        if args.sigma_exp is None:
-            raise ValidationError(f"method {args.method!r} needs --sigma-exp")
-        sources = source_lattice(domain, args.sources, k) if args.method == "fssm" else None
-        probing = finite_space_probing(
-            args.method, aperture, grid, args.order, 0.1**args.sigma_exp, k, sources=sources
-        )
+        sigmas, sources = _finite_space_inputs(args, [args.sigma_exp], domain, k)
+        (probing,) = finite_space_probings(args.method, aperture, grid, args.order, sigmas, k, sources)
     elif args.method == "dpn":
-        if not args.checkpoint:
-            raise ValidationError("method 'dpn' needs --checkpoint")
-        params, ck = fileio.read_checkpoint(args.checkpoint)
-        if abs(ck - k) > 1e-9:
-            raise ValidationError(f"checkpoint wavenumber {ck} != requested wavenumber {k}")
-        probing = probing_set_from_network(params, grid, aperture, k)
+        probing = probing_set_from_network(_load_checkpoint(args, k), grid, aperture, k)
     else:
         raise ValidationError("rn supports methods ffsm, fssm, dpn")
     field = relative_norm(probing, aperture, k, grid)

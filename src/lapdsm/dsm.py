@@ -25,7 +25,6 @@ class IndexField:
 
     grid: SamplingGrid
     values: np.ndarray  # (n_points,)
-    normalized: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -57,7 +56,6 @@ class ProbingSet:
 def index_classical(
     data: FarFieldData,
     probing: ProbingSet | None,
-    aperture: ApertureSet,
     grid: SamplingGrid,
     k: float | None = None,
     incidence: int = 0,
@@ -69,13 +67,12 @@ def index_classical(
     (n x Q) @ (Q x n) product and no n_points x Q array is built.  The
     receivers themselves serve as quadrature nodes.
     """
-    angles = aperture.receiver_angles()
-    if data.aperture.receiver_angles().shape != angles.shape or not np.allclose(
-        data.aperture.receiver_angles(), angles
-    ):
-        raise ValidationError("data and probing apertures disagree on receiver angles")
-    v = np.conj(data.samples[incidence]) * aperture.quadrature_weights()
+    angles = data.aperture.receiver_angles()
+    v = np.conj(data.samples[incidence]) * data.aperture.quadrature_weights()
     if probing is not None:
+        probe_angles = probing.aperture.receiver_angles()
+        if probe_angles.shape != angles.shape or not np.allclose(probe_angles, angles):
+            raise ValidationError("data and probing apertures disagree on receiver angles")
         vals = np.abs(probing.samples @ v)
     elif k is None:
         raise ValidationError("k is required when probing defaults to G_inf")
@@ -84,7 +81,7 @@ def index_classical(
         ex = plane_waves(np.column_stack([grid.xs, zero]), xhat, k)
         ey = plane_waves(np.column_stack([zero, grid.ys]), xhat, k)
         vals = np.abs(green_far_prefactor(k) * ((ey * v) @ ex.T)).ravel()
-    return IndexField(grid=grid, values=vals, normalized=False)
+    return IndexField(grid=grid, values=vals)
 
 
 def kernel_gamma(z, y, aperture: ApertureSet, k: float, quadrature_points: int = 256) -> complex:
@@ -114,7 +111,7 @@ def relative_norm(probing: ProbingSet, aperture: ApertureSet, k: float, grid: Sa
     den = green_norm_on_aperture(aperture, k)
     if den <= 0:
         raise ValidationError("degenerate aperture: zero Green-function norm")
-    return IndexField(grid=grid, values=num / den, normalized=False)
+    return IndexField(grid=grid, values=num / den)
 
 
 def average_and_normalize(fields: list[IndexField]) -> IndexField:
@@ -129,47 +126,11 @@ def average_and_normalize(fields: list[IndexField]) -> IndexField:
     peak = mean.max()
     if peak == 0.0:
         raise ValidationError("all-zero index field cannot be normalized")
-    return IndexField(grid=grid, values=mean / peak, normalized=True)
+    return IndexField(grid=grid, values=mean / peak)
 
 
 def averaged_index(data: FarFieldData, probing: ProbingSet | None, grid: SamplingGrid, k=None) -> IndexField:
     """index_classical for every incidence, averaged and normalized."""
-    fields = [index_classical(data, probing, data.aperture, grid, k, j) for j in range(data.n_incidences)]
+    fields = [index_classical(data, probing, grid, k, j) for j in range(data.n_incidences)]
     return average_and_normalize(fields)
 
-
-def dominant_peaks(
-    field: IndexField,
-    min_separation: float = 0.3,
-    threshold: float = 0.5,
-    max_peaks: int | None = None,
-) -> list[tuple[float, float, float]]:
-    """Separated local maxima of the (normalized) field, strongest first.
-
-    A grid point qualifies if it is a local maximum over its 8-neighborhood,
-    its value is at least threshold * max, and no stronger retained peak
-    lies within min_separation (greedy non-maximum suppression).
-    """
-    n = field.grid.resolution
-    v = field.values.reshape(n, n)
-    pad = np.pad(v, 1, constant_values=-np.inf)
-    is_max = np.ones((n, n), dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            is_max &= v >= pad[1 + dy : 1 + dy + n, 1 + dx : 1 + dx + n]
-    cut = threshold * v.max()
-    iy, ix = np.nonzero(is_max & (v >= cut))
-    xs, ys = field.grid.xs, field.grid.ys
-    cand = sorted(
-        ((float(v[a, b]), float(xs[b]), float(ys[a])) for a, b in zip(iy, ix)),
-        reverse=True,
-    )
-    kept: list[tuple[float, float, float]] = []
-    for val, x, y in cand:
-        if all(np.hypot(x - px, y - py) >= min_separation for px, py, _ in kept):
-            kept.append((x, y, val))
-            if max_peaks is not None and len(kept) >= max_peaks:
-                break
-    return kept

@@ -120,9 +120,9 @@ def write_checkpoint(path, params: NetworkParams, k: float) -> None:
         f.write(f"DPN v1 P={params.order} layers={','.join(str(d) for d in dims)} k={_fmt(k)}\n")
         for w, b in zip(params.weights, params.biases):
             f.write(f"layer {w.shape[0]} {w.shape[1]}\n")
-            for row in w:
-                f.write(" ".join(_fmt(v) for v in row) + "\n")
-            f.write(" ".join(_fmt(v) for v in b) + "\n")
+            row = " ".join(["%.17g"] * w.shape[1]) + "\n"
+            for values in w.tolist() + [b.tolist()]:
+                f.write(row % tuple(values))
 
 
 def read_checkpoint(path) -> tuple[NetworkParams, float]:

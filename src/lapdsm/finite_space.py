@@ -11,7 +11,7 @@ sampling point.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -21,17 +21,6 @@ from .dsm import IndexField, ProbingSet, averaged_index
 from .errors import NumericalError, ValidationError
 from .numerics import fourier_modes
 from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
-
-
-@dataclass(frozen=True)
-class FourierTrialSpace:
-    """Fourier modes e^{in theta}/sqrt(2 pi), n = -order..order."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValidationError("Fourier space order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -53,38 +42,27 @@ def source_lattice(domain: Box, per_side: int, k: float) -> SourceTestingSpace:
     return SourceTestingSpace(points=grid.points, wavenumber=k)
 
 
-@dataclass(frozen=True)
-class FrameworkSystem:
-    matrix: np.ndarray  # (n_test, 2P+1)
-    sigma: float
-    aperture: ApertureSet
-    order: int
+def _arc_mode_table(aperture: ApertureSet, order: int, reach: int) -> np.ndarray:
+    """I[d] = sum_l e^{i d beta_l} * (alpha_l if d == 0 else sin(alpha_l d)/d) at entry d + order + reach.
 
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValidationError("regularization parameter must be positive")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValidationError("framework matrix must be finite")
-
-
-def _arc_mode_integral(aperture: ApertureSet, d: int) -> complex:
-    """sum_l e^{i d beta_l} * (alpha_l if d == 0 else sin(alpha_l d)/d)."""
-    total = 0.0 + 0.0j
+    I[d] is half the aperture integral of e^{i d t}; |d| <= order + reach covers every
+    entry of both Gram matrices, so their shared order check sits here.
+    """
+    if order < 1:
+        raise ValidationError("Fourier space order must be >= 1")
+    d = np.arange(-(order + reach), order + reach + 1)
+    table = np.zeros(d.shape, dtype=np.complex128)
     for arc in aperture.arcs:
-        c = arc.alpha if d == 0 else np.sin(arc.alpha * d) / d
-        total += np.exp(1j * d * arc.beta) * c
-    return total
+        c = np.where(d == 0, arc.alpha, np.sin(arc.alpha * d) / np.where(d == 0, 1, d))
+        table += np.exp(1j * d * arc.beta) * c
+    return table
 
 
 def ffsm_matrix(aperture: ApertureSet, order: int) -> np.ndarray:
-    """Closed-form Gram matrix A_nm = (1/2pi) <e^{im t}, e^{in t}>_Gamma."""
-    p = FourierTrialSpace(order).order
-    ns = np.arange(-p, p + 1)
-    a = np.empty((2 * p + 1, 2 * p + 1), dtype=np.complex128)
-    for i, n in enumerate(ns):
-        for j, m in enumerate(ns):
-            a[i, j] = _arc_mode_integral(aperture, m - n) / np.pi
-    return a
+    """Closed-form Gram matrix A_nm = (1/2pi) <e^{im t}, e^{in t}>_Gamma, the Toeplitz I[m - n]/pi."""
+    table = _arc_mode_table(aperture, order, order) / np.pi
+    ns = np.arange(2 * order + 1)
+    return table[ns[None, :] - ns[:, None] + 2 * order]
 
 
 def ffsm_rhs_field(points: np.ndarray, order: int, k: float) -> np.ndarray:
@@ -113,7 +91,6 @@ def fssm_matrix(
     truncation: int | None = None,
 ) -> np.ndarray:
     """Jacobi-Anger series for A_nm = (1/sqrt(2pi)) <e^{im t}, G_inf(y_n, .)>_Gamma."""
-    p = FourierTrialSpace(order).order
     k = sources.wavenumber
     pts = sources.points
     r = np.hypot(pts[:, 0], pts[:, 1])
@@ -121,18 +98,18 @@ def fssm_matrix(
     theta[r == 0.0] = 0.0
     if truncation is None:
         truncation = default_fssm_truncation(k, sources)
+    table = _arc_mode_table(aperture, order, truncation)
     tail = np.abs(sp.jv(truncation, k * r.max())) if r.max() > 0 else 0.0
     if tail >= 1e-14:
         raise ValidationError(
             f"series truncation {truncation} insufficient: tail term {tail:.2e} >= 1e-14"
         )
-    ms = np.arange(-p, p + 1)
-    a = np.zeros((pts.shape[0], 2 * p + 1), dtype=np.complex128)
+    a = np.zeros((pts.shape[0], 2 * order + 1), dtype=np.complex128)
     pre = np.exp(-1j * np.pi / 4.0) / (2.0 * np.pi * np.sqrt(k))
     modes = fourier_modes(truncation, theta)  # (2T+1, n_sources)
     for q in range(-truncation, truncation + 1):
         radial = (1j) ** q * sp.jv(q, k * r) * modes[q + truncation]  # (n_sources,)
-        angular = np.array([_arc_mode_integral(aperture, m - q) for m in ms])
+        angular = table[truncation - q : truncation - q + 2 * order + 1]  # I[m - q], m = -P..P
         a += np.outer(radial, angular)
     return pre * a
 
@@ -148,66 +125,29 @@ def fssm_rhs_field(points: np.ndarray, sources: SourceTestingSpace) -> np.ndarra
     return (sp.j0(k * d) / (4.0 * k)).astype(np.complex128)
 
 
-@dataclass(frozen=True)
-class CoefficientField:
-    """Trial-space coefficients F(z) per sampling point, shape (n_points, 2P+1)."""
-
-    coefficients: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.complex128)
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("coefficients must be finite")
-        if c.shape[1] != 2 * self.order + 1:
-            raise ValidationError("coefficient width does not match the Fourier order")
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-
-def tikhonov_solve(system: FrameworkSystem, rhs_field: np.ndarray) -> CoefficientField:
-    """F(z) = (sigma I + A* A)^{-1} A* B(z), factored once for all z."""
-    a = system.matrix
-    normal = system.sigma * np.eye(a.shape[1]) + a.conj().T @ a
+def tikhonov_solve(a: np.ndarray, sigma: float, rhs_field: np.ndarray) -> np.ndarray:
+    """F(z) = (sigma I + A* A)^{-1} A* B(z), factored once for all z; shape (n_points, 2P+1)."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValidationError(f"regularization parameter must be finite and positive, got {sigma}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("framework matrix must be finite")
+    normal = sigma * np.eye(a.shape[1]) + a.conj().T @ a
     try:
         cho = linalg.cho_factor(normal)
     except linalg.LinAlgError as e:
         raise NumericalError(
-            f"Tikhonov factorization failed at sigma={system.sigma:.3e} "
+            f"Tikhonov factorization failed at sigma={sigma:.3e} "
             f"(cond(A*A) ~ {np.linalg.cond(a.conj().T @ a):.2e})"
         ) from e
     rhs = a.conj().T @ np.asarray(rhs_field, dtype=np.complex128).T  # (2P+1, n_points)
-    coeff = linalg.cho_solve(cho, rhs).T
-    return CoefficientField(coefficients=coeff, order=system.order)
+    return linalg.cho_solve(cho, rhs).T
 
 
-def probing_from_coefficients(
-    coeffs: CoefficientField, aperture: ApertureSet
-) -> ProbingSet:
+def probing_from_coefficients(coefficients: np.ndarray, aperture: ApertureSet) -> ProbingSet:
     """G_Gamma(z, theta_q) = sum_n f_n(z) e^{i n theta_q} / sqrt(2 pi)."""
-    basis = fourier_modes(coeffs.order, aperture.receiver_angles()) / np.sqrt(2.0 * np.pi)  # (2P+1, Q)
-    return ProbingSet(coeffs.coefficients @ basis, aperture)
-
-
-def build_system(
-    method: str,
-    aperture: ApertureSet,
-    order: int,
-    sigma: float,
-    k: float,
-    sources: SourceTestingSpace | None = None,
-    truncation: int | None = None,
-) -> tuple[FrameworkSystem, SourceTestingSpace | None]:
-    method = method.lower()
-    if method == "ffsm":
-        mat = ffsm_matrix(aperture, order)
-        return FrameworkSystem(mat, sigma, aperture, order), None
-    if method == "fssm":
-        if sources is None:
-            raise ValidationError("FSSM needs a source testing space")
-        mat = fssm_matrix(aperture, order, sources, truncation)
-        return FrameworkSystem(mat, sigma, aperture, order), sources
-    raise ValidationError(f"unknown finite-space method {method!r}")
+    order = (coefficients.shape[1] - 1) // 2
+    basis = fourier_modes(order, aperture.receiver_angles()) / np.sqrt(2.0 * np.pi)  # (2P+1, Q)
+    return ProbingSet(coefficients @ basis, aperture)
 
 
 def finite_space_probings(
@@ -218,36 +158,22 @@ def finite_space_probings(
     sigmas: Sequence[float],
     k: float,
     sources: SourceTestingSpace | None = None,
-    truncation: int | None = None,
 ) -> Iterator[ProbingSet]:
     """Yield the probing set on a grid for each sigma in turn.
 
-    The system and the right-hand side do not depend on sigma, so they are
-    assembled once; each sigma costs one Tikhonov solve and one evaluation.
+    The matrix A and the right-hand side B(z) do not depend on sigma, so they
+    are assembled once; each sigma costs one Tikhonov solve and one evaluation.
     """
-    system, src = build_system(method, aperture, order, sigmas[0], k, sources, truncation)
-    if method.lower() == "ffsm":
-        rhs = ffsm_rhs_field(grid.points, order, k)
+    if method == "ffsm":
+        a, rhs = ffsm_matrix(aperture, order), ffsm_rhs_field(grid.points, order, k)
+    elif method == "fssm":
+        if sources is None:
+            raise ValidationError("FSSM needs a source testing space")
+        a, rhs = fssm_matrix(aperture, order, sources), fssm_rhs_field(grid.points, sources)
     else:
-        rhs = fssm_rhs_field(grid.points, src)
+        raise ValidationError(f"unknown finite-space method {method!r}")
     for sigma in sigmas:
-        coeffs = tikhonov_solve(replace(system, sigma=sigma), rhs)
-        yield probing_from_coefficients(coeffs, aperture)
-
-
-def finite_space_probing(
-    method: str,
-    aperture: ApertureSet,
-    grid: SamplingGrid,
-    order: int,
-    sigma: float,
-    k: float,
-    sources: SourceTestingSpace | None = None,
-    truncation: int | None = None,
-) -> ProbingSet:
-    """Assemble, regularize, and evaluate the probing set on a grid."""
-    (probing,) = finite_space_probings(method, aperture, grid, order, [sigma], k, sources, truncation)
-    return probing
+        yield probing_from_coefficients(tikhonov_solve(a, sigma, rhs), aperture)
 
 
 def reconstruct_finite_space(
@@ -258,8 +184,7 @@ def reconstruct_finite_space(
     grid: SamplingGrid,
     k: float,
     sources: SourceTestingSpace | None = None,
-    truncation: int | None = None,
 ) -> list[IndexField]:
     """End-to-end Algorithm per sigma: probing construction, pairing, averaging, normalizing."""
-    probings = finite_space_probings(method, data.aperture, grid, order, sigmas, k, sources, truncation)
+    probings = finite_space_probings(method, data.aperture, grid, order, sigmas, k, sources)
     return [averaged_index(data, probing, grid) for probing in probings]

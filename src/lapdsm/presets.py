@@ -87,7 +87,3 @@ def preset_scene(name: str, aperture: ApertureSet | None = None) -> Scene:
         aperture=aperture,
     )
 
-
-def true_centers(name: str) -> list[tuple[float, float]]:
-    """Scatterer centers for localization checks."""
-    return [s.center for s in _PRESETS[name]["scatterers"]]

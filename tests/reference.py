@@ -1,21 +1,25 @@
 """Reference helpers (test only).
 
 Pointwise forms of what the package evaluates on whole grids -- the
-far-field Green function, the FFSM and FSSM right-hand sides, the refractive
-index at one point, the forward kernel between every pair of contrast cells,
-the total field on every forward cell -- and range-checked wrappers of
-scipy's Bessel and Hankel functions.  No program code calls them; the tests
-pin the vectorized program paths and scipy against them.
+far-field Green function, the FFSM and FSSM right-hand sides, the FFSM and
+FSSM matrices entry by entry, the refractive index at one point, the forward
+kernel between every pair of contrast cells, the total field on every forward
+cell -- range-checked wrappers of scipy's Bessel and Hankel functions, and
+the peak finder and preset centres of the localization checks.  No program
+code calls them; the tests pin the vectorized program paths and scipy
+against them.
 """
 
 import numpy as np
 from scipy import special as sp
 
 from lapdsm.errors import ValidationError
-from lapdsm.finite_space import SourceTestingSpace, ffsm_rhs_field, fssm_rhs_field
+from lapdsm.dsm import IndexField
+from lapdsm.finite_space import SourceTestingSpace, default_fssm_truncation, ffsm_rhs_field, fssm_rhs_field
 from lapdsm.forward import ForwardSolution, _self_term, green_far_prefactor
-from lapdsm.numerics import plane_waves
-from lapdsm.scene import Scene
+from lapdsm.numerics import fourier_modes, plane_waves
+from lapdsm.presets import preset_scene
+from lapdsm.scene import ApertureSet, Scene
 
 MAX_BESSEL_ORDER = 200
 
@@ -73,6 +77,44 @@ def fssm_rhs(z, sources: SourceTestingSpace) -> np.ndarray:
     return fssm_rhs_field(np.asarray(z, dtype=float)[None, :], sources)[0]
 
 
+def arc_mode_integral(aperture: ApertureSet, d: int) -> complex:
+    """sum_l e^{i d beta_l} * (alpha_l if d == 0 else sin(alpha_l d)/d), one d at a time."""
+    total = 0.0 + 0.0j
+    for arc in aperture.arcs:
+        c = arc.alpha if d == 0 else np.sin(arc.alpha * d) / d
+        total += np.exp(1j * d * arc.beta) * c
+    return total
+
+
+def ffsm_matrix_entrywise(aperture: ApertureSet, order: int) -> np.ndarray:
+    """A_nm = arc_mode_integral(m - n) / pi, entry by entry: the form the Toeplitz gather replaced."""
+    ns = np.arange(-order, order + 1)
+    a = np.empty((2 * order + 1, 2 * order + 1), dtype=np.complex128)
+    for i, n in enumerate(ns):
+        for j, m in enumerate(ns):
+            a[i, j] = arc_mode_integral(aperture, m - n) / np.pi
+    return a
+
+
+def fssm_matrix_entrywise(aperture: ApertureSet, order: int, sources: SourceTestingSpace) -> np.ndarray:
+    """The Jacobi-Anger sum of fssm_matrix with each I[m - q] evaluated on its own."""
+    k = sources.wavenumber
+    pts = sources.points
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    theta[r == 0.0] = 0.0
+    truncation = default_fssm_truncation(k, sources)
+    ms = np.arange(-order, order + 1)
+    a = np.zeros((pts.shape[0], 2 * order + 1), dtype=np.complex128)
+    pre = np.exp(-1j * np.pi / 4.0) / (2.0 * np.pi * np.sqrt(k))
+    modes = fourier_modes(truncation, theta)
+    for q in range(-truncation, truncation + 1):
+        radial = (1j) ** q * sp.jv(q, k * r) * modes[q + truncation]
+        angular = np.array([arc_mode_integral(aperture, m - q) for m in ms])
+        a += np.outer(radial, angular)
+    return pre * a
+
+
 def refractive_index_at(scene: Scene, point) -> float:
     """Index of the innermost scatterer containing the point, else 1 (background)."""
     pt = np.asarray(point, dtype=float)
@@ -115,3 +157,45 @@ def total_field(scene: Scene, incidence_index: int, solution: ForwardSolution) -
         u[~mask] += g_out @ solution.current[mask]  # k^2 G (q u) = G I
         u[mask] = solution.current[mask] / (k**2 * grid.q[mask])
     return u
+
+
+def dominant_peaks(
+    field: IndexField,
+    min_separation: float = 0.3,
+    threshold: float = 0.5,
+    max_peaks: int | None = None,
+) -> list[tuple[float, float, float]]:
+    """Separated local maxima of the (normalized) field, strongest first.
+
+    A grid point qualifies if it is a local maximum over its 8-neighborhood,
+    its value is at least threshold * max, and no stronger retained peak
+    lies within min_separation (greedy non-maximum suppression).
+    """
+    n = field.grid.resolution
+    v = field.values.reshape(n, n)
+    pad = np.pad(v, 1, constant_values=-np.inf)
+    is_max = np.ones((n, n), dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dx == 0 and dy == 0:
+                continue
+            is_max &= v >= pad[1 + dy : 1 + dy + n, 1 + dx : 1 + dx + n]
+    cut = threshold * v.max()
+    iy, ix = np.nonzero(is_max & (v >= cut))
+    xs, ys = field.grid.xs, field.grid.ys
+    cand = sorted(
+        ((float(v[a, b]), float(xs[b]), float(ys[a])) for a, b in zip(iy, ix)),
+        reverse=True,
+    )
+    kept: list[tuple[float, float, float]] = []
+    for val, x, y in cand:
+        if all(np.hypot(x - px, y - py) >= min_separation for px, py, _ in kept):
+            kept.append((x, y, val))
+            if max_peaks is not None and len(kept) >= max_peaks:
+                break
+    return kept
+
+
+def true_centers(name: str) -> list[tuple[float, float]]:
+    """Scatterer centers of a preset, for localization checks."""
+    return [s.center for s in preset_scene(name).scatterers]

@@ -1,0 +1,19 @@
+"""Hypothesis strategies shared by the property tests."""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from lapdsm.scene import ApertureSet, Arc
+
+
+@st.composite
+def apertures(draw):
+    """One to three disjoint arcs, each inside its own sector of the circle."""
+    n = draw(st.integers(1, 3))
+    offset = draw(st.floats(-np.pi / n, np.pi / n))
+    arcs = []
+    for i in range(n):
+        alpha = draw(st.floats(0.05, 0.95)) * np.pi / n
+        beta = np.pi - (np.pi - offset - 2.0 * np.pi * i / n) % (2.0 * np.pi)  # in (-pi, pi]
+        arcs.append(Arc(alpha=alpha, beta=beta, receivers=draw(st.integers(1, 40))))
+    return ApertureSet(tuple(arcs))

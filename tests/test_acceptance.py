@@ -15,7 +15,6 @@ from lapdsm import dpn
 from lapdsm.cli import main as cli_main
 from lapdsm.dsm import (
     average_and_normalize,
-    dominant_peaks,
     green_norm_on_aperture,
     index_classical,
     kernel_gamma,
@@ -30,10 +29,10 @@ from lapdsm.finite_space import (
 )
 from lapdsm.forward import born_far_field, contrast_grid, disk_far_field_series, far_field, solve_scattering, synthesize_far_field
 from lapdsm.numerics import arc_norm, gauss_arc_nodes
-from lapdsm.presets import DOMAIN, WAVENUMBER, config1_aperture, config2_aperture, preset_scene, true_centers
+from lapdsm.presets import DOMAIN, WAVENUMBER, config1_aperture, config2_aperture, preset_scene
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, FarFieldData, SamplingGrid, add_noise, full_circle
-from reference import bessel_j0_kernel, green_far_field
+from reference import bessel_j0_kernel, dominant_peaks, green_far_field, true_centers
 
 K = WAVENUMBER
 
@@ -152,7 +151,7 @@ def test_criterion_05_stability_bound():
     data = synthesize_far_field(scene, 120)
     u = data.samples[0]
     grid = SamplingGrid(DOMAIN, 32)
-    base = index_classical(data, None, circle, grid, k=K)
+    base = index_classical(data, None, grid, k=K)
     rng = CounterRng(777)
     constant = 1.0 / (2.0 * np.sqrt(K))
     assert abs(green_norm_on_aperture(circle, K) - constant) < 1e-12
@@ -160,7 +159,7 @@ def test_criterion_05_stability_bound():
     for _ in range(100):
         pert = u + 0.05 * (rng.normals(256) + 1j * rng.normals(256)) * np.abs(u).mean()
         pdata = FarFieldData(pert[None, :], circle)
-        field = index_classical(pdata, None, circle, grid, k=K)
+        field = index_classical(pdata, None, grid, k=K)
         bound = constant * arc_norm(u - pert, circle)
         if np.max(np.abs(base.values - field.values)) > bound + 1e-12:
             violations += 1
@@ -219,13 +218,13 @@ def test_criterion_07_end_to_end_localization():
     full_scene = preset_scene("ex1_1", aperture=full_circle(512))
     full_noisy = add_noise(synthesize_far_field(full_scene, 120), 0.01, 7)
     f_full = average_and_normalize(
-        [index_classical(full_noisy, None, full_scene.aperture, grid, k=K)]
+        [index_classical(full_noisy, None, grid, k=K)]
     )
     full_ok = _localizes(f_full, centers)
 
     scene = preset_scene("ex1_1")
     noisy = add_noise(synthesize_far_field(scene, 120), 0.01, 7)
-    f_part = average_and_normalize([index_classical(noisy, None, scene.aperture, grid, k=K)])
+    f_part = average_and_normalize([index_classical(noisy, None, grid, k=K)])
     partial_fails = not _localizes(f_part, centers)
 
     (f_ffsm,) = reconstruct_finite_space(noisy, "ffsm", 20, [0.1**8], grid, K)
@@ -375,6 +374,6 @@ def test_longrun_trained_network_localization():
     noisy = add_noise(synthesize_far_field(scene, 120), 0.01, 7)
     grid = SamplingGrid(DOMAIN, 128)
     probing = dpn.probing_set_from_network(params, grid, ap, K)
-    field = average_and_normalize([index_classical(noisy, probing, ap, grid)])
+    field = average_and_normalize([index_classical(noisy, probing, grid)])
     ok = _localizes(field, true_centers("ex1_1"))
     assert report("L", "trained-network-localization", ok)

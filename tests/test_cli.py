@@ -32,6 +32,38 @@ def test_malformed_argument_is_one_line_error(tmp_path, capsys, argv, option):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["reconstruct", "--method", "ffsm", "--sigma-exp", "nan"], "finite and positive, got nan"),
+        (["reconstruct", "--method", "ffsm", "--sigma-exp-list", "4,nan"], "finite and positive, got nan"),
+        (["reconstruct", "--method", "ffsm", "--sigma-exp", "-400"], "finite and positive, got inf"),
+        (["reconstruct", "--method", "ffsm", "--sigma-exp", "4", "--order", "0"], "order must be >= 1"),
+        (["rn", "--method", "fssm", "--config", "1", "--sigma-exp", "nan"], "finite and positive, got nan"),
+        (["rn", "--method", "ffsm", "--config", "1", "--sigma-exp", "-400"], "finite and positive, got inf"),
+        (["rn", "--method", "ffsm", "--config", "1", "--sigma-exp", "400"], "finite and positive, got 0.0"),
+        (["rn", "--method", "fssm", "--config", "2", "--sigma-exp", "4", "--order", "0"], "order must be >= 1"),
+        (["kernel", "--k", "0"], "--k must be finite and positive"),
+        (["kernel", "--k", "-1"], "--k must be finite and positive"),
+        (["kernel", "--k", "nan"], "--k must be finite and positive"),
+        (["kernel", "--r-max", "nan"], "--r-max must be finite"),
+    ],
+    ids=["reconstruct-nan", "reconstruct-list-nan", "reconstruct-overflow", "reconstruct-order-0", "rn-nan",
+         "rn-overflow", "rn-underflow", "rn-order-0", "kernel-k-0", "kernel-k-negative", "kernel-k-nan",
+         "kernel-r-max-nan"],
+)
+def test_bad_value_is_one_line_error(sim_dir, tmp_path, capsys, argv, message):
+    if argv[0] == "reconstruct":
+        argv = argv + ["--data", str(sim_dir / "ex1_1.noisy.csv"), "--grid", "8"]
+    elif argv[0] == "rn":
+        argv = argv + ["--grid", "8"]
+    code = main(argv + ["--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def read_bytes(path):
     with open(path, "rb") as f:
         return f.read()

@@ -1,13 +1,20 @@
-"""Text file formats: byte-exact index and far-field CSVs, and the checked far-field reader."""
+"""Text file formats: byte-exact CSVs and checkpoints, and the checked far-field reader."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lapdsm.dpn import NetworkParams
 from lapdsm.dsm import IndexField
 from lapdsm.errors import ValidationError
-from lapdsm.fileio import read_farfield_csv, write_farfield_csv, write_index_csv
+from lapdsm.fileio import (
+    read_checkpoint,
+    read_farfield_csv,
+    write_checkpoint,
+    write_farfield_csv,
+    write_index_csv,
+)
 from lapdsm.presets import config1_aperture, config2_aperture
 from lapdsm.scene import Box, FarFieldData, SamplingGrid
 
@@ -84,3 +91,39 @@ def test_farfield_csv_from_another_aperture_is_rejected(tmp_path):
     write_farfield_csv(tmp_path / "u.csv", FarFieldData(samples, ap))
     with pytest.raises(ValidationError, match="angle"):
         read_farfield_csv(tmp_path / "u.csv", config1_aperture(receivers=ap.total_receivers))
+
+
+def per_value_checkpoint(path, params, k):
+    """The value-at-a-time writer that write_checkpoint replaced, kept as its oracle."""
+    dims = params.layer_dims
+    with open(path, "w") as f:
+        f.write(f"DPN v1 P={params.order} layers={','.join(str(d) for d in dims)} k={'%.17g' % k}\n")
+        for w, b in zip(params.weights, params.biases):
+            f.write(f"layer {w.shape[0]} {w.shape[1]}\n")
+            for row in w:
+                f.write(" ".join("%.17g" % v for v in row) + "\n")
+            f.write(" ".join("%.17g" % v for v in b) + "\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.integers(1, 4),
+    hidden=st.lists(st.integers(1, 12), min_size=0, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, -0.0, 1e-300, 1e-8, 1.0, 1e300]),
+    k=st.floats(0.5, 20.0),
+)
+def test_checkpoint_is_byte_identical_to_per_value_writer(tmp_path_factory, order, hidden, seed, scale, k):
+    dims = [2, *hidden, 4 * order + 2]
+    rng = np.random.default_rng(seed)
+    weights = [scale * rng.normal(size=(i, o)) for i, o in zip(dims[:-1], dims[1:])]
+    biases = [scale * rng.normal(size=o) for o in dims[1:]]
+    params = NetworkParams(weights=weights, biases=biases, order=order)
+    d = tmp_path_factory.mktemp("ckpt")
+    write_checkpoint(d / "new.ckpt", params, k)
+    per_value_checkpoint(d / "old.ckpt", params, k)
+    assert (d / "new.ckpt").read_bytes() == (d / "old.ckpt").read_bytes()
+    back, back_k = read_checkpoint(d / "new.ckpt")
+    assert back_k == k
+    for got, want in zip(back.weights + back.biases, weights + biases):
+        np.testing.assert_array_equal(got, want)

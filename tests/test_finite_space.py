@@ -9,13 +9,9 @@ from scipy import special as sp
 from lapdsm.dsm import kernel_gamma
 from lapdsm.errors import ValidationError
 from lapdsm.finite_space import (
-    CoefficientField,
-    FrameworkSystem,
-    build_system,
     default_fssm_truncation,
     ffsm_matrix,
     ffsm_rhs_field,
-    finite_space_probing,
     finite_space_probings,
     fssm_matrix,
     probing_from_coefficients,
@@ -27,7 +23,15 @@ from lapdsm.numerics import gauss_arc_nodes
 from lapdsm.presets import config1_aperture, config2_aperture
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, Box, FarFieldData, SamplingGrid, full_circle
-from reference import bessel_j0_kernel, ffsm_rhs, fssm_rhs, green_far_field
+from reference import (
+    bessel_j0_kernel,
+    ffsm_matrix_entrywise,
+    ffsm_rhs,
+    fssm_matrix_entrywise,
+    fssm_rhs,
+    green_far_field,
+)
+from strategies import apertures
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)
@@ -64,6 +68,29 @@ class TestFfsmMatrix:
         np.testing.assert_allclose(
             ffsm_matrix(both, 10), ffsm_matrix(a1, 10) + ffsm_matrix(a2, 10), atol=1e-14
         )
+
+
+class TestModeTable:
+    """Both Gram matrices gather from one table of arc-mode integrals I[d]."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ap=apertures(), order=st.integers(1, 30))
+    def test_ffsm_matrix_equals_entrywise_form_bit_for_bit(self, ap, order):
+        assert ffsm_matrix(ap, order).tobytes() == ffsm_matrix_entrywise(ap, order).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(ap=apertures(), order=st.integers(1, 30), per_side=st.integers(1, 4), k=st.floats(0.5, 12.0))
+    def test_fssm_matrix_equals_entrywise_form_bit_for_bit(self, ap, order, per_side, k):
+        sources = source_lattice(DOMAIN, per_side, k)
+        want = fssm_matrix_entrywise(ap, order, sources)
+        assert fssm_matrix(ap, order, sources).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValidationError, match="order must be >= 1"):
+            ffsm_matrix(config1_aperture(), order)
+        with pytest.raises(ValidationError, match="order must be >= 1"):
+            fssm_matrix(config1_aperture(), order, source_lattice(DOMAIN, 3, K))
 
 
 class TestFfsmRhs:
@@ -160,39 +187,42 @@ class TestFssm:
 class TestTikhonov:
     def test_sigma_to_infinity_kills_solution(self):
         ap = config1_aperture()
-        system = FrameworkSystem(ffsm_matrix(ap, 8), 1e12, ap, 8)
         rhs = ffsm_rhs_field(np.array([[0.2, 0.3]]), 8, K)
-        coeffs = tikhonov_solve(system, rhs)
-        assert np.max(np.abs(coeffs.coefficients)) < 1e-10
+        coeffs = tikhonov_solve(ffsm_matrix(ap, 8), 1e12, rhs)
+        assert np.max(np.abs(coeffs)) < 1e-10
 
     def test_normal_equations_satisfied(self):
         ap = config1_aperture()
         a = ffsm_matrix(ap, 10)
         sigma = 1e-3
-        system = FrameworkSystem(a, sigma, ap, 10)
         rhs = ffsm_rhs_field(np.array([[0.4, -0.2]]), 10, K)
-        f = tikhonov_solve(system, rhs).coefficients[0]
+        f = tikhonov_solve(a, sigma, rhs)[0]
         lhs = sigma * f + a.conj().T @ (a @ f)
         np.testing.assert_allclose(lhs, a.conj().T @ rhs[0], atol=1e-12)
 
     def test_linearity_in_rhs(self):
         ap = config2_aperture()
-        system, _ = build_system("ffsm", ap, 6, 1e-4, K)
+        a = ffsm_matrix(ap, 6)
         r1 = ffsm_rhs_field(np.array([[0.1, 0.1]]), 6, K)
         r2 = ffsm_rhs_field(np.array([[-0.3, 0.6]]), 6, K)
-        f1 = tikhonov_solve(system, r1).coefficients
-        f2 = tikhonov_solve(system, r2).coefficients
-        f12 = tikhonov_solve(system, r1 + r2).coefficients
+        f1 = tikhonov_solve(a, 1e-4, r1)
+        f2 = tikhonov_solve(a, 1e-4, r2)
+        f12 = tikhonov_solve(a, 1e-4, r1 + r2)
         np.testing.assert_allclose(f12, f1 + f2, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1e-4, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        rhs = ffsm_rhs_field(np.array([[0.2, 0.3]]), 4, K)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            tikhonov_solve(ffsm_matrix(config1_aperture(), 4), sigma, rhs)
 
     def test_tikhonov_minimizes_functional(self):
         # the returned coefficients beat random perturbations on the Tikhonov functional
         ap = config1_aperture()
         a = ffsm_matrix(ap, 8)
         sigma = 1e-2
-        system = FrameworkSystem(a, sigma, ap, 8)
         rhs = ffsm_rhs_field(np.array([[0.25, -0.55]]), 8, K)
-        f = tikhonov_solve(system, rhs).coefficients[0]
+        f = tikhonov_solve(a, sigma, rhs)[0]
 
         def functional(v):
             return np.linalg.norm(a @ v - rhs[0]) ** 2 + sigma * np.linalg.norm(v) ** 2
@@ -209,14 +239,14 @@ class TestProbingConstruction:
         ap = config1_aperture(receivers=10)
         c = np.zeros((1, 13), dtype=complex)
         c[0, 6] = np.sqrt(2 * np.pi)  # n = 0 mode only
-        probe = probing_from_coefficients(CoefficientField(c, 6), ap)
+        probe = probing_from_coefficients(c, ap)
         np.testing.assert_allclose(probe.samples, 1.0, rtol=1e-12)
 
     def test_full_circle_ffsm_recovers_green(self):
         # on S^1 the system is well posed: the probing function converges to G_inf
         ap = full_circle(128)
         grid = SamplingGrid(DOMAIN, 8)
-        probe = finite_space_probing("ffsm", ap, grid, 24, 1e-12, K)
+        (probe,) = finite_space_probings("ffsm", ap, grid, 24, [1e-12], K)
         angles = ap.receiver_angles()
         for i in (0, 17, 63):
             expect = green_far_field(grid.points[i], angles, K)
@@ -225,11 +255,11 @@ class TestProbingConstruction:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
-            build_system("mussel", config1_aperture(), 4, 1e-4, K)
+            next(finite_space_probings("mussel", config1_aperture(), SamplingGrid(DOMAIN, 4), 4, [1e-4], K))
 
     def test_fssm_requires_sources(self):
         with pytest.raises(ValidationError):
-            build_system("fssm", config1_aperture(), 4, 1e-4, K)
+            next(finite_space_probings("fssm", config1_aperture(), SamplingGrid(DOMAIN, 4), 4, [1e-4], K))
 
     @pytest.mark.parametrize("method", ["ffsm", "fssm"])
     def test_sigma_sweep_equals_single_sigma_runs(self, method):
@@ -240,7 +270,7 @@ class TestProbingConstruction:
         sweep = list(finite_space_probings(method, ap, grid, 10, sigmas, K, sources))
         assert len(sweep) == len(sigmas)
         for sigma, probe in zip(sigmas, sweep):
-            single = finite_space_probing(method, ap, grid, 10, sigma, K, sources)
+            (single,) = finite_space_probings(method, ap, grid, 10, [sigma], K, sources)
             np.testing.assert_array_equal(probe.samples, single.samples)
         u = np.exp(1j * np.linspace(0.0, 5.0, ap.total_receivers))
         data = FarFieldData(np.stack([u, u**2]), ap)
