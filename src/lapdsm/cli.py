@@ -192,6 +192,8 @@ def cmd_kernel(args) -> int:
         raise ValidationError(f"--beta-list must be comma-separated numbers, got {args.beta_list!r}") from None
     if not np.all(np.isfinite(betas)):
         raise ValidationError(f"--beta-list angles must be finite, got {args.beta_list!r}")
+    if args.r_steps < 1:
+        raise ValidationError(f"--r-steps must be >= 1, got {args.r_steps}")
     radii = np.linspace(0.0, args.r_max, args.r_steps)
     columns = []
     for b in betas:

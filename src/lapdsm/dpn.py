@@ -4,8 +4,10 @@ A small fully connected network maps a sampling point z to the Fourier
 coefficients of a probing function; adding the plane-wave initial guess
 exp(-i k xhat . z) gives the probing value.  Training needs no measured
 data: random point-source combinations v_m are synthesized on the fly and
-the network is pushed to make the aperture inner product <G(z,.), v_m>
-reproduce the known full-circle value 2 pi sum(conj(c_n) J_0(k |z - y_n|)).
+the network is pushed to make the aperture inner product <G(z,.), v_m>,
+paired with the receiver weights reconstruct uses, reproduce the known
+full-circle value 2 pi sum(conj(c_n) J_0(k |z - y_n|)), evaluated as the
+trapezoid rule of numerics.circle_angles.
 
 Gradients are exact hand-written reverse mode (the loss is a quadratic
 form in the network outputs), and the optimizer is Adam with the staircase
@@ -18,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import NumericalError, ValidationError
-from .numerics import directions, fourier_modes, plane_waves
+from .numerics import circle_angles, directions, fourier_modes, plane_waves, reach
 from .scene import ApertureSet, Box
 from .rng import CounterRng
 
@@ -185,6 +186,11 @@ class TrainingBatch:
     v_noisy: np.ndarray  # (M, Q) complex
 
 
+def _test_functions(coeffs: np.ndarray, sources: np.ndarray, angles: np.ndarray, k: float) -> np.ndarray:
+    """v_m(xhat) = sum_n c_nm exp(-i k xhat . y_nm) at the given angles, shape (M, n_angles)."""
+    return np.einsum("mn,mnq->mq", coeffs, plane_waves(sources, directions(angles), k))
+
+
 def sample_batch(
     config: TrainConfig,
     domain: Box,
@@ -199,8 +205,7 @@ def sample_batch(
     delta = float(rng.uniforms(1)[0] * config.max_noise)
     angles = aperture.receiver_angles()
     q = angles.shape[0]
-    # v_m(xhat) = sum_n c_nm exp(-i k xhat . y_nm)
-    v = np.einsum("mn,mnq->mq", c, plane_waves(y, directions(angles), k))
+    v = _test_functions(c, y, angles, k)
     if delta > 0.0:
         w = aperture.quadrature_weights()
         norms = np.sqrt(np.real((np.abs(v) ** 2) @ w))
@@ -221,10 +226,14 @@ def sample_batch(
 
 
 def _batch_target(batch: TrainingBatch, k: float) -> np.ndarray:
-    """2 pi sum_n conj(c_nm) J_0(k |z_l - y_nm|), shape (L, M)."""
-    diff = batch.eval_points[:, None, None, :] - batch.source_points[None, :, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])  # (L, M, N)
-    return 2.0 * np.pi * np.einsum("mn,lmn->lm", np.conj(batch.source_coeffs), sp.j0(k * dist))
+    """<e^{-ik xhat . z_l}, v_m>_{S^1} = 2 pi sum_n conj(c_nm) J_0(k |z_l - y_nm|), shape (L, M).
+
+    The trapezoid rule pairs the plane waves of z with the test functions
+    at the circle_angles directions.
+    """
+    t = circle_angles(k, reach(batch.eval_points) + reach(batch.source_points))
+    v = _test_functions(batch.source_coeffs, batch.source_points, t, k)  # (M, T)
+    return plane_waves(batch.eval_points, directions(t), k) @ np.conj(v).T * (2.0 * np.pi / t.size)
 
 
 def _residual(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float):
@@ -232,10 +241,10 @@ def _residual(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet
     angles = aperture.receiver_angles()
     acts = _forward_cached(params, batch.eval_points)
     g = _probe(_coefficients(acts[-1], params.order), batch.eval_points, angles, k)  # (L, Q)
-    w_eff = aperture.measure / angles.shape[0]
-    inner = w_eff * (g @ np.conj(batch.v_noisy).T)  # (L, M)
+    w = aperture.quadrature_weights()
+    inner = g @ (w * np.conj(batch.v_noisy)).T  # (L, M)
     r = inner - _batch_target(batch, k)
-    return r, acts, w_eff
+    return r, acts, w
 
 
 def loss(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float) -> float:
@@ -247,11 +256,11 @@ def loss_gradient(
     params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Loss value plus exact gradients for every weight matrix and bias."""
-    r, acts, w_eff = _residual(params, batch, aperture, k)
+    r, acts, w = _residual(params, batch, aperture, k)
     basis = fourier_modes(params.order, aperture.receiver_angles())
     l_pts, m_fns = r.shape
-    # Wirtinger: d loss / d conj(G_{lq}) = (w/(ML)) (R V)_{lq}
-    d_conj_g = (w_eff / (l_pts * m_fns)) * (r @ batch.v_noisy)  # (L, Q)
+    # Wirtinger: d loss / d conj(G_{lq}) = (w_q/(ML)) (R V)_{lq}
+    d_conj_g = (r @ batch.v_noisy) * (w / (l_pts * m_fns))  # (L, Q)
     m_mat = np.conj(d_conj_g) @ basis.T  # (L, 2P+1): sum_q conj(D_lq) e^{i n theta_q}
     dout = np.concatenate([2.0 * np.real(m_mat), -2.0 * np.imag(m_mat)], axis=1)
     gw, gb = _backward(params, acts, dout)

@@ -31,7 +31,7 @@ def write_farfield_csv(path, data: FarFieldData) -> None:
         f.write(("%d,%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
-def read_farfield_csv(path, aperture: ApertureSet, noise_level: float = 0.0, seed: int = 0) -> FarFieldData:
+def read_farfield_csv(path, aperture: ApertureSet) -> FarFieldData:
     """Far-field samples, checked row by row against the aperture's receivers.
 
     Each incidence 0..J-1 must list every receiver once, in receiver order,
@@ -69,7 +69,7 @@ def read_farfield_csv(path, aperture: ApertureSet, noise_level: float = 0.0, see
         if len(col) != q:
             raise ValidationError(f"{path}: incidence {j} has {len(col)} rows, expected {q}")
     samples = np.array([rows[j] for j in range(len(rows))])
-    return FarFieldData(samples, aperture, noise_level=noise_level, seed=seed)
+    return FarFieldData(samples, aperture)
 
 
 def write_index_csv(path, field: IndexField) -> None:

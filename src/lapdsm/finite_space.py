@@ -3,9 +3,13 @@
 Both schemes pick a trial space of Fourier modes e^{in theta}/sqrt(2 pi) on
 the aperture and differ in the testing space: FFSM tests against the same
 Fourier modes on the full circle, FSSM against far-field Green functions of
-a source lattice.  The resulting linear system A F(z) ~ B(z) is solved with
-Tikhonov regularization, factored once and back-substituted for every
-sampling point.
+a source lattice.  The FFSM right-hand side B_q(y) is the q-th Fourier
+coefficient of G_inf(y, .), so the FSSM matrix is the FFSM one in the source
+basis: conj(B_ffsm(y)) times a Gram block of the same arc-mode table.  Both
+right-hand sides are full-circle inner products, evaluated by the trapezoid
+rule of numerics.circle_angles over plane waves.  The resulting linear
+system A F(z) ~ B(z) is solved with Tikhonov regularization, factored once
+and back-substituted for every sampling point.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy import special as sp
 
 from .dsm import IndexField, ProbingSet, averaged_index
 from .errors import NumericalError, ValidationError
-from .numerics import fourier_modes
+from .numerics import circle_angles, circle_modes, directions, fourier_modes, plane_waves, reach
 from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
 
 
@@ -42,87 +45,66 @@ def source_lattice(domain: Box, per_side: int, k: float) -> SourceTestingSpace:
     return SourceTestingSpace(points=grid.points, wavenumber=k)
 
 
-def _arc_mode_table(aperture: ApertureSet, order: int, reach: int) -> np.ndarray:
-    """I[d] = sum_l e^{i d beta_l} * (alpha_l if d == 0 else sin(alpha_l d)/d) at entry d + order + reach.
+def _mode_gram(aperture: ApertureSet, rows: int, order: int) -> np.ndarray:
+    """G_qm = (1/2pi) <e^{imt}, e^{iqt}>_Gamma = I[m - q]/pi for q = -rows..rows, m = -order..order.
 
-    I[d] is half the aperture integral of e^{i d t}; |d| <= order + reach covers every
-    entry of both Gram matrices, so their shared order check sits here.
+    I[d] = sum_l e^{i d beta_l} * (alpha_l if d == 0 else sin(alpha_l d)/d) is half the
+    aperture integral of e^{i d t}; both Gram matrices gather from one table of it.
     """
     if order < 1:
         raise ValidationError("Fourier space order must be >= 1")
-    d = np.arange(-(order + reach), order + reach + 1)
+    d = np.arange(-(order + rows), order + rows + 1)
     table = np.zeros(d.shape, dtype=np.complex128)
     for arc in aperture.arcs:
         c = np.where(d == 0, arc.alpha, np.sin(arc.alpha * d) / np.where(d == 0, 1, d))
         table += np.exp(1j * d * arc.beta) * c
-    return table
+    table /= np.pi
+    qs, ms = np.arange(2 * rows + 1), np.arange(2 * order + 1)
+    return table[ms[None, :] - qs[:, None] + 2 * rows]
 
 
 def ffsm_matrix(aperture: ApertureSet, order: int) -> np.ndarray:
     """Closed-form Gram matrix A_nm = (1/2pi) <e^{im t}, e^{in t}>_Gamma, the Toeplitz I[m - n]/pi."""
-    table = _arc_mode_table(aperture, order, order) / np.pi
-    ns = np.arange(2 * order + 1)
-    return table[ns[None, :] - ns[:, None] + 2 * order]
+    return _mode_gram(aperture, order, order)
+
+
+def _ffsm_rhs(points: np.ndarray, order: int, k: float) -> np.ndarray:
+    """B_n(z) = <G_inf(z, .), e^{int}/sqrt(2pi)>_{S^1} by the trapezoid rule, shape (n_points, 2P+1)."""
+    pts = np.asarray(points, dtype=float)
+    t = circle_angles(k, reach(pts), order)
+    pre = np.exp(1j * np.pi / 4.0) / (2.0 * np.sqrt(k) * t.size)
+    return plane_waves(pts, directions(t), k) @ (pre * np.conj(circle_modes(order, t.size)).T)
 
 
 def ffsm_rhs_field(points: np.ndarray, order: int, k: float) -> np.ndarray:
-    """B_n(z) = i^{-n} e^{i pi/4}/(2 sqrt(k)) J_n(k|z|) e^{-i n theta_z}, shape (n_points, 2P+1)."""
-    p = order
-    pts = np.asarray(points, dtype=float)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    theta[r == 0.0] = 0.0
-    ns = np.arange(-p, p + 1)
-    jn = sp.jv(np.arange(p + 1)[None, :], (k * r)[:, None])[:, np.abs(ns)]
-    sign = np.where((ns < 0) & (np.abs(ns) % 2 == 1), -1.0, 1.0)
-    pre = (1j) ** (-ns) * np.exp(1j * np.pi / 4.0) / (2.0 * np.sqrt(k))
-    return pre[None, :] * sign[None, :] * jn * np.conj(fourier_modes(p, theta)).T
+    """B_n(z) = i^{-n} e^{i pi/4}/(2 sqrt(k)) J_n(k|z|) e^{-i n theta_z}, shape (n_points, 2P+1).
+
+    fssm_matrix evaluates the same rule at the sources through _ffsm_rhs, so
+    every call of this function is the right-hand side of a sampling grid.
+    """
+    return _ffsm_rhs(points, order, k)
 
 
-def default_fssm_truncation(k: float, sources: SourceTestingSpace) -> int:
-    rmax = float(np.max(np.hypot(sources.points[:, 0], sources.points[:, 1])))
-    return int(np.ceil(k * max(rmax, 1.0))) + 30
+def fssm_matrix(aperture: ApertureSet, order: int, sources: SourceTestingSpace) -> np.ndarray:
+    """A_nm = (1/sqrt(2pi)) <e^{im t}, G_inf(y_n, .)>_Gamma = sum_q conj(B_q(y_n)) G_qm.
 
-
-def fssm_matrix(
-    aperture: ApertureSet,
-    order: int,
-    sources: SourceTestingSpace,
-    truncation: int | None = None,
-) -> np.ndarray:
-    """Jacobi-Anger series for A_nm = (1/sqrt(2pi)) <e^{im t}, G_inf(y_n, .)>_Gamma."""
+    The FFSM right-hand side B_q(y) holds the Fourier coefficients of
+    G_inf(y, .), so FSSM is FFSM in the source basis; coefficients beyond the
+    rows of circle_angles at the sources' reach are below 1e-16.
+    """
     k = sources.wavenumber
-    pts = sources.points
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    theta[r == 0.0] = 0.0
-    if truncation is None:
-        truncation = default_fssm_truncation(k, sources)
-    table = _arc_mode_table(aperture, order, truncation)
-    tail = np.abs(sp.jv(truncation, k * r.max())) if r.max() > 0 else 0.0
-    if tail >= 1e-14:
-        raise ValidationError(
-            f"series truncation {truncation} insufficient: tail term {tail:.2e} >= 1e-14"
-        )
-    a = np.zeros((pts.shape[0], 2 * order + 1), dtype=np.complex128)
-    pre = np.exp(-1j * np.pi / 4.0) / (2.0 * np.pi * np.sqrt(k))
-    modes = fourier_modes(truncation, theta)  # (2T+1, n_sources)
-    for q in range(-truncation, truncation + 1):
-        radial = (1j) ** q * sp.jv(q, k * r) * modes[q + truncation]  # (n_sources,)
-        angular = table[truncation - q : truncation - q + 2 * order + 1]  # I[m - q], m = -P..P
-        a += np.outer(radial, angular)
-    return pre * a
+    rows = circle_angles(k, reach(sources.points)).size
+    gram = _mode_gram(aperture, rows, order)
+    return np.conj(_ffsm_rhs(sources.points, rows, k)) @ gram
 
 
 def fssm_rhs_field(points: np.ndarray, sources: SourceTestingSpace) -> np.ndarray:
-    """B_n(z) = J_0(k |z - y_n|) / (4k) against each source, shape (n_points, n_sources)."""
+    """B_n(z) = <G_inf(z, .), G_inf(y_n, .)>_{S^1} = J_0(k |z - y_n|) / (4k), shape (n_points, n_sources)."""
     pts = np.asarray(points, dtype=float)
     k = sources.wavenumber
-    d = np.hypot(
-        pts[:, None, 0] - sources.points[None, :, 0],
-        pts[:, None, 1] - sources.points[None, :, 1],
-    )
-    return (sp.j0(k * d) / (4.0 * k)).astype(np.complex128)
+    t = circle_angles(k, reach(pts) + reach(sources.points))
+    xhat = directions(t)
+    return plane_waves(pts, xhat, k) @ (np.conj(plane_waves(sources.points, xhat, k)).T / (4.0 * k * t.size))
 
 
 def tikhonov_solve(a: np.ndarray, sigma: float, rhs_field: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ discretize with piecewise-constant collocation on the cells of a uniform
 grid, solve the dense system restricted to contrast-carrying cells, and
 radiate the induced current to the far field.  The kernel is gathered from
 one table of integer cell offsets, and the system is factored once per grid
-and reused by every incidence.  Two independent oracles
-(Born approximation and the penetrable-disk separation-of-variables
-series) validate the solver in the test suite.
+and reused by every incidence.  Two independent oracles in the test
+suite (Born approximation and the penetrable-disk separation-of-variables
+series) validate the solver.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class ContrastGrid:
 
 
 def contrast_grid(scene: Scene, resolution: int) -> ContrastGrid:
+    if resolution < 1:
+        raise ValidationError(f"forward grid must have >= 1 cell per side, got {resolution}")
     dom = scene.domain
     hx = (dom.xmax - dom.xmin) / resolution
     hy = (dom.ymax - dom.ymin) / resolution
@@ -156,63 +158,6 @@ def far_field(solution: ForwardSolution, angles, k: float) -> np.ndarray:
     return green_far_prefactor(k) * solution.grid.cell_area * (waves @ cur)
 
 
-def born_far_field(scene: Scene, incidence_index: int, angles, grid: ContrastGrid) -> np.ndarray:
-    """Weak-scattering oracle: induced current with u replaced by u^i."""
-    k = scene.wavenumber
-    d = np.asarray(scene.incidences[incidence_index])
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    mask = grid.q != 0.0
-    if not np.any(mask):
-        return np.zeros(angles.shape, dtype=np.complex128)
-    pts = grid.points[mask]
-    src = grid.q[mask] * k**2 * np.exp(1j * k * pts @ d)
-    xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-    phase = np.exp(-1j * k * (xhat @ pts.T))
-    return green_far_prefactor(k) * grid.cell_area * (phase @ src)
-
-
-def disk_far_field_series(
-    k: float,
-    radius: float,
-    refractive_index: float,
-    incidence_dir,
-    angles,
-    center=(0.0, 0.0),
-    n_terms: int | None = None,
-) -> np.ndarray:
-    """Separation-of-variables far field of a penetrable disk (independent oracle).
-
-    Fourier-Bessel matching of u and du/dr across the circle boundary; the
-    scattered exterior field sum(b_n H_n^(1)(kr) e^{in phi}) radiates to
-    u_inf(phi) = sqrt(2/(pi k)) e^{-i pi/4} sum(b_n (-i)^n e^{in phi}).
-    """
-    d = np.asarray(incidence_dir, dtype=float)
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    k1 = k * np.sqrt(refractive_index)
-    ka, k1a = k * radius, k1 * radius
-    if n_terms is None:
-        n_terms = int(np.ceil(k1a)) + 25
-    phi_d = np.arctan2(d[1], d[0])
-    ns = np.arange(-n_terms, n_terms + 1)
-    jn_ka = sp.jv(ns, ka)
-    jnp_ka = sp.jvp(ns, ka)
-    jn_k1a = sp.jv(ns, k1a)
-    jnp_k1a = sp.jvp(ns, k1a)
-    hn_ka = sp.hankel1(ns, ka)
-    hnp_ka = sp.h1vp(ns, ka)
-    inc = (1j) ** ns * np.exp(-1j * ns * phi_d)
-    num = k1 * jnp_k1a * jn_ka - k * jnp_ka * jn_k1a
-    den = k * hnp_ka * jn_k1a - k1 * jnp_k1a * hn_ka
-    b = inc * num / den
-    pre = np.sqrt(2.0 / (np.pi * k)) * np.exp(-1j * np.pi / 4.0)
-    u_inf = pre * np.exp(1j * np.outer(angles, ns)) @ (b * (-1j) ** ns)
-    c = np.asarray(center, dtype=float)
-    if np.any(c != 0.0):
-        xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-        u_inf = u_inf * np.exp(1j * k * (d @ c - xhat @ c))
-    return u_inf
-
-
 def synthesize_far_field(scene: Scene, resolution: int = 120) -> FarFieldData:
     """Noiseless far-field data for every incidence at the scene's receivers."""
     grid = contrast_grid(scene, resolution)
@@ -221,4 +166,4 @@ def synthesize_far_field(scene: Scene, resolution: int = 120) -> FarFieldData:
     for j in range(len(scene.incidences)):
         sol = solve_scattering(scene, j, grid)
         rows.append(far_field(sol, angles, scene.wavenumber))
-    return FarFieldData(np.array(rows), scene.aperture, noise_level=0.0, seed=0)
+    return FarFieldData(np.array(rows), scene.aperture)

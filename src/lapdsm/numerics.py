@@ -1,15 +1,18 @@
-"""Plane waves, Fourier modes and aperture quadrature used throughout the package.
+"""Plane waves, Fourier modes and the quadrature rules used throughout the package.
 
 Every probe in the package is built from two arrays: the plane wave
 e^{-ik xhat . z} and the Fourier modes e^{in theta} on the aperture.  Both
-are evaluated here and nowhere else, apart from the independent oracles in
-forward.  The receiver quadrature is a per-arc uniform-weight Riemann sum,
-the same discrete rule the training loss uses, so that reconstruction and
-learning agree on the meaning of an inner product on the aperture.
+are evaluated here and nowhere else in the package.  The receiver quadrature
+is a per-arc uniform-weight Riemann sum, the same discrete rule the training
+loss uses, so that reconstruction and learning agree on the meaning of an
+inner product on the aperture.  Inner products over the full circle S^1 use
+the trapezoid rule of circle_angles, which replaces every Bessel closed form
+outside the forward solver.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +47,42 @@ def plane_waves(points, xhat, k: float) -> np.ndarray:
 def fourier_modes(order: int, angles) -> np.ndarray:
     """e^{in theta} for n = -order..order, shape (2*order+1, n_angles), as cos + i sin."""
     phase = np.outer(np.arange(-order, order + 1), angles)
+    return np.cos(phase) + 1j * np.sin(phase)
+
+
+def reach(points) -> float:
+    """Largest distance of the points (..., 2) from the origin, 0 for no points."""
+    p = np.asarray(points, dtype=float)
+    return float(np.max(np.hypot(p[..., 0], p[..., 1]), initial=0.0))
+
+
+def circle_angles(k: float, reach: float, order: int = 0) -> np.ndarray:
+    """T equispaced angles 2 pi t / T, the trapezoid rule for full-circle inner products.
+
+    T is order plus the first nu with (k reach / 2)^nu / nu! < 1e-16, a bound on
+    |J_nu(k reach)| (DLMF 10.14.4).  The Fourier coefficients of a plane wave of
+    a point within reach are J_nu (Jacobi-Anger), so against modes up to order
+    every aliased term of the rule is below 1e-16.
+    """
+    half = 0.5 * k * reach
+    if not math.isfinite(half):
+        raise ValidationError(f"circle rule needs a finite k * reach, got {k} * {reach}")
+    nu = 1  # compared in logs: the bound itself overflows for large k reach
+    while half > 0.0 and nu * math.log(half) - math.lgamma(nu + 1) >= math.log(1e-16):
+        nu += 1
+    t = order + nu
+    return 2.0 * np.pi * np.arange(t) / t
+
+
+def circle_modes(order: int, size: int) -> np.ndarray:
+    """e^{in t} for n = -order..order at the size angles of circle_angles, shape (2*order+1, size).
+
+    The phase is reduced to 2 pi (n j mod size) / size in integers first, so
+    it stays below 2 pi: at the float angles fourier_modes loses |n t| ulps
+    of phase, which the cancelling circle sums would carry into their
+    smallest entries.
+    """
+    phase = np.outer(np.arange(-order, order + 1), np.arange(size)) % size * (2.0 * np.pi / size)
     return np.cos(phase) + 1j * np.sin(phase)
 
 

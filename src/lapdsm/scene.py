@@ -287,7 +287,6 @@ class FarFieldData:
     samples: np.ndarray  # (n_incidences, n_receivers)
     aperture: ApertureSet
     noise_level: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.complex128)
@@ -319,7 +318,7 @@ def add_noise(data: FarFieldData, delta: float, seed: int) -> FarFieldData:
     if data.noise_level != 0.0:
         raise ValidationError("add_noise expects noiseless input data")
     if delta == 0.0:
-        return FarFieldData(data.samples.copy(), data.aperture, 0.0, seed)
+        return FarFieldData(data.samples.copy(), data.aperture, 0.0)
     q = data.aperture.total_receivers
     out = np.empty_like(data.samples)
     rng = CounterRng(seed)
@@ -329,7 +328,7 @@ def add_noise(data: FarFieldData, delta: float, seed: int) -> FarFieldData:
         eta_r = rng.normals(q)
         eta_i = rng.normals(q)
         out[j] = u + delta * (eta_r + 1j * eta_i) * scale
-    return FarFieldData(out, data.aperture, delta, seed)
+    return FarFieldData(out, data.aperture, delta)
 
 
 # --------------------------------------------------------------------------

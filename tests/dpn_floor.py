@@ -32,10 +32,10 @@ def attainable_floor(config, aperture, domain, k, **batch_kw):
     """
     batch = validation_batch(config, aperture, domain, k, **batch_kw)
     # the zero network's residual is the plane-wave pairing minus the target
-    r0, _, w_eff = dpn._residual(dpn.NetworkParams.zeros(config), batch, aperture, k)
+    r0, _, w = dpn._residual(dpn.NetworkParams.zeros(config), batch, aperture, k)
     basis = fourier_modes(config.order, aperture.receiver_angles())
-    # residual(f) = f @ a + r0, with a the pairing of each Fourier mode with v_m
-    a = w_eff * (basis @ np.conj(batch.v_noisy).T)  # (2P+1, M)
+    # residual(f) = f @ a + r0, with a the weighted pairing of each Fourier mode with v_m
+    a = basis @ (w * np.conj(batch.v_noisy)).T  # (2P+1, M)
     coeffs = np.linalg.lstsq(a.T, -r0.T, rcond=None)[0].T  # (L, 2P+1)
     floor = float(np.mean(np.abs(coeffs @ a + r0) ** 2))
     return coeffs, floor

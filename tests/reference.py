@@ -4,10 +4,12 @@ Pointwise forms of what the package evaluates on whole grids -- the
 far-field Green function, the FFSM and FSSM right-hand sides, the FFSM and
 FSSM matrices entry by entry, the refractive index at one point, the forward
 kernel between every pair of contrast cells, the total field on every forward
-cell -- range-checked wrappers of scipy's Bessel and Hankel functions, and
-the peak finder and preset centres of the localization checks.  No program
-code calls them; the tests pin the vectorized program paths and scipy
-against them.
+cell -- the Born and penetrable-disk far fields the forward solver is
+checked against, the Bessel closed forms of the full-circle inner products the package
+evaluates by the trapezoid rule, range-checked wrappers of scipy's Bessel and
+Hankel functions, and the peak finder and preset centres of the localization
+checks.  No program code calls them; the tests pin the vectorized program
+paths and scipy against them.
 """
 
 import numpy as np
@@ -15,8 +17,8 @@ from scipy import special as sp
 
 from lapdsm.errors import ValidationError
 from lapdsm.dsm import IndexField
-from lapdsm.finite_space import SourceTestingSpace, default_fssm_truncation, ffsm_rhs_field, fssm_rhs_field
-from lapdsm.forward import ForwardSolution, _self_term, green_far_prefactor
+from lapdsm.finite_space import SourceTestingSpace, ffsm_rhs_field, fssm_rhs_field
+from lapdsm.forward import ContrastGrid, ForwardSolution, _self_term, green_far_prefactor
 from lapdsm.numerics import fourier_modes, plane_waves
 from lapdsm.presets import preset_scene
 from lapdsm.scene import ApertureSet, Scene
@@ -77,6 +79,36 @@ def fssm_rhs(z, sources: SourceTestingSpace) -> np.ndarray:
     return fssm_rhs_field(np.asarray(z, dtype=float)[None, :], sources)[0]
 
 
+def ffsm_rhs_bessel(points, order: int, k: float) -> np.ndarray:
+    """ffsm_rhs_field's closed form: one J_|n| per order, with the J_{-n} sign and theta = 0 at the origin."""
+    pts = np.asarray(points, dtype=float)
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    theta[r == 0.0] = 0.0
+    ns = np.arange(-order, order + 1)
+    jn = sp.jv(np.abs(ns)[None, :], (k * r)[:, None])
+    sign = np.where((ns < 0) & (np.abs(ns) % 2 == 1), -1.0, 1.0)
+    pre = (1j) ** (-ns) * np.exp(1j * np.pi / 4.0) / (2.0 * np.sqrt(k))
+    return pre[None, :] * sign[None, :] * jn * np.exp(-1j * np.outer(theta, ns))
+
+
+def fssm_rhs_bessel(points, sources: SourceTestingSpace) -> np.ndarray:
+    """fssm_rhs_field's closed form J_0(k |z - y_n|) / (4k), shape (n_points, n_sources)."""
+    pts = np.asarray(points, dtype=float)
+    d = np.hypot(
+        pts[:, None, 0] - sources.points[None, :, 0],
+        pts[:, None, 1] - sources.points[None, :, 1],
+    )
+    return bessel_j0_kernel(sources.wavenumber, d)
+
+
+def batch_target_bessel(batch, k: float) -> np.ndarray:
+    """The DPN target 2 pi sum_n conj(c_nm) J_0(k |z_l - y_nm|), shape (L, M)."""
+    diff = batch.eval_points[:, None, None, :] - batch.source_points[None, :, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])  # (L, M, N)
+    return 2.0 * np.pi * np.einsum("mn,lmn->lm", np.conj(batch.source_coeffs), bessel_j(0, k * dist))
+
+
 def arc_mode_integral(aperture: ApertureSet, d: int) -> complex:
     """sum_l e^{i d beta_l} * (alpha_l if d == 0 else sin(alpha_l d)/d), one d at a time."""
     total = 0.0 + 0.0j
@@ -97,13 +129,16 @@ def ffsm_matrix_entrywise(aperture: ApertureSet, order: int) -> np.ndarray:
 
 
 def fssm_matrix_entrywise(aperture: ApertureSet, order: int, sources: SourceTestingSpace) -> np.ndarray:
-    """The Jacobi-Anger sum of fssm_matrix with each I[m - q] evaluated on its own."""
+    """The Jacobi-Anger series for fssm_matrix with each I[m - q] evaluated on its own.
+
+    The series stops at |q| = k max(|y|, 1) + 30, where J_q(k|y|) is far below 1e-16.
+    """
     k = sources.wavenumber
     pts = sources.points
     r = np.hypot(pts[:, 0], pts[:, 1])
     theta = np.arctan2(pts[:, 1], pts[:, 0])
     theta[r == 0.0] = 0.0
-    truncation = default_fssm_truncation(k, sources)
+    truncation = int(np.ceil(k * max(r.max(), 1.0))) + 30
     ms = np.arange(-order, order + 1)
     a = np.zeros((pts.shape[0], 2 * order + 1), dtype=np.complex128)
     pre = np.exp(-1j * np.pi / 4.0) / (2.0 * np.pi * np.sqrt(k))
@@ -113,6 +148,63 @@ def fssm_matrix_entrywise(aperture: ApertureSet, order: int, sources: SourceTest
         angular = np.array([arc_mode_integral(aperture, m - q) for m in ms])
         a += np.outer(radial, angular)
     return pre * a
+
+
+def born_far_field(scene: Scene, incidence_index: int, angles, grid: ContrastGrid) -> np.ndarray:
+    """Weak-scattering oracle: induced current with u replaced by u^i."""
+    k = scene.wavenumber
+    d = np.asarray(scene.incidences[incidence_index])
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    mask = grid.q != 0.0
+    if not np.any(mask):
+        return np.zeros(angles.shape, dtype=np.complex128)
+    pts = grid.points[mask]
+    src = grid.q[mask] * k**2 * np.exp(1j * k * pts @ d)
+    xhat = np.column_stack([np.cos(angles), np.sin(angles)])
+    phase = np.exp(-1j * k * (xhat @ pts.T))
+    return green_far_prefactor(k) * grid.cell_area * (phase @ src)
+
+
+def disk_far_field_series(
+    k: float,
+    radius: float,
+    refractive_index: float,
+    incidence_dir,
+    angles,
+    center=(0.0, 0.0),
+    n_terms: int | None = None,
+) -> np.ndarray:
+    """Separation-of-variables far field of a penetrable disk (independent oracle).
+
+    Fourier-Bessel matching of u and du/dr across the circle boundary; the
+    scattered exterior field sum(b_n H_n^(1)(kr) e^{in phi}) radiates to
+    u_inf(phi) = sqrt(2/(pi k)) e^{-i pi/4} sum(b_n (-i)^n e^{in phi}).
+    """
+    d = np.asarray(incidence_dir, dtype=float)
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    k1 = k * np.sqrt(refractive_index)
+    ka, k1a = k * radius, k1 * radius
+    if n_terms is None:
+        n_terms = int(np.ceil(k1a)) + 25
+    phi_d = np.arctan2(d[1], d[0])
+    ns = np.arange(-n_terms, n_terms + 1)
+    jn_ka = sp.jv(ns, ka)
+    jnp_ka = sp.jvp(ns, ka)
+    jn_k1a = sp.jv(ns, k1a)
+    jnp_k1a = sp.jvp(ns, k1a)
+    hn_ka = sp.hankel1(ns, ka)
+    hnp_ka = sp.h1vp(ns, ka)
+    inc = (1j) ** ns * np.exp(-1j * ns * phi_d)
+    num = k1 * jnp_k1a * jn_ka - k * jnp_ka * jn_k1a
+    den = k * hnp_ka * jn_k1a - k1 * jnp_k1a * hn_ka
+    b = inc * num / den
+    pre = np.sqrt(2.0 / (np.pi * k)) * np.exp(-1j * np.pi / 4.0)
+    u_inf = pre * np.exp(1j * np.outer(angles, ns)) @ (b * (-1j) ** ns)
+    c = np.asarray(center, dtype=float)
+    if np.any(c != 0.0):
+        xhat = np.column_stack([np.cos(angles), np.sin(angles)])
+        u_inf = u_inf * np.exp(1j * k * (d @ c - xhat @ c))
+    return u_inf
 
 
 def refractive_index_at(scene: Scene, point) -> float:

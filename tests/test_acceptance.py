@@ -27,12 +27,12 @@ from lapdsm.finite_space import (
     reconstruct_finite_space,
     source_lattice,
 )
-from lapdsm.forward import born_far_field, contrast_grid, disk_far_field_series, far_field, solve_scattering, synthesize_far_field
+from lapdsm.forward import contrast_grid, far_field, solve_scattering, synthesize_far_field
 from lapdsm.numerics import arc_norm, gauss_arc_nodes
 from lapdsm.presets import DOMAIN, WAVENUMBER, config1_aperture, config2_aperture, preset_scene
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, FarFieldData, SamplingGrid, add_noise, full_circle
-from reference import bessel_j0_kernel, dominant_peaks, green_far_field, true_centers
+from reference import bessel_j0_kernel, born_far_field, disk_far_field_series, dominant_peaks, green_far_field, true_centers
 
 K = WAVENUMBER
 

@@ -47,10 +47,15 @@ def test_malformed_argument_is_one_line_error(tmp_path, capsys, argv, option):
         (["kernel", "--k", "-1"], "--k must be finite and positive"),
         (["kernel", "--k", "nan"], "--k must be finite and positive"),
         (["kernel", "--r-max", "nan"], "--r-max must be finite"),
+        (["kernel", "--r-steps", "-1"], "--r-steps must be >= 1, got -1"),
+        (["kernel", "--r-steps", "0"], "--r-steps must be >= 1, got 0"),
+        (["simulate", "--preset", "ex1_1", "--forward-grid", "0"], "forward grid must have >= 1 cell per side, got 0"),
+        (["simulate", "--preset", "ex1_1", "--forward-grid", "-3"], "forward grid must have >= 1 cell per side, got -3"),
     ],
     ids=["reconstruct-nan", "reconstruct-list-nan", "reconstruct-overflow", "reconstruct-order-0", "rn-nan",
          "rn-overflow", "rn-underflow", "rn-order-0", "kernel-k-0", "kernel-k-negative", "kernel-k-nan",
-         "kernel-r-max-nan"],
+         "kernel-r-max-nan", "kernel-r-steps-negative", "kernel-r-steps-0", "simulate-forward-grid-0",
+         "simulate-forward-grid-negative"],
 )
 def test_bad_value_is_one_line_error(sim_dir, tmp_path, capsys, argv, message):
     if argv[0] == "reconstruct":

@@ -20,10 +20,14 @@ from lapdsm.dpn import (
 )
 from lapdsm.presets import config1_aperture
 from lapdsm.rng import CounterRng
-from lapdsm.scene import Box, full_circle
+from lapdsm.scene import ApertureSet, Arc, Box, full_circle
+from reference import batch_target_bessel
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)
+# arcs of unequal receiver weight: |Gamma_l| / Q_l = 0.4/30 and 1.0/30
+UNEVEN = ApertureSet((Arc(alpha=0.2, beta=0.0, receivers=30), Arc(alpha=0.5, beta=2.0, receivers=30)))
+APERTURES = (config1_aperture(receivers=20), UNEVEN)
 
 
 def tiny_config(**kw):
@@ -113,15 +117,16 @@ class TestProbingEval:
         np.testing.assert_allclose(probing_eval(params, z, angles, K), expect, rtol=1e-12)
 
     def test_training_probe_is_the_inference_probe(self):
-        # the loss pairs exactly the probe that reconstruct and rn evaluate
+        # the loss pairs exactly the probe that reconstruct and rn evaluate,
+        # with the receiver weights that reconstruct pairs with
         cfg = tiny_config(max_noise=0.0)
-        ap = config1_aperture(receivers=20)
         params = NetworkParams.initialize(cfg, CounterRng(12))
-        batch = sample_batch(cfg, DOMAIN, ap, K, CounterRng(13))
-        r, *_ = dpn._residual(params, batch, ap, K)
-        g = probing_eval(params, batch.eval_points, ap.receiver_angles(), K)
-        w_eff = ap.measure / ap.total_receivers
-        np.testing.assert_array_equal(r, w_eff * (g @ np.conj(batch.v_noisy).T) - dpn._batch_target(batch, K))
+        for ap in APERTURES:
+            batch = sample_batch(cfg, DOMAIN, ap, K, CounterRng(13))
+            r, *_ = dpn._residual(params, batch, ap, K)
+            g = probing_eval(params, batch.eval_points, ap.receiver_angles(), K)
+            w = ap.quadrature_weights()
+            np.testing.assert_array_equal(r, g @ (w * np.conj(batch.v_noisy)).T - dpn._batch_target(batch, K))
 
     def test_angle_periodicity(self):
         params = NetworkParams.initialize(tiny_config(), CounterRng(2))
@@ -158,6 +163,22 @@ class TestSampleBatch:
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
         v = np.exp(-1j * K * xhat @ y[0, 0])
         np.testing.assert_allclose(v, 1.0)
+
+
+class TestBatchTarget:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.floats(0.5, 20.0),
+        sources=st.integers(1, 4),
+        functions=st.integers(1, 8),
+    )
+    def test_equals_bessel_sum(self, seed, k, sources, functions):
+        # the trapezoid rule over the circle reproduces 2 pi sum conj(c) J_0(k |z - y|)
+        cfg = tiny_config(batch_functions=functions, sources_per_function=sources, points_per_iteration=30)
+        batch = sample_batch(cfg, DOMAIN, config1_aperture(receivers=20), k, CounterRng(seed))
+        got, want = dpn._batch_target(batch, k), batch_target_bessel(batch, k)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestLoss:
@@ -197,47 +218,47 @@ class TestLoss:
 class TestGradient:
     def test_matches_central_finite_differences(self):
         cfg = tiny_config()
-        ap = config1_aperture(receivers=20)
         rng = CounterRng(13)
         params = NetworkParams.initialize(cfg, rng.spawn(0))
         h = 1e-6
         pick = CounterRng(99)
-        for trial in range(5):
-            batch = sample_batch(cfg, DOMAIN, ap, K, rng.spawn(trial + 1))
-            _, gw, gb = loss_gradient(params, batch, ap, K)
-            for _ in range(10):
-                li = int(pick.uniforms(1)[0] * len(params.weights))
-                w = params.weights[li]
-                i = int(pick.uniforms(1)[0] * w.shape[0])
-                j = int(pick.uniforms(1)[0] * w.shape[1])
-                orig = w[i, j]
-                w[i, j] = orig + h
-                lp = loss(params, batch, ap, K)
-                w[i, j] = orig - h
-                lm = loss(params, batch, ap, K)
-                w[i, j] = orig
-                fd = (lp - lm) / (2 * h)
-                an = gw[li][i, j]
-                assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
+        for ap in APERTURES:
+            for trial in range(5):
+                batch = sample_batch(cfg, DOMAIN, ap, K, rng.spawn(trial + 1))
+                _, gw, gb = loss_gradient(params, batch, ap, K)
+                for _ in range(10):
+                    li = int(pick.uniforms(1)[0] * len(params.weights))
+                    w = params.weights[li]
+                    i = int(pick.uniforms(1)[0] * w.shape[0])
+                    j = int(pick.uniforms(1)[0] * w.shape[1])
+                    orig = w[i, j]
+                    w[i, j] = orig + h
+                    lp = loss(params, batch, ap, K)
+                    w[i, j] = orig - h
+                    lm = loss(params, batch, ap, K)
+                    w[i, j] = orig
+                    fd = (lp - lm) / (2 * h)
+                    an = gw[li][i, j]
+                    assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
 
     def test_bias_gradient_finite_differences(self):
         cfg = tiny_config()
-        ap = config1_aperture(receivers=20)
         rng = CounterRng(14)
         params = NetworkParams.initialize(cfg, rng.spawn(0))
-        batch = sample_batch(cfg, DOMAIN, ap, K, rng.spawn(1))
-        _, _, gb = loss_gradient(params, batch, ap, K)
         h = 1e-6
         b = params.biases[1]
-        for j in (0, 5, 11):
-            orig = b[j]
-            b[j] = orig + h
-            lp = loss(params, batch, ap, K)
-            b[j] = orig - h
-            lm = loss(params, batch, ap, K)
-            b[j] = orig
-            fd = (lp - lm) / (2 * h)
-            assert abs(fd - gb[1][j]) <= 1e-4 * max(abs(fd), abs(gb[1][j]), 1e-8)
+        for ap in APERTURES:
+            batch = sample_batch(cfg, DOMAIN, ap, K, rng.spawn(1))
+            _, _, gb = loss_gradient(params, batch, ap, K)
+            for j in (0, 5, 11):
+                orig = b[j]
+                b[j] = orig + h
+                lp = loss(params, batch, ap, K)
+                b[j] = orig - h
+                lm = loss(params, batch, ap, K)
+                b[j] = orig
+                fd = (lp - lm) / (2 * h)
+                assert abs(fd - gb[1][j]) <= 1e-4 * max(abs(fd), abs(gb[1][j]), 1e-8)
 
     def test_gradient_value_consistent_with_loss(self):
         cfg = tiny_config()

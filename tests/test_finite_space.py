@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special as sp
 
 from lapdsm.dsm import kernel_gamma
 from lapdsm.errors import ValidationError
 from lapdsm.finite_space import (
-    default_fssm_truncation,
     ffsm_matrix,
     ffsm_rhs_field,
     finite_space_probings,
     fssm_matrix,
+    fssm_rhs_field,
     probing_from_coefficients,
     reconstruct_finite_space,
     source_lattice,
@@ -27,14 +26,22 @@ from reference import (
     bessel_j0_kernel,
     ffsm_matrix_entrywise,
     ffsm_rhs,
+    ffsm_rhs_bessel,
     fssm_matrix_entrywise,
     fssm_rhs,
+    fssm_rhs_bessel,
     green_far_field,
 )
 from strategies import apertures
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)
+
+
+def assert_close_to_largest(got, want, tol=1e-13):
+    """Every entry within tol of the largest |entry| of the oracle."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 class TestFfsmMatrix:
@@ -80,10 +87,10 @@ class TestModeTable:
 
     @settings(max_examples=25, deadline=None)
     @given(ap=apertures(), order=st.integers(1, 30), per_side=st.integers(1, 4), k=st.floats(0.5, 12.0))
-    def test_fssm_matrix_equals_entrywise_form_bit_for_bit(self, ap, order, per_side, k):
+    def test_fssm_matrix_equals_entrywise_series(self, ap, order, per_side, k):
+        # FFSM in the source basis: conj(B_ffsm(y)) times the Gram block is the Jacobi-Anger series
         sources = source_lattice(DOMAIN, per_side, k)
-        want = fssm_matrix_entrywise(ap, order, sources)
-        assert fssm_matrix(ap, order, sources).tobytes() == want.tobytes()
+        assert_close_to_largest(fssm_matrix(ap, order, sources), fssm_matrix_entrywise(ap, order, sources))
 
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one_rejected(self, order):
@@ -128,21 +135,12 @@ class TestFfsmRhs:
         seed=st.integers(0, 2**32 - 1),
         with_origin=st.booleans(),
     )
-    def test_field_equals_all_orders_formula_bit_for_bit(self, order, k, seed, with_origin):
-        # one Bessel evaluation per order |n|, gathered for n = -P..P, is the
-        # same arithmetic as evaluating J_|n| separately for every n
+    def test_field_equals_bessel_form(self, order, k, seed, with_origin):
+        # the trapezoid rule over the circle reproduces the J_n closed form
         pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(50, 2))
         if with_origin:
             pts[7] = 0.0
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        theta[r == 0.0] = 0.0
-        ns = np.arange(-order, order + 1)
-        jn = sp.jv(np.abs(ns)[None, :], (k * r)[:, None])
-        sign = np.where((ns < 0) & (np.abs(ns) % 2 == 1), -1.0, 1.0)
-        pre = (1j) ** (-ns) * np.exp(1j * np.pi / 4.0) / (2.0 * np.sqrt(k))
-        want = pre[None, :] * sign[None, :] * jn * np.exp(-1j * np.outer(theta, ns))
-        np.testing.assert_array_equal(ffsm_rhs_field(pts, order, k), want)
+        assert_close_to_largest(ffsm_rhs_field(pts, order, k), ffsm_rhs_bessel(pts, order, k))
 
 
 class TestFssm:
@@ -160,11 +158,13 @@ class TestFssm:
                 val = np.sum(np.exp(1j * m * angles) * g * weights) / np.sqrt(2 * np.pi)
                 assert abs(a[i, j] - val) < 1e-8
 
-    def test_truncation_guard(self):
-        sources = source_lattice(DOMAIN, 4, K)
-        with pytest.raises(ValidationError):
-            fssm_matrix(config1_aperture(), 10, sources, truncation=5)
-        assert default_fssm_truncation(K, sources) > K
+    @settings(max_examples=40, deadline=None)
+    @given(per_side=st.integers(1, 8), k=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_rhs_field_equals_bessel_form(self, per_side, k, seed):
+        # the trapezoid rule over the circle reproduces J_0(k |z - y|) / (4k)
+        sources = source_lattice(DOMAIN, per_side, k)
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(50, 2))
+        assert_close_to_largest(fssm_rhs_field(pts, sources), fssm_rhs_bessel(pts, sources))
 
     def test_rhs_is_translation_kernel(self):
         sources = source_lattice(DOMAIN, 4, K)

@@ -12,9 +12,7 @@ from lapdsm.cli import main
 from lapdsm.errors import NumericalError, ValidationError
 from lapdsm.forward import (
     _interaction_matrix,
-    born_far_field,
     contrast_grid,
-    disk_far_field_series,
     far_field,
     green_far_prefactor,
     solve_scattering,
@@ -23,7 +21,7 @@ from lapdsm.forward import (
 from lapdsm.presets import preset_scene
 from lapdsm.scene import Box, Disk, Rectangle, Scene, full_circle
 
-from reference import pairwise_interaction_matrix, total_field
+from reference import born_far_field, disk_far_field_series, pairwise_interaction_matrix, total_field
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)

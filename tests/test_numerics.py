@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapdsm.errors import ValidationError
-from lapdsm.numerics import arc_norm, arc_quadrature, directions, fourier_modes, gauss_arc_nodes, plane_waves
+from lapdsm.numerics import (
+    arc_norm,
+    arc_quadrature,
+    circle_angles,
+    circle_modes,
+    directions,
+    fourier_modes,
+    gauss_arc_nodes,
+    plane_waves,
+    reach,
+)
 from lapdsm.scene import ApertureSet, Arc, full_circle
 from reference import bessel_j, bessel_j_signed, hankel1
 
@@ -145,6 +155,36 @@ class TestFourierModes:
         assert modes.shape == (9, 9)
         np.testing.assert_array_equal(modes[4], 1.0)
         np.testing.assert_allclose(modes[::-1], np.conj(modes), rtol=0, atol=1e-15)
+
+
+class TestCircleAngles:
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.floats(0.5, 20.0), r=st.floats(0.0, 3.0), order=st.integers(0, 30))
+    def test_aliased_bessel_term_below_1e16(self, k, r, order):
+        t = circle_angles(k, r, order).size
+        assert bessel_j(t - order, k * r) < 1e-16
+
+    def test_equispaced_from_zero(self):
+        t = circle_angles(8.0, 1.5, 20)
+        np.testing.assert_allclose(np.diff(t), 2 * np.pi / t.size, rtol=1e-12)
+        assert t[0] == 0.0 and t[-1] < 2 * np.pi
+
+    def test_origin_needs_one_angle_beyond_order(self):
+        assert circle_angles(8.0, 0.0, 5).size == 6
+
+    def test_modes_are_fourier_modes_at_circle_angles(self):
+        t = circle_angles(8.0, 1.5, 20)
+        np.testing.assert_allclose(circle_modes(20, t.size), fourier_modes(20, t), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(circle_modes(3, 8)[3], 1.0)  # n = 0
+
+    def test_rejects_unbounded_reach(self):
+        with pytest.raises(ValidationError, match="finite"):
+            circle_angles(8.0, np.inf)
+
+    def test_reach_is_largest_norm(self):
+        assert reach(np.array([[3.0, 4.0], [0.0, -1.0]])) == 5.0
+        assert reach(np.array([[[1.0, 0.0]], [[0.0, 2.0]]])) == 2.0
+        assert reach(np.zeros((0, 2))) == 0.0
 
 
 class TestArcQuadrature:
