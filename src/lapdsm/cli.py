@@ -79,11 +79,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _finite_space_inputs(args, sigma_exps, domain: Box, k: float):
+def _finite_space_inputs(args, sigma_exps, domain: Box):
     """The sigma for each exponent and, for fssm, the source lattice over the domain."""
     if None in sigma_exps:
         raise ValidationError(f"method {args.method!r} needs --sigma-exp")
-    sources = source_lattice(domain, args.sources, k) if args.method == "fssm" else None
+    sources = source_lattice(domain, args.sources) if args.method == "fssm" else None
     with np.errstate(over="ignore"):  # 0.1^m beyond the float range is inf, which tikhonov_solve rejects
         return [np.float64(0.1) ** m for m in sigma_exps], sources
 
@@ -102,7 +102,7 @@ def _reconstruct_fields(args, data, grid, k, sigma_exps) -> list[IndexField]:
     """One index field per sigma exponent; what does not depend on sigma is built once."""
     method = args.method
     if method in ("ffsm", "fssm"):
-        sigmas, sources = _finite_space_inputs(args, sigma_exps, grid.domain, k)
+        sigmas, sources = _finite_space_inputs(args, sigma_exps, grid.domain)
         return reconstruct_finite_space(data, method, args.order, sigmas, grid, k, sources=sources)
     if method == "full" and not data.aperture.is_full_circle():
         raise ValidationError("method 'full' requires full-circle data")
@@ -216,7 +216,7 @@ def cmd_rn(args) -> int:
     aperture, k, domain = _aperture_for_config(args)
     grid = SamplingGrid(domain, args.grid)
     if args.method in ("ffsm", "fssm"):
-        sigmas, sources = _finite_space_inputs(args, [args.sigma_exp], domain, k)
+        sigmas, sources = _finite_space_inputs(args, [args.sigma_exp], domain)
         (probing,) = finite_space_probings(args.method, aperture, grid, args.order, sigmas, k, sources)
     elif args.method == "dpn":
         probing = probing_set_from_network(_load_checkpoint(args, k), grid, aperture, k)
@@ -229,6 +229,20 @@ def cmd_rn(args) -> int:
     meta.update(max_rn=float(field.values.max()), wavenumber=k)
     fileio.write_metadata(f"{args.out}.meta.json", meta)
     return 0
+
+
+def _count(minimum: int):
+    """argparse type of a size flag: an integer >= minimum, so an error names the flag."""
+
+    def count(text: str) -> int:
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+
+    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated exponents; writes one output per value",
     )
-    rec.add_argument("--sources", type=int, default=DEFAULT_SOURCES, help="FSSM lattice per side")
+    rec.add_argument("--sources", type=_count(1), default=DEFAULT_SOURCES, help="FSSM lattice per side")
     rec.add_argument("--checkpoint", help="DPN checkpoint file")
-    rec.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    rec.add_argument("--grid", type=_count(1), default=DEFAULT_GRID)
     rec.add_argument("--out", required=True, metavar="PREFIX")
     rec.set_defaults(func=cmd_reconstruct)
 
@@ -282,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", type=int, choices=[1, 2])
     tr.add_argument("--scene")
     tr.add_argument("--preset", choices=presets.PRESET_NAMES)
-    tr.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    tr.add_argument("--iterations", type=int, default=5000)
-    tr.add_argument("--batch-functions", type=int, default=400)
-    tr.add_argument("--sources-per-function", type=int, default=3)
-    tr.add_argument("--points", type=int, default=400)
+    tr.add_argument("--order", type=_count(1), default=DEFAULT_ORDER)
+    tr.add_argument("--iterations", type=_count(0), default=5000)
+    tr.add_argument("--batch-functions", type=_count(1), default=400)
+    tr.add_argument("--sources-per-function", type=_count(1), default=3)
+    tr.add_argument("--points", type=_count(1), default=400)
     tr.add_argument("--max-noise", type=float, default=0.05)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True, metavar="PREFIX")
@@ -309,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--preset", choices=presets.PRESET_NAMES)
     rn.add_argument("--order", type=int, default=DEFAULT_ORDER)
     rn.add_argument("--sigma-exp", type=float, default=None)
-    rn.add_argument("--sources", type=int, default=DEFAULT_SOURCES)
+    rn.add_argument("--sources", type=_count(1), default=DEFAULT_SOURCES)
     rn.add_argument("--checkpoint")
-    rn.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    rn.add_argument("--grid", type=_count(1), default=DEFAULT_GRID)
     rn.add_argument("--out", required=True, metavar="PREFIX")
     rn.set_defaults(func=cmd_rn)
 
@@ -322,7 +336,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args) or 0
-    except (ValidationError, OSError, json.JSONDecodeError) as e:
+    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

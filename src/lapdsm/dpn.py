@@ -28,6 +28,20 @@ from .rng import CounterRng
 
 DIVERGENCE_FACTOR = 1e3
 
+# Adam's published defaults (Kingma & Ba 2015) and the staircase schedule:
+# the learning rate falls by LR_DECAY every LR_DECAY_EVERY iterations.
+LEARNING_RATE = 0.005
+LR_DECAY = 0.9
+LR_DECAY_EVERY = 100
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def learning_rate(iteration: int) -> float:
+    """Staircase schedule: LEARNING_RATE times LR_DECAY per LR_DECAY_EVERY steps."""
+    return LEARNING_RATE * LR_DECAY ** (iteration // LR_DECAY_EVERY)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -38,12 +52,6 @@ class TrainConfig:
     points_per_iteration: int = 400  # L sampling points per iteration
     iterations: int = 5000
     max_noise: float = 0.05  # lambda; per-iteration noise ~ U(0, lambda)
-    learning_rate: float = 0.005
-    lr_decay: float = 0.9
-    lr_decay_every: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     checkpoint_every: int = 500
 
@@ -62,59 +70,44 @@ class TrainConfig:
     def layer_dims(self) -> tuple[int, ...]:
         return (2, *self.hidden, 4 * self.order + 2)
 
-    def learning_rate_at(self, iteration: int) -> float:
-        """Staircase schedule: decay factor applied every lr_decay_every steps."""
-        return self.learning_rate * self.lr_decay ** (iteration // self.lr_decay_every)
-
 
 @dataclass
 class NetworkParams:
-    """Affine-rectifier chain weights; output pairs into 2P+1 complex coefficients."""
+    """Affine-rectifier chain; output pairs into 2P+1 complex coefficients.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    Each layer is one (fan_in + 1) x fan_out array: the weights, then the
+    bias as the last row, the layout of the checkpoint file.
+    """
+
+    layers: list[np.ndarray]
     order: int
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
+        return (self.layers[0].shape[0] - 1, *(w.shape[1] for w in self.layers))
 
     @classmethod
     def initialize(cls, config: TrainConfig, rng: CounterRng) -> "NetworkParams":
-        """Fan-in-scaled uniform init with rectifier gain, U(+-sqrt(6/fan_in))."""
+        """Fan-in-scaled uniform init with rectifier gain, U(+-sqrt(6/fan_in)), bias included."""
         dims = config.layer_dims
-        weights, biases = [], []
+        layers = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = np.sqrt(6.0 / fan_in)
-            w = (rng.uniforms(fan_in * fan_out) * 2.0 - 1.0) * bound
-            b = (rng.uniforms(fan_out) * 2.0 - 1.0) * bound
-            weights.append(w.reshape(fan_in, fan_out))
-            biases.append(b)
-        return cls(weights=weights, biases=biases, order=config.order)
+            w = (rng.uniforms((fan_in + 1) * fan_out) * 2.0 - 1.0) * np.sqrt(6.0 / fan_in)
+            layers.append(w.reshape(fan_in + 1, fan_out))
+        return cls(layers=layers, order=config.order)
 
     @classmethod
     def zeros(cls, config: TrainConfig) -> "NetworkParams":
         dims = config.layer_dims
-        return cls(
-            weights=[np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
-            biases=[np.zeros(b) for b in dims[1:]],
-            order=config.order,
-        )
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            order=self.order,
-        )
+        return cls(layers=[np.zeros((a + 1, b)) for a, b in zip(dims[:-1], dims[1:])], order=config.order)
 
 
 def _layers(params: NetworkParams, a: np.ndarray):
     """Yield each hidden layer's rectified activation, then the linear output."""
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ w
-        a += b
+    last = len(params.layers) - 1
+    for i, w in enumerate(params.layers):
+        a = a @ w[:-1]
+        a += w[-1]
         if i < last:
             np.maximum(a, 0.0, out=a)
         yield a
@@ -142,18 +135,16 @@ def network_forward(params: NetworkParams, z) -> np.ndarray:
     return _coefficients(y, params.order)
 
 
-def _backward(params: NetworkParams, acts, dout: np.ndarray):
-    """Gradients of a scalar loss given d(loss)/d(output), matching _forward_cached."""
-    gw = [None] * len(params.weights)
-    gb = [None] * len(params.biases)
+def _backward(params: NetworkParams, acts, dout: np.ndarray) -> list[np.ndarray]:
+    """Gradient of a scalar loss per layer given d(loss)/d(output), matching _forward_cached."""
+    grads = [None] * len(params.layers)
     delta = dout
-    for i in range(len(params.weights) - 1, -1, -1):
-        gw[i] = acts[i].T @ delta
-        gb[i] = delta.sum(axis=0)
+    for i in range(len(params.layers) - 1, -1, -1):
+        grads[i] = np.vstack([acts[i].T @ delta, delta.sum(axis=0)])
         if i > 0:
             # a rectified activation is positive exactly where its pre-activation is
-            delta = (delta @ params.weights[i].T) * (acts[i] > 0.0)
-    return gw, gb
+            delta = (delta @ params.layers[i][:-1].T) * (acts[i] > 0.0)
+    return grads
 
 
 def _probe(coeffs: np.ndarray, z: np.ndarray, angles: np.ndarray, k: float) -> np.ndarray:
@@ -254,8 +245,8 @@ def loss(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: 
 
 def loss_gradient(
     params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Loss value plus exact gradients for every weight matrix and bias."""
+) -> tuple[float, list[np.ndarray]]:
+    """Loss value plus the exact gradient of every layer."""
     r, acts, w = _residual(params, batch, aperture, k)
     basis = fourier_modes(params.order, aperture.receiver_angles())
     l_pts, m_fns = r.shape
@@ -263,40 +254,19 @@ def loss_gradient(
     d_conj_g = (r @ batch.v_noisy) * (w / (l_pts * m_fns))  # (L, Q)
     m_mat = np.conj(d_conj_g) @ basis.T  # (L, 2P+1): sum_q conj(D_lq) e^{i n theta_q}
     dout = np.concatenate([2.0 * np.real(m_mat), -2.0 * np.imag(m_mat)], axis=1)
-    gw, gb = _backward(params, acts, dout)
-    return float(np.mean(np.abs(r) ** 2)), gw, gb
+    return float(np.mean(np.abs(r) ** 2)), _backward(params, acts, dout)
 
 
-@dataclass
-class _AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def like(cls, params: NetworkParams) -> "_AdamState":
-        return cls(
-            m_w=[np.zeros_like(w) for w in params.weights],
-            v_w=[np.zeros_like(w) for w in params.weights],
-            m_b=[np.zeros_like(b) for b in params.biases],
-            v_b=[np.zeros_like(b) for b in params.biases],
-        )
-
-
-def _adam_step(params, state, gw, gb, lr, config):
-    state.t += 1
-    b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
-    for i in range(len(params.weights)):
-        state.m_w[i] = b1 * state.m_w[i] + (1 - b1) * gw[i]
-        state.v_w[i] = b2 * state.v_w[i] + (1 - b2) * gw[i] ** 2
-        params.weights[i] -= lr * (state.m_w[i] / c1) / (np.sqrt(state.v_w[i] / c2) + eps)
-        state.m_b[i] = b1 * state.m_b[i] + (1 - b1) * gb[i]
-        state.v_b[i] = b2 * state.v_b[i] + (1 - b2) * gb[i] ** 2
-        params.biases[i] -= lr * (state.m_b[i] / c1) / (np.sqrt(state.v_b[i] / c2) + eps)
+def _adam_step(params: NetworkParams, m: list, v: list, grads: list, t: int, lr: float) -> None:
+    """Adam update of step t >= 1; the moment lists m and v are updated in place."""
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
+    for w, m_i, v_i, g in zip(params.layers, m, v, grads):
+        m_i *= BETA1
+        m_i += (1 - BETA1) * g
+        v_i *= BETA2
+        v_i += (1 - BETA2) * g**2
+        w -= lr * (m_i / c1) / (np.sqrt(v_i / c2) + ADAM_EPS)
 
 
 def train(
@@ -313,12 +283,13 @@ def train(
     rng = CounterRng(config.seed)
     params = NetworkParams.initialize(config, rng.spawn(0))
     batch_rng = rng.spawn(1)
-    state = _AdamState.like(params)
+    m = [np.zeros_like(w) for w in params.layers]
+    v = [np.zeros_like(w) for w in params.layers]
     trace = np.empty(config.iterations)
     initial = None
     for j in range(config.iterations):
         batch = sample_batch(config, domain, aperture, k, batch_rng)
-        value, gw, gb = loss_gradient(params, batch, aperture, k)
+        value, grads = loss_gradient(params, batch, aperture, k)
         trace[j] = value
         if initial is None:
             initial = value
@@ -326,7 +297,7 @@ def train(
             raise NumericalError(
                 f"training diverged at iteration {j}: loss {value:.3e} vs initial {initial:.3e}"
             )
-        _adam_step(params, state, gw, gb, config.learning_rate_at(j), config)
+        _adam_step(params, m, v, grads, j + 1, learning_rate(j))
         if callback is not None and (j + 1) % config.checkpoint_every == 0:
             callback(j + 1, params, trace[: j + 1])
     return params, trace

@@ -118,10 +118,10 @@ def write_checkpoint(path, params: NetworkParams, k: float) -> None:
     dims = params.layer_dims
     with open(path, "w") as f:
         f.write(f"DPN v1 P={params.order} layers={','.join(str(d) for d in dims)} k={_fmt(k)}\n")
-        for w, b in zip(params.weights, params.biases):
-            f.write(f"layer {w.shape[0]} {w.shape[1]}\n")
+        for w in params.layers:
+            f.write(f"layer {w.shape[0] - 1} {w.shape[1]}\n")
             row = " ".join(["%.17g"] * w.shape[1]) + "\n"
-            for values in w.tolist() + [b.tolist()]:
+            for values in w.tolist():
                 f.write(row % tuple(values))
 
 
@@ -136,7 +136,7 @@ def read_checkpoint(path) -> tuple[NetworkParams, float]:
         dims = [int(d) for d in dims.removeprefix("layers=").split(",")]
         if (tag, version) != ("DPN", "v1") or len(dims) < 2 or dims[0] != 2 or dims[-1] != 4 * order + 2:
             raise ValueError("expected header 'DPN v1 P=<order> layers=2,...,<4P+2> k=<wavenumber>'")
-        weights, biases = [], []
+        layers = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             i += 1
             if lines[i] != ["layer", str(fan_in), str(fan_out)]:
@@ -147,8 +147,9 @@ def read_checkpoint(path) -> tuple[NetworkParams, float]:
                 rows.append([float(v) for v in lines[i]])
                 if len(rows[-1]) != fan_out:
                     raise ValueError(f"expected {fan_out} values, got {len(rows[-1])}")
-            weights.append(np.array(rows[:-1]))
-            biases.append(np.array(rows[-1]))
+                if not np.all(np.isfinite(rows[-1])):
+                    raise ValueError("values must be finite")
+            layers.append(np.array(rows))
     except (ValueError, IndexError) as e:
         raise ValidationError(f"{path}:{i + 1}: malformed checkpoint: {e}") from None
-    return NetworkParams(weights=weights, biases=biases, order=order), k
+    return NetworkParams(layers=layers, order=order), k

@@ -15,7 +15,6 @@ and back-substituted for every sampling point.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -26,23 +25,9 @@ from .numerics import circle_angles, circle_modes, directions, fourier_modes, pl
 from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
 
 
-@dataclass(frozen=True)
-class SourceTestingSpace:
-    """Far-field Green functions of a lattice of source points."""
-
-    points: np.ndarray  # (n_sources, 2)
-    wavenumber: float
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "points", p)
-
-
-def source_lattice(domain: Box, per_side: int, k: float) -> SourceTestingSpace:
-    """Equispaced per_side x per_side cell-center lattice over the domain."""
-    grid = SamplingGrid(domain, per_side)
-    return SourceTestingSpace(points=grid.points, wavenumber=k)
+def source_lattice(domain: Box, per_side: int) -> np.ndarray:
+    """Equispaced per_side x per_side cell-center lattice over the domain, shape (n_sources, 2)."""
+    return SamplingGrid(domain, per_side).points
 
 
 def _mode_gram(aperture: ApertureSet, rows: int, order: int) -> np.ndarray:
@@ -85,26 +70,24 @@ def ffsm_rhs_field(points: np.ndarray, order: int, k: float) -> np.ndarray:
     return _ffsm_rhs(points, order, k)
 
 
-def fssm_matrix(aperture: ApertureSet, order: int, sources: SourceTestingSpace) -> np.ndarray:
+def fssm_matrix(aperture: ApertureSet, order: int, sources: np.ndarray, k: float) -> np.ndarray:
     """A_nm = (1/sqrt(2pi)) <e^{im t}, G_inf(y_n, .)>_Gamma = sum_q conj(B_q(y_n)) G_qm.
 
     The FFSM right-hand side B_q(y) holds the Fourier coefficients of
     G_inf(y, .), so FSSM is FFSM in the source basis; coefficients beyond the
     rows of circle_angles at the sources' reach are below 1e-16.
     """
-    k = sources.wavenumber
-    rows = circle_angles(k, reach(sources.points)).size
+    rows = circle_angles(k, reach(sources)).size
     gram = _mode_gram(aperture, rows, order)
-    return np.conj(_ffsm_rhs(sources.points, rows, k)) @ gram
+    return np.conj(_ffsm_rhs(sources, rows, k)) @ gram
 
 
-def fssm_rhs_field(points: np.ndarray, sources: SourceTestingSpace) -> np.ndarray:
+def fssm_rhs_field(points: np.ndarray, sources: np.ndarray, k: float) -> np.ndarray:
     """B_n(z) = <G_inf(z, .), G_inf(y_n, .)>_{S^1} = J_0(k |z - y_n|) / (4k), shape (n_points, n_sources)."""
     pts = np.asarray(points, dtype=float)
-    k = sources.wavenumber
-    t = circle_angles(k, reach(pts) + reach(sources.points))
+    t = circle_angles(k, reach(pts) + reach(sources))
     xhat = directions(t)
-    return plane_waves(pts, xhat, k) @ (np.conj(plane_waves(sources.points, xhat, k)).T / (4.0 * k * t.size))
+    return plane_waves(pts, xhat, k) @ (np.conj(plane_waves(sources, xhat, k)).T / (4.0 * k * t.size))
 
 
 def tikhonov_solve(a: np.ndarray, sigma: float, rhs_field: np.ndarray) -> np.ndarray:
@@ -139,7 +122,7 @@ def finite_space_probings(
     order: int,
     sigmas: Sequence[float],
     k: float,
-    sources: SourceTestingSpace | None = None,
+    sources: np.ndarray | None = None,
 ) -> Iterator[ProbingSet]:
     """Yield the probing set on a grid for each sigma in turn.
 
@@ -150,8 +133,8 @@ def finite_space_probings(
         a, rhs = ffsm_matrix(aperture, order), ffsm_rhs_field(grid.points, order, k)
     elif method == "fssm":
         if sources is None:
-            raise ValidationError("FSSM needs a source testing space")
-        a, rhs = fssm_matrix(aperture, order, sources), fssm_rhs_field(grid.points, sources)
+            raise ValidationError("FSSM needs a source lattice")
+        a, rhs = fssm_matrix(aperture, order, sources, k), fssm_rhs_field(grid.points, sources, k)
     else:
         raise ValidationError(f"unknown finite-space method {method!r}")
     for sigma in sigmas:
@@ -165,7 +148,7 @@ def reconstruct_finite_space(
     sigmas: Sequence[float],
     grid: SamplingGrid,
     k: float,
-    sources: SourceTestingSpace | None = None,
+    sources: np.ndarray | None = None,
 ) -> list[IndexField]:
     """End-to-end Algorithm per sigma: probing construction, pairing, averaging, normalizing."""
     probings = finite_space_probings(method, data.aperture, grid, order, sigmas, k, sources)

@@ -32,8 +32,8 @@ class Arc:
             raise ValidationError(f"arc half-width must be in (0, pi], got {self.alpha}")
         if not (-np.pi < self.beta <= np.pi):
             raise ValidationError(f"arc center must be in (-pi, pi], got {self.beta}")
-        if self.receivers < 1:
-            raise ValidationError("arc needs at least one receiver")
+        if not isinstance(self.receivers, int) or isinstance(self.receivers, bool) or self.receivers < 1:
+            raise ValidationError(f"arc receiver count must be a positive int, got {self.receivers!r}")
 
     def receiver_angles(self) -> np.ndarray:
         """Midpoint-rule receiver positions inside the open arc interval."""
@@ -102,8 +102,8 @@ class Disk:
     refractive_index: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValidationError("disk radius must be positive")
+        _check_finite("disk center", self.center)
+        _check_positive("disk radius", self.radius)
         _check_index(self.refractive_index)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -128,6 +128,8 @@ class Ring:
     refractive_index: float
 
     def __post_init__(self):
+        _check_finite("ring center", self.center)
+        _check_finite("ring outer radius", self.outer_radius)
         if not (0 < self.inner_radius < self.outer_radius):
             raise ValidationError("ring needs 0 < inner_radius < outer_radius")
         _check_index(self.refractive_index)
@@ -154,8 +156,9 @@ class Rectangle:
     refractive_index: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError("rectangle sides must be positive")
+        _check_finite("rectangle center", self.center)
+        _check_positive("rectangle width", self.width)
+        _check_positive("rectangle height", self.height)
         _check_index(self.refractive_index)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -175,9 +178,19 @@ class Rectangle:
 Scatterer = Union[Disk, Ring, Rectangle]
 
 
+def _check_finite(what: str, value) -> None:
+    """Reject a NaN or infinite number, or a tuple holding one, naming the field."""
+    if not np.all(np.isfinite(value)):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+
+
+def _check_positive(what: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"{what} must be finite and positive, got {value!r}")
+
+
 def _check_index(n: float):
-    if n <= 0:
-        raise ValidationError("refractive index must be positive")
+    _check_positive("refractive index", n)
     if abs(n - 1.0) < 1e-12:
         raise ValidationError("refractive index 1 gives no contrast")
 
@@ -193,6 +206,7 @@ class Box:
     ymax: float
 
     def __post_init__(self):
+        _check_finite("domain box", (self.xmin, self.xmax, self.ymin, self.ymax))
         if self.xmin >= self.xmax or self.ymin >= self.ymax:
             raise ValidationError("degenerate domain box")
 
@@ -214,8 +228,7 @@ class Scene:
     aperture: ApertureSet
 
     def __post_init__(self):
-        if self.wavenumber <= 0:
-            raise ValidationError("wavenumber must be positive")
+        _check_positive("wavenumber", self.wavenumber)
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
         object.__setattr__(
             self, "incidences", tuple(tuple(float(c) for c in d) for d in self.incidences)
@@ -223,6 +236,7 @@ class Scene:
         if not self.incidences:
             raise ValidationError("scene needs at least one incidence direction")
         for d in self.incidences:
+            _check_finite("incidence direction", d)
             if abs(np.hypot(*d) - 1.0) > 1e-9:
                 raise ValidationError(f"incidence direction {d} is not a unit vector")
         dom = self.domain

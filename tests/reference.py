@@ -17,7 +17,7 @@ from scipy import special as sp
 
 from lapdsm.errors import ValidationError
 from lapdsm.dsm import IndexField
-from lapdsm.finite_space import SourceTestingSpace, ffsm_rhs_field, fssm_rhs_field
+from lapdsm.finite_space import ffsm_rhs_field, fssm_rhs_field
 from lapdsm.forward import ContrastGrid, ForwardSolution, _self_term, green_far_prefactor
 from lapdsm.numerics import fourier_modes, plane_waves
 from lapdsm.presets import preset_scene
@@ -74,9 +74,9 @@ def ffsm_rhs(z, order: int, k: float) -> np.ndarray:
     return ffsm_rhs_field(np.asarray(z, dtype=float)[None, :], order, k)[0]
 
 
-def fssm_rhs(z, sources: SourceTestingSpace) -> np.ndarray:
+def fssm_rhs(z, sources: np.ndarray, k: float) -> np.ndarray:
     """B_n(z) = J_0(k |z - y_n|) / (4k), the full-circle kernel against each source."""
-    return fssm_rhs_field(np.asarray(z, dtype=float)[None, :], sources)[0]
+    return fssm_rhs_field(np.asarray(z, dtype=float)[None, :], sources, k)[0]
 
 
 def ffsm_rhs_bessel(points, order: int, k: float) -> np.ndarray:
@@ -92,14 +92,14 @@ def ffsm_rhs_bessel(points, order: int, k: float) -> np.ndarray:
     return pre[None, :] * sign[None, :] * jn * np.exp(-1j * np.outer(theta, ns))
 
 
-def fssm_rhs_bessel(points, sources: SourceTestingSpace) -> np.ndarray:
+def fssm_rhs_bessel(points, sources: np.ndarray, k: float) -> np.ndarray:
     """fssm_rhs_field's closed form J_0(k |z - y_n|) / (4k), shape (n_points, n_sources)."""
     pts = np.asarray(points, dtype=float)
     d = np.hypot(
-        pts[:, None, 0] - sources.points[None, :, 0],
-        pts[:, None, 1] - sources.points[None, :, 1],
+        pts[:, None, 0] - sources[None, :, 0],
+        pts[:, None, 1] - sources[None, :, 1],
     )
-    return bessel_j0_kernel(sources.wavenumber, d)
+    return bessel_j0_kernel(k, d)
 
 
 def batch_target_bessel(batch, k: float) -> np.ndarray:
@@ -128,13 +128,12 @@ def ffsm_matrix_entrywise(aperture: ApertureSet, order: int) -> np.ndarray:
     return a
 
 
-def fssm_matrix_entrywise(aperture: ApertureSet, order: int, sources: SourceTestingSpace) -> np.ndarray:
+def fssm_matrix_entrywise(aperture: ApertureSet, order: int, sources: np.ndarray, k: float) -> np.ndarray:
     """The Jacobi-Anger series for fssm_matrix with each I[m - q] evaluated on its own.
 
     The series stops at |q| = k max(|y|, 1) + 30, where J_q(k|y|) is far below 1e-16.
     """
-    k = sources.wavenumber
-    pts = sources.points
+    pts = sources
     r = np.hypot(pts[:, 0], pts[:, 1])
     theta = np.arctan2(pts[:, 1], pts[:, 0])
     theta[r == 0.0] = 0.0

@@ -6,6 +6,7 @@ not to be loosened.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,11 +109,11 @@ def test_criterion_04_matrix_oracles():
         worst_a = max(worst_a, np.max(np.abs(a - oracle)))
 
     ap = config1_aperture()
-    sources = source_lattice(DOMAIN, 20, K)
-    a_f = fssm_matrix(ap, order, sources)
+    sources = source_lattice(DOMAIN, 20)
+    a_f = fssm_matrix(ap, order, sources, K)
     angles, weights = gauss_arc_nodes(ap, 4096)
     basis = np.exp(1j * np.outer(ns, angles))  # (2P+1, nodes)
-    g = np.array([green_far_field(y, angles, K) for y in sources.points])  # (S, nodes)
+    g = np.array([green_far_field(y, angles, K) for y in sources])  # (S, nodes)
     oracle_f = (np.conj(g) * weights) @ basis.T / np.sqrt(2 * np.pi)
     worst_f = np.max(np.abs(a_f - oracle_f))
 
@@ -126,11 +127,11 @@ def test_criterion_04_matrix_oracles():
         gz = green_far_field(z, circle_angles, K)
         oracle_b = (cbasis * circle_weights) @ gz / np.sqrt(2 * np.pi)
         worst_b = max(worst_b, np.max(np.abs(b - oracle_b)))
-    b_f = fssm_rhs_field(zs, sources)
+    b_f = fssm_rhs_field(zs, sources, K)
     oracle_bf = np.empty_like(b_f)
     for i, z in enumerate(zs):
         gz = green_far_field(z, circle_angles, K)
-        for j, y in enumerate(sources.points):
+        for j, y in enumerate(sources):
             gy = green_far_field(y, circle_angles, K)
             oracle_bf[i, j] = np.sum(gz * np.conj(gy) * circle_weights)
     worst_bf = np.max(np.abs(b_f - oracle_bf))
@@ -229,7 +230,7 @@ def test_criterion_07_end_to_end_localization():
 
     (f_ffsm,) = reconstruct_finite_space(noisy, "ffsm", 20, [0.1**8], grid, K)
     ffsm_ok = _localizes(f_ffsm, centers)
-    sources = source_lattice(DOMAIN, 20, K)
+    sources = source_lattice(DOMAIN, 20)
     (f_fssm,) = reconstruct_finite_space(noisy, "fssm", 20, [0.1**4], grid, K, sources=sources)
     fssm_ok = _localizes(f_fssm, centers)
 
@@ -257,10 +258,10 @@ def test_criterion_08_gradient_correctness():
     checked, worst = 0, 0.0
     for trial in range(5):
         batch = dpn.sample_batch(cfg, DOMAIN, ap, K, rng.spawn(trial + 1))
-        _, gw, gb = dpn.loss_gradient(params, batch, ap, K)
+        _, grads = dpn.loss_gradient(params, batch, ap, K)
         for _ in range(10):
-            li = int(pick.uniforms(1)[0] * len(params.weights))
-            w = params.weights[li]
+            li = int(pick.uniforms(1)[0] * len(params.layers))
+            w = params.layers[li][:-1]
             i = int(pick.uniforms(1)[0] * w.shape[0])
             j = int(pick.uniforms(1)[0] * w.shape[1])
             orig = w[i, j]
@@ -270,7 +271,7 @@ def test_criterion_08_gradient_correctness():
             lm = dpn.loss(params, batch, ap, K)
             w[i, j] = orig
             fd = (lp - lm) / (2 * h)
-            an = gw[li][i, j]
+            an = grads[li][:-1][i, j]
             rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
             worst = max(worst, rel)
             checked += 1
@@ -324,7 +325,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         for tag in ("x", "y"):
             out = str(tmp_path / f"{tag}_{names[0]}")
             assert cli_main(args + ["--out", out]) == 0
-            pairs.append([open(f"{out}{s}", "rb").read() for s in names[1]])
+            pairs.append([Path(f"{out}{s}").read_bytes() for s in names[1]])
         return all(a == b for a, b in zip(*pairs))
 
     sim = str(tmp_path / "sim")

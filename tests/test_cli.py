@@ -1,10 +1,16 @@
 """Command-line interface: artifact generation, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapdsm.cli import main
 from lapdsm.dpn import NetworkParams, TrainConfig
@@ -20,8 +26,18 @@ from lapdsm.scene import scene_to_dict
         (["reconstruct", "--data", "d.csv", "--method", "partial", "--grid", "abc"], "--grid"),
         (["reconstruct", "--data", "d.csv", "--method", "ffsm", "--sigma-exp-list", "4,x"], "--sigma-exp-list"),
         (["train-dpn", "--config", "3"], "--config"),
+        (["reconstruct", "--data", "d.csv", "--method", "partial", "--grid", "0"], "--grid"),
+        (["reconstruct", "--data", "d.csv", "--method", "fssm", "--sigma-exp", "4", "--sources", "0"], "--sources"),
+        (["rn", "--method", "ffsm", "--config", "1", "--sigma-exp", "4", "--grid", "0"], "--grid"),
+        (["rn", "--method", "fssm", "--config", "1", "--sigma-exp", "4", "--sources", "0"], "--sources"),
+        (["train-dpn", "--config", "1", "--points", "0"], "--points"),
+        (["train-dpn", "--config", "1", "--batch-functions", "0"], "--batch-functions"),
+        (["train-dpn", "--config", "1", "--sources-per-function", "0"], "--sources-per-function"),
+        (["train-dpn", "--config", "1", "--order", "0"], "--order"),
+        (["train-dpn", "--config", "1", "--iterations", "-1"], "--iterations"),
     ],
-    ids=["grid", "sigma-exp-list", "config"],
+    ids=["grid", "sigma-exp-list", "config", "grid-0", "sources-0", "rn-grid-0", "rn-sources-0", "points-0",
+         "batch-functions-0", "sources-per-function-0", "train-order-0", "iterations-negative"],
 )
 def test_malformed_argument_is_one_line_error(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as exit_info:
@@ -131,8 +147,17 @@ class TestSimulate:
         [
             (lambda scene: [scene], "scene must be a JSON object, got list"),
             (lambda scene: scene["scatterers"][0].update(radius="abc") or scene, "malformed scene"),
+            (lambda scene: scene["scatterers"][0].update(radius=float("nan")) or scene, "disk radius must be finite"),
+            (lambda scene: scene["scatterers"][0].update(center=[float("nan"), 0.0]) or scene, "disk center must be finite"),
+            (lambda scene: scene.update(incidences=[[float("nan"), 1.0]]) or scene, "incidence direction must be finite"),
+            (lambda scene: scene["scatterers"][1].update(n=float("inf")) or scene, "refractive index must be finite"),
+            (lambda scene: scene["aperture"]["arcs"][0].update(receivers=True) or scene, "receiver count must be a positive int"),
+            (lambda scene: scene["aperture"]["arcs"][0].update(receivers=1.0) or scene, "receiver count must be a positive int"),
+            (lambda scene: scene["aperture"]["arcs"][0].update(receivers=2.5) or scene, "receiver count must be a positive int"),
+            (lambda scene: scene.update(wavenumber=float("nan")) or scene, "wavenumber must be finite"),
         ],
-        ids=["json-list", "string-radius"],
+        ids=["json-list", "string-radius", "nan-radius", "nan-center", "nan-incidence", "infinite-index",
+             "bool-receivers", "float-receivers", "fractional-receivers", "nan-wavenumber"],
     )
     def test_malformed_scene_is_one_line_error(self, tmp_path, capsys, edit, message):
         scene = scene_to_dict(preset_scene("ex2_1"))
@@ -283,8 +308,9 @@ class TestTrainAndDpnReconstruct:
             (lambda lines: [lines[0].replace("P=3", "P=4")] + lines[1:], "1: malformed checkpoint: expected header"),
             (lambda lines: lines[:1] + ["layer"] + lines[2:], "2: malformed checkpoint: expected 'layer 2 12'"),
             (lambda lines: lines[:2] + [lines[2].rsplit(" ", 1)[0]] + lines[3:], "3: malformed checkpoint: expected 12 values, got 11"),
+            (lambda lines: lines[:2] + ["inf " + lines[2].split(" ", 1)[1]] + lines[3:], "3: malformed checkpoint: values must be finite"),
         ],
-        ids=["x-prefixed-weight", "header-P", "header-P-mismatch", "bare-layer-tag", "short-row"],
+        ids=["x-prefixed-weight", "header-P", "header-P-mismatch", "bare-layer-tag", "short-row", "infinite-weight"],
     )
     def test_malformed_checkpoint_is_one_line_error(self, tmp_path, capsys, edit, message):
         params = NetworkParams.initialize(TrainConfig(order=3, hidden=(12,)), CounterRng(0))
@@ -304,6 +330,51 @@ class TestTrainAndDpnReconstruct:
              "--grid", "16", "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+
+# each corruptible input file and the command that reads it; the other files stay valid
+CORRUPTIBLE = {
+    "scene.json": ["simulate", "--scene", "scene.json", "--forward-grid", "40"],
+    "ex1_1.noisy.csv": ["reconstruct", "--data", "ex1_1.noisy.csv", "--method", "partial", "--grid", "8"],
+    "ex1_1.meta.json": ["reconstruct", "--data", "ex1_1.noisy.csv", "--method", "partial", "--grid", "8"],
+    "net.ckpt": ["rn", "--method", "dpn", "--config", "1", "--grid", "8", "--checkpoint", "net.ckpt"],
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(sim_dir, tmp_path_factory):
+    """The bytes of one valid file of each corruptible kind."""
+    d = tmp_path_factory.mktemp("valid")
+    write_checkpoint(d / "net.ckpt", NetworkParams.initialize(TrainConfig(order=3, hidden=(12,)), CounterRng(0)), 8.0)
+    return {
+        "scene.json": json.dumps(scene_to_dict(preset_scene("ex2_1"))).encode(),
+        "ex1_1.noisy.csv": read_bytes(sim_dir / "ex1_1.noisy.csv"),
+        "ex1_1.meta.json": read_bytes(sim_dir / "ex1_1.meta.json"),
+        "net.ckpt": read_bytes(d / "net.ckpt"),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CORRUPTIBLE)),
+    at=st.floats(0.0, 1.0, exclude_max=True),
+    byte=st.none() | st.integers(0, 255),
+)
+def test_corrupted_file_is_never_a_traceback(valid_inputs, name, at, byte):
+    # one byte replaced (or the file truncated there) exits 0, 2 or 3 with at most one line
+    data = valid_inputs[name]
+    i = int(at * len(data))
+    bad = data[:i] if byte is None else data[:i] + bytes([byte]) + data[i + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for file, content in valid_inputs.items():
+            (d / file).write_bytes(bad if file == name else content)
+        argv = [str(d / a) if a in valid_inputs else a for a in CORRUPTIBLE[name]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(d / "out")])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
 
 
 class TestKernelAndRn:

@@ -62,8 +62,8 @@ class TestNetworkForward:
 
         z = np.array([[0.4, 0.1]])
         acts = _forward_cached(params, z)
-        params.weights[0] *= 2.0
-        params.biases[0] *= 2.0
+        params.layers[0][:-1] *= 2.0
+        params.layers[0][-1] *= 2.0
         acts2 = _forward_cached(params, z)
         np.testing.assert_allclose(acts2[1], 2.0 * acts[1], rtol=1e-12)
 
@@ -80,7 +80,7 @@ class TestNetworkForward:
         params = NetworkParams.initialize(cfg, CounterRng(4))
         z = np.array([[0.21, -0.37]])
         h = 1e-6
-        w = params.weights[1]
+        w = params.layers[1][:-1]
         base = network_forward(params, z)[0, 2]
         w[3, 5] += h
         bumped = network_forward(params, z)[0, 2]
@@ -109,7 +109,7 @@ class TestProbingEval:
         cfg = tiny_config()
         params = NetworkParams.zeros(cfg)
         # force f_0 = 1 via the output bias (real part of mode 0 is index order)
-        params.biases[-1][cfg.order] = 1.0
+        params.layers[-1][-1][cfg.order] = 1.0
         z = np.array([[0.3, 0.3]])
         angles = np.linspace(0, 2 * np.pi, 7)
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -225,10 +225,10 @@ class TestGradient:
         for ap in APERTURES:
             for trial in range(5):
                 batch = sample_batch(cfg, DOMAIN, ap, K, rng.spawn(trial + 1))
-                _, gw, gb = loss_gradient(params, batch, ap, K)
+                _, grads = loss_gradient(params, batch, ap, K)
                 for _ in range(10):
-                    li = int(pick.uniforms(1)[0] * len(params.weights))
-                    w = params.weights[li]
+                    li = int(pick.uniforms(1)[0] * len(params.layers))
+                    w = params.layers[li][:-1]
                     i = int(pick.uniforms(1)[0] * w.shape[0])
                     j = int(pick.uniforms(1)[0] * w.shape[1])
                     orig = w[i, j]
@@ -238,7 +238,7 @@ class TestGradient:
                     lm = loss(params, batch, ap, K)
                     w[i, j] = orig
                     fd = (lp - lm) / (2 * h)
-                    an = gw[li][i, j]
+                    an = grads[li][:-1][i, j]
                     assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
 
     def test_bias_gradient_finite_differences(self):
@@ -246,10 +246,10 @@ class TestGradient:
         rng = CounterRng(14)
         params = NetworkParams.initialize(cfg, rng.spawn(0))
         h = 1e-6
-        b = params.biases[1]
+        b = params.layers[1][-1]
         for ap in APERTURES:
             batch = sample_batch(cfg, DOMAIN, ap, K, rng.spawn(1))
-            _, _, gb = loss_gradient(params, batch, ap, K)
+            _, grads = loss_gradient(params, batch, ap, K)
             for j in (0, 5, 11):
                 orig = b[j]
                 b[j] = orig + h
@@ -258,7 +258,7 @@ class TestGradient:
                 lm = loss(params, batch, ap, K)
                 b[j] = orig
                 fd = (lp - lm) / (2 * h)
-                assert abs(fd - gb[1][j]) <= 1e-4 * max(abs(fd), abs(gb[1][j]), 1e-8)
+                assert abs(fd - grads[1][-1][j]) <= 1e-4 * max(abs(fd), abs(grads[1][-1][j]), 1e-8)
 
     def test_gradient_value_consistent_with_loss(self):
         cfg = tiny_config()
@@ -266,7 +266,7 @@ class TestGradient:
         rng = CounterRng(15)
         params = NetworkParams.initialize(cfg, rng.spawn(0))
         batch = sample_batch(cfg, DOMAIN, ap, K, rng.spawn(1))
-        value, _, _ = loss_gradient(params, batch, ap, K)
+        value, _ = loss_gradient(params, batch, ap, K)
         assert value == pytest.approx(loss(params, batch, ap, K))
 
 
@@ -275,7 +275,7 @@ class TestTraining:
         cfg = tiny_config(iterations=0)
         params, trace = train(cfg, config1_aperture(receivers=20), DOMAIN, K)
         ref = NetworkParams.initialize(cfg, CounterRng(cfg.seed).spawn(0))
-        for w, wr in zip(params.weights, ref.weights):
+        for w, wr in zip(params.layers, ref.layers):
             np.testing.assert_array_equal(w, wr)
         assert trace.shape == (0,)
 
@@ -285,15 +285,14 @@ class TestTraining:
         p1, t1 = train(cfg, ap, DOMAIN, K)
         p2, t2 = train(cfg, ap, DOMAIN, K)
         np.testing.assert_array_equal(t1, t2)
-        for w1, w2 in zip(p1.weights, p2.weights):
+        for w1, w2 in zip(p1.layers, p2.layers):
             np.testing.assert_array_equal(w1, w2)
 
     def test_learning_rate_schedule(self):
-        cfg = tiny_config()
-        assert cfg.learning_rate_at(0) == pytest.approx(0.005)
-        assert cfg.learning_rate_at(99) == pytest.approx(0.005)
-        assert cfg.learning_rate_at(100) == pytest.approx(0.0045)
-        assert cfg.learning_rate_at(250) == pytest.approx(0.005 * 0.9**2)
+        assert dpn.learning_rate(0) == pytest.approx(0.005)
+        assert dpn.learning_rate(99) == pytest.approx(0.005)
+        assert dpn.learning_rate(100) == pytest.approx(0.0045)
+        assert dpn.learning_rate(250) == pytest.approx(0.005 * 0.9**2)
 
     def test_callback_cadence(self):
         cfg = tiny_config(iterations=6, checkpoint_every=2)
@@ -328,12 +327,12 @@ class TestAttainableFloor:
         ap = config1_aperture()
         coeffs, floor = attainable_floor(cfg, ap, DOMAIN, K)
         params = NetworkParams.zeros(cfg)
-        params.biases[-1][:] = np.concatenate([coeffs[0].real, coeffs[0].imag])
+        params.layers[-1][-1] = np.concatenate([coeffs[0].real, coeffs[0].imag])
         assert validation_residual(params, cfg, ap, DOMAIN, K) == pytest.approx(floor, rel=1e-9)
         rng = CounterRng(5)
         for _ in range(5):
-            bumped = params.copy()
-            bumped.biases[-1] += 1e-3 * rng.normals(bumped.biases[-1].shape[0])
+            bumped = NetworkParams([w.copy() for w in params.layers], params.order)
+            bumped.layers[-1][-1] += 1e-3 * rng.normals(bumped.layers[-1].shape[1])
             assert validation_residual(bumped, cfg, ap, DOMAIN, K) > floor
 
     @settings(max_examples=25, deadline=None)

@@ -98,7 +98,8 @@ def per_value_checkpoint(path, params, k):
     dims = params.layer_dims
     with open(path, "w") as f:
         f.write(f"DPN v1 P={params.order} layers={','.join(str(d) for d in dims)} k={'%.17g' % k}\n")
-        for w, b in zip(params.weights, params.biases):
+        for layer in params.layers:
+            w, b = layer[:-1], layer[-1]
             f.write(f"layer {w.shape[0]} {w.shape[1]}\n")
             for row in w:
                 f.write(" ".join("%.17g" % v for v in row) + "\n")
@@ -118,12 +119,13 @@ def test_checkpoint_is_byte_identical_to_per_value_writer(tmp_path_factory, orde
     rng = np.random.default_rng(seed)
     weights = [scale * rng.normal(size=(i, o)) for i, o in zip(dims[:-1], dims[1:])]
     biases = [scale * rng.normal(size=o) for o in dims[1:]]
-    params = NetworkParams(weights=weights, biases=biases, order=order)
+    params = NetworkParams(layers=[np.vstack([w, b]) for w, b in zip(weights, biases)], order=order)
     d = tmp_path_factory.mktemp("ckpt")
     write_checkpoint(d / "new.ckpt", params, k)
     per_value_checkpoint(d / "old.ckpt", params, k)
     assert (d / "new.ckpt").read_bytes() == (d / "old.ckpt").read_bytes()
     back, back_k = read_checkpoint(d / "new.ckpt")
     assert back_k == k
-    for got, want in zip(back.weights + back.biases, weights + biases):
-        np.testing.assert_array_equal(got, want)
+    for got, w, b in zip(back.layers, weights, biases):
+        np.testing.assert_array_equal(got[:-1], w)
+        np.testing.assert_array_equal(got[-1], b)

@@ -89,15 +89,15 @@ class TestModeTable:
     @given(ap=apertures(), order=st.integers(1, 30), per_side=st.integers(1, 4), k=st.floats(0.5, 12.0))
     def test_fssm_matrix_equals_entrywise_series(self, ap, order, per_side, k):
         # FFSM in the source basis: conj(B_ffsm(y)) times the Gram block is the Jacobi-Anger series
-        sources = source_lattice(DOMAIN, per_side, k)
-        assert_close_to_largest(fssm_matrix(ap, order, sources), fssm_matrix_entrywise(ap, order, sources))
+        sources = source_lattice(DOMAIN, per_side)
+        assert_close_to_largest(fssm_matrix(ap, order, sources, k), fssm_matrix_entrywise(ap, order, sources, k))
 
     @pytest.mark.parametrize("order", [0, -3])
     def test_order_below_one_rejected(self, order):
         with pytest.raises(ValidationError, match="order must be >= 1"):
             ffsm_matrix(config1_aperture(), order)
         with pytest.raises(ValidationError, match="order must be >= 1"):
-            fssm_matrix(config1_aperture(), order, source_lattice(DOMAIN, 3, K))
+            fssm_matrix(config1_aperture(), order, source_lattice(DOMAIN, 3), K)
 
 
 class TestFfsmRhs:
@@ -148,11 +148,11 @@ class TestFssm:
         # A_nm = (1/sqrt(2 pi)) <e^{imt}, G_inf(y_n, .)>_Gamma
         aperture = config1_aperture()
         order = 20
-        sources = source_lattice(DOMAIN, 5, K)
-        a = fssm_matrix(aperture, order, sources)
+        sources = source_lattice(DOMAIN, 5)
+        a = fssm_matrix(aperture, order, sources, K)
         angles, weights = gauss_arc_nodes(aperture, 2048)
         ms = np.arange(-order, order + 1)
-        for i, y in enumerate(sources.points):
+        for i, y in enumerate(sources):
             g = np.conj(green_far_field(y, angles, K))
             for j, m in enumerate(ms):
                 val = np.sum(np.exp(1j * m * angles) * g * weights) / np.sqrt(2 * np.pi)
@@ -162,24 +162,24 @@ class TestFssm:
     @given(per_side=st.integers(1, 8), k=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1))
     def test_rhs_field_equals_bessel_form(self, per_side, k, seed):
         # the trapezoid rule over the circle reproduces J_0(k |z - y|) / (4k)
-        sources = source_lattice(DOMAIN, per_side, k)
+        sources = source_lattice(DOMAIN, per_side)
         pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(50, 2))
-        assert_close_to_largest(fssm_rhs_field(pts, sources), fssm_rhs_bessel(pts, sources))
+        assert_close_to_largest(fssm_rhs_field(pts, sources, k), fssm_rhs_bessel(pts, sources, k))
 
     def test_rhs_is_translation_kernel(self):
-        sources = source_lattice(DOMAIN, 4, K)
+        sources = source_lattice(DOMAIN, 4)
         z = np.array([0.3, -0.6])
-        b = fssm_rhs(z, sources)
-        dist = np.hypot(sources.points[:, 0] - z[0], sources.points[:, 1] - z[1])
+        b = fssm_rhs(z, sources, K)
+        dist = np.hypot(sources[:, 0] - z[0], sources[:, 1] - z[1])
         np.testing.assert_allclose(b, bessel_j0_kernel(K, dist), rtol=1e-12)
 
     def test_rhs_matches_kernel_quadrature(self):
         # B_n(z) = <G_inf(z,.), G_inf(y_n,.)>_{S^1} computed by quadrature
-        sources = source_lattice(DOMAIN, 3, K)
+        sources = source_lattice(DOMAIN, 3)
         rng = CounterRng(77)
         for z in rng.uniform_box(10, -1, 1, -1, 1):
-            b = fssm_rhs(z, sources)
-            for i, y in enumerate(sources.points):
+            b = fssm_rhs(z, sources, K)
+            for i, y in enumerate(sources):
                 val = kernel_gamma(z, y, full_circle(8), K, quadrature_points=1024)
                 assert abs(b[i] - val) < 1e-9
 
@@ -265,7 +265,7 @@ class TestProbingConstruction:
     def test_sigma_sweep_equals_single_sigma_runs(self, method):
         ap = config2_aperture()
         grid = SamplingGrid(DOMAIN, 6)
-        sources = source_lattice(DOMAIN, 5, K) if method == "fssm" else None
+        sources = source_lattice(DOMAIN, 5) if method == "fssm" else None
         sigmas = [1e-2, 1e-6, 1e-4]
         sweep = list(finite_space_probings(method, ap, grid, 10, sigmas, K, sources))
         assert len(sweep) == len(sigmas)
