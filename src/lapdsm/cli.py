@@ -22,11 +22,11 @@ from .finite_space import finite_space_probings, reconstruct_finite_space, sourc
 from .forward import synthesize_far_field
 from .scene import (
     ApertureSet,
+    Arc,
     Box,
     SamplingGrid,
     add_noise,
     aperture_to_dict,
-    box_to_dict,
     full_circle,
     load_scene,
     scene_from_dict,
@@ -164,7 +164,7 @@ def cmd_train(args) -> int:
     meta.update(
         aperture=aperture_to_dict(aperture),
         wavenumber=k,
-        domain=box_to_dict(domain),
+        domain=dataclasses.asdict(domain),
         config=dataclasses.asdict(config),
     )
 
@@ -179,8 +179,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    from .scene import Arc
-
     if not (np.isfinite(args.k) and args.k > 0):
         raise ValidationError(f"--k must be finite and positive, got {args.k!r}")
     if not np.isfinite(args.r_max):
@@ -192,8 +190,6 @@ def cmd_kernel(args) -> int:
         raise ValidationError(f"--beta-list must be comma-separated numbers, got {args.beta_list!r}") from None
     if not np.all(np.isfinite(betas)):
         raise ValidationError(f"--beta-list angles must be finite, got {args.beta_list!r}")
-    if args.r_steps < 1:
-        raise ValidationError(f"--r-steps must be >= 1, got {args.r_steps}")
     radii = np.linspace(0.0, args.r_max, args.r_steps)
     columns = []
     for b in betas:
@@ -222,7 +218,7 @@ def cmd_rn(args) -> int:
         probing = probing_set_from_network(_load_checkpoint(args, k), grid, aperture, k)
     else:
         raise ValidationError("rn supports methods ffsm, fssm, dpn")
-    field = relative_norm(probing, aperture, k, grid)
+    field = relative_norm(probing, k, grid)
     fileio.write_index_csv(f"{args.out}.csv", field)
     fileio.write_pgm(f"{args.out}.pgm", field)
     meta = _meta_base(args, "rn")
@@ -261,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--preset", choices=presets.PRESET_NAMES)
     sim.add_argument("--noise", type=float, default=0.01)
     sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--forward-grid", type=int, default=DEFAULT_FORWARD_GRID)
+    sim.add_argument("--forward-grid", type=_count(1), default=DEFAULT_FORWARD_GRID)
     sim.add_argument(
         "--full-aperture",
-        type=int,
+        type=_count(1),
         nargs="?",
         const=512,
         default=0,
@@ -311,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     ker.add_argument("--beta-list", default="0,0.7853981633974483,1.5707963267948966")
     ker.add_argument("--k", type=float, default=8.0)
     ker.add_argument("--r-max", type=float, default=2.0)
-    ker.add_argument("--r-steps", type=int, default=201)
-    ker.add_argument("--quad-points", type=int, default=512)
+    ker.add_argument("--r-steps", type=_count(1), default=201)
+    ker.add_argument("--quad-points", type=_count(64), default=512)
     ker.add_argument("--out", required=True, metavar="PREFIX")
     ker.set_defaults(func=cmd_kernel)
 
@@ -336,7 +332,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args) or 0
-    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValidationError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

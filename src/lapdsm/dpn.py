@@ -21,9 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dsm import ProbingSet
 from .errors import NumericalError, ValidationError
 from .numerics import circle_angles, directions, fourier_modes, plane_waves, reach
-from .scene import ApertureSet, Box
+from .scene import ApertureSet, Box, pollute
 from .rng import CounterRng
 
 DIVERGENCE_FACTOR = 1e3
@@ -194,17 +195,8 @@ def sample_batch(
     y = rng.uniform_box(m * n, domain.xmin, domain.xmax, domain.ymin, domain.ymax).reshape(m, n, 2)
     c = (rng.normals(m * n) + 1j * rng.normals(m * n)).reshape(m, n)
     delta = float(rng.uniforms(1)[0] * config.max_noise)
-    angles = aperture.receiver_angles()
-    q = angles.shape[0]
-    v = _test_functions(c, y, angles, k)
-    if delta > 0.0:
-        w = aperture.quadrature_weights()
-        norms = np.sqrt(np.real((np.abs(v) ** 2) @ w))
-        eta_r = rng.normals(m * q).reshape(m, q)
-        eta_i = rng.normals(m * q).reshape(m, q)
-        v_noisy = v + delta * (eta_r + 1j * eta_i) * (norms / np.sqrt(aperture.measure))[:, None]
-    else:
-        v_noisy = v.copy()
+    v = _test_functions(c, y, aperture.receiver_angles(), k)
+    v_noisy = pollute(v, delta, aperture, rng)
     z = rng.uniform_box(l, domain.xmin, domain.xmax, domain.ymin, domain.ymax)
     return TrainingBatch(
         source_points=y,
@@ -321,7 +313,5 @@ def validation_residual(
 
 def probing_set_from_network(params: NetworkParams, grid, aperture: ApertureSet, k: float):
     """ProbingSet over a sampling grid from a trained network."""
-    from .dsm import ProbingSet
-
     samples = probing_eval(params, grid.points, aperture.receiver_angles(), k)
     return ProbingSet(samples, aperture)

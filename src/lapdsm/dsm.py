@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .forward import green_far_prefactor
-from .numerics import directions, gauss_arc_nodes, plane_waves
+from .numerics import arc_norm, directions, gauss_arc_nodes, plane_waves
 from .scene import ApertureSet, FarFieldData, SamplingGrid
 
 
@@ -104,11 +104,10 @@ def green_norm_on_aperture(aperture: ApertureSet, k: float) -> float:
     return float(np.sqrt(aperture.measure / (8.0 * k * np.pi)))
 
 
-def relative_norm(probing: ProbingSet, aperture: ApertureSet, k: float, grid: SamplingGrid) -> IndexField:
+def relative_norm(probing: ProbingSet, k: float, grid: SamplingGrid) -> IndexField:
     """RN(z) = ||G_Gamma(z, .)||_{L2(Gamma)} / ||G_inf(z, .)||_{L2(Gamma)}."""
-    w = aperture.quadrature_weights()
-    num = np.sqrt(np.real((np.abs(probing.samples) ** 2) @ w))
-    den = green_norm_on_aperture(aperture, k)
+    num = arc_norm(probing.samples, probing.aperture)
+    den = green_norm_on_aperture(probing.aperture, k)
     if den <= 0:
         raise ValidationError("degenerate aperture: zero Green-function norm")
     return IndexField(grid=grid, values=num / den)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dpn import NetworkParams
 from .dsm import IndexField
-from .errors import ValidationError
+from .errors import ValidationError, text_input
 from .scene import ApertureSet, FarFieldData, SamplingGrid
 
 
@@ -40,7 +40,7 @@ def read_farfield_csv(path, aperture: ApertureSet) -> FarFieldData:
     angles = aperture.receiver_angles()
     q = angles.shape[0]
     rows: dict[int, list[complex]] = {}
-    with open(path) as f:
+    with text_input(path) as f:
         header = f.readline().strip()
         if header != "incidence_index,theta_radians,re,im":
             raise ValidationError(f"unexpected far-field CSV header: {header!r}")
@@ -100,7 +100,7 @@ def write_metadata(path, meta: dict) -> None:
 
 
 def read_metadata(path) -> dict:
-    with open(path) as f:
+    with text_input(path) as f:
         return json.load(f)
 
 
@@ -127,7 +127,7 @@ def write_checkpoint(path, params: NetworkParams, k: float) -> None:
 
 def read_checkpoint(path) -> tuple[NetworkParams, float]:
     """Network and wavenumber from a checkpoint; malformed content raises ValidationError."""
-    with open(path) as f:
+    with text_input(path) as f:
         lines = [line.split() for line in f]
     i = 0
     try:

@@ -101,9 +101,9 @@ def arc_quadrature(values, aperture) -> complex:
     return values @ w
 
 
-def arc_norm(values, aperture) -> float:
-    """Discrete L2(Gamma) norm of receiver samples."""
-    return float(np.sqrt(np.real(arc_quadrature(np.abs(values) ** 2, aperture))))
+def arc_norm(values, aperture) -> np.ndarray:
+    """Discrete L2(Gamma) norm of receiver samples, row by row over the last axis, shape values.shape[:-1]."""
+    return np.sqrt(np.real(arc_quadrature(np.abs(values) ** 2, aperture)))
 
 
 @lru_cache(maxsize=16)

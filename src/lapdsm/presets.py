@@ -72,18 +72,16 @@ _PRESETS = {
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
-def preset_scene(name: str, aperture: ApertureSet | None = None) -> Scene:
-    """Scene for a named preset; aperture overrides the configuration default."""
+def preset_scene(name: str) -> Scene:
+    """Scene for a named preset, measured by its receiver configuration."""
     if name not in _PRESETS:
         raise ValidationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     spec = _PRESETS[name]
-    if aperture is None:
-        aperture = config1_aperture() if spec["config"] == 1 else config2_aperture()
     return Scene(
         wavenumber=WAVENUMBER,
         domain=DOMAIN,
         scatterers=spec["scatterers"],
         incidences=spec["incidences"],
-        aperture=aperture,
+        aperture=config1_aperture() if spec["config"] == 1 else config2_aperture(),
     )
 

@@ -7,12 +7,12 @@ every CLI artifact can record exactly what produced it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, text_input
 from .numerics import arc_norm
 from .rng import CounterRng
 
@@ -102,7 +102,7 @@ class Disk:
     refractive_index: float
 
     def __post_init__(self):
-        _check_finite("disk center", self.center)
+        _check_center(self, "disk center")
         _check_positive("disk radius", self.radius)
         _check_index(self.refractive_index)
 
@@ -128,7 +128,7 @@ class Ring:
     refractive_index: float
 
     def __post_init__(self):
-        _check_finite("ring center", self.center)
+        _check_center(self, "ring center")
         _check_finite("ring outer radius", self.outer_radius)
         if not (0 < self.inner_radius < self.outer_radius):
             raise ValidationError("ring needs 0 < inner_radius < outer_radius")
@@ -156,7 +156,7 @@ class Rectangle:
     refractive_index: float
 
     def __post_init__(self):
-        _check_finite("rectangle center", self.center)
+        _check_center(self, "rectangle center")
         _check_positive("rectangle width", self.width)
         _check_positive("rectangle height", self.height)
         _check_index(self.refractive_index)
@@ -176,6 +176,12 @@ class Rectangle:
 
 
 Scatterer = Union[Disk, Ring, Rectangle]
+
+
+def _check_center(shape, what: str) -> None:
+    """Store the center as a tuple, as read from a JSON list, and reject a non-finite one."""
+    object.__setattr__(shape, "center", tuple(shape.center))
+    _check_finite(what, shape.center)
 
 
 def _check_finite(what: str, value) -> None:
@@ -267,10 +273,6 @@ class SamplingGrid:
             raise ValidationError("grid resolution must be positive")
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.resolution, self.resolution)
-
-    @property
     def xs(self) -> np.ndarray:
         d, n = self.domain, self.resolution
         h = (d.xmax - d.xmin) / n
@@ -320,72 +322,55 @@ class FarFieldData:
         return self.samples.shape[0]
 
 
-def add_noise(data: FarFieldData, delta: float, seed: int) -> FarFieldData:
-    """Pollute far-field data with the pointwise Gaussian model.
+def pollute(u: np.ndarray, delta: float, aperture: ApertureSet, rng: CounterRng) -> np.ndarray:
+    """The pointwise Gaussian noise model, row by row over the last axis of u.
 
     Each receiver sample gains delta * (eta_r + i eta_i) * ||u||_{L2(Gamma)}
-    / |Gamma|^{1/2}, with independent standard-normal draws per incidence
-    from the seeded counter generator.
+    / |Gamma|^{1/2}: u.size standard-normal draws for eta_r, then as many for
+    eta_i.  With delta = 0 it returns a copy of u and draws nothing.
     """
+    if delta == 0.0:
+        return u.copy()
+    eta_r = rng.normals(u.size).reshape(u.shape)
+    eta_i = rng.normals(u.size).reshape(u.shape)
+    scale = arc_norm(u, aperture) / np.sqrt(aperture.measure)
+    return u + delta * (eta_r + 1j * eta_i) * scale[..., None]
+
+
+def add_noise(data: FarFieldData, delta: float, seed: int) -> FarFieldData:
+    """Far-field data polluted by the seeded noise model, one incidence at a time."""
     if delta < 0:
         raise ValidationError("noise level must be nonnegative")
     if data.noise_level != 0.0:
         raise ValidationError("add_noise expects noiseless input data")
-    if delta == 0.0:
-        return FarFieldData(data.samples.copy(), data.aperture, 0.0)
-    q = data.aperture.total_receivers
-    out = np.empty_like(data.samples)
     rng = CounterRng(seed)
-    for j in range(data.n_incidences):
-        u = data.samples[j]
-        scale = arc_norm(u, data.aperture) / np.sqrt(data.aperture.measure)
-        eta_r = rng.normals(q)
-        eta_i = rng.normals(q)
-        out[j] = u + delta * (eta_r + 1j * eta_i) * scale
-    return FarFieldData(out, data.aperture, delta)
+    out = [pollute(u, delta, data.aperture, rng) for u in data.samples]
+    return FarFieldData(np.array(out), data.aperture, delta)
 
 
 # --------------------------------------------------------------------------
 # JSON serialization
 # --------------------------------------------------------------------------
-def box_to_dict(box: Box) -> dict:
-    return {"xmin": box.xmin, "xmax": box.xmax, "ymin": box.ymin, "ymax": box.ymax}
+# Each scatterer type's class and the JSON keys of its fields, in field order.
+_SHAPES = {
+    "disk": (Disk, ("center", "radius", "n")),
+    "ring": (Ring, ("center", "inner", "outer", "n")),
+    "rectangle": (Rectangle, ("center", "width", "height", "n")),
+}
 
 
 def aperture_to_dict(aperture: ApertureSet) -> dict:
-    return {"arcs": [{"alpha": a.alpha, "beta": a.beta, "receivers": a.receivers} for a in aperture.arcs]}
+    return {"arcs": [asdict(a) for a in aperture.arcs]}
 
 
 def scene_to_dict(scene: Scene) -> dict:
     scat = []
     for s in scene.scatterers:
-        if isinstance(s, Disk):
-            scat.append(
-                {"type": "disk", "center": list(s.center), "radius": s.radius, "n": s.refractive_index}
-            )
-        elif isinstance(s, Ring):
-            scat.append(
-                {
-                    "type": "ring",
-                    "center": list(s.center),
-                    "inner": s.inner_radius,
-                    "outer": s.outer_radius,
-                    "n": s.refractive_index,
-                }
-            )
-        else:
-            scat.append(
-                {
-                    "type": "rectangle",
-                    "center": list(s.center),
-                    "width": s.width,
-                    "height": s.height,
-                    "n": s.refractive_index,
-                }
-            )
+        kind, keys = next((kind, keys) for kind, (cls, keys) in _SHAPES.items() if type(s) is cls)
+        scat.append({"type": kind, **dict(zip(keys, astuple(s)))})
     return {
         "wavenumber": scene.wavenumber,
-        "domain": box_to_dict(scene.domain),
+        "domain": asdict(scene.domain),
         "scatterers": scat,
         "incidences": [list(d) for d in scene.incidences],
         "aperture": aperture_to_dict(scene.aperture),
@@ -400,15 +385,10 @@ def scene_from_dict(d: dict) -> Scene:
         dom = Box(**d["domain"])
         scat = []
         for s in d["scatterers"]:
-            kind = s["type"]
-            if kind == "disk":
-                scat.append(Disk(tuple(s["center"]), s["radius"], s["n"]))
-            elif kind == "ring":
-                scat.append(Ring(tuple(s["center"]), s["inner"], s["outer"], s["n"]))
-            elif kind == "rectangle":
-                scat.append(Rectangle(tuple(s["center"]), s["width"], s["height"], s["n"]))
-            else:
-                raise ValidationError(f"unknown scatterer type {kind!r}")
+            if s["type"] not in _SHAPES:
+                raise ValidationError(f"unknown scatterer type {s['type']!r}")
+            cls, keys = _SHAPES[s["type"]]
+            scat.append(cls(*(s[key] for key in keys)))
         arcs = tuple(Arc(a["alpha"], a["beta"], a["receivers"]) for a in d["aperture"]["arcs"])
         return Scene(
             wavenumber=d["wavenumber"],
@@ -426,7 +406,7 @@ def scene_from_dict(d: dict) -> Scene:
 
 
 def load_scene(path) -> Scene:
-    with open(path) as f:
+    with text_input(path) as f:
         return scene_from_dict(json.load(f))
 
 

@@ -5,6 +5,7 @@ can be read off a verbose run.  Tolerances are part of the contract and are
 not to be loosened.
 """
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -148,7 +149,7 @@ def test_criterion_04_matrix_oracles():
 def test_criterion_05_stability_bound():
     t0 = time.time()
     circle = full_circle(256)
-    scene = preset_scene("ex1_1", aperture=circle)
+    scene = dataclasses.replace(preset_scene("ex1_1"), aperture=circle)
     data = synthesize_far_field(scene, 120)
     u = data.samples[0]
     grid = SamplingGrid(DOMAIN, 32)
@@ -216,7 +217,7 @@ def test_criterion_07_end_to_end_localization():
     centers = true_centers("ex1_1")
     grid = SamplingGrid(DOMAIN, 128)
 
-    full_scene = preset_scene("ex1_1", aperture=full_circle(512))
+    full_scene = dataclasses.replace(preset_scene("ex1_1"), aperture=full_circle(512))
     full_noisy = add_noise(synthesize_far_field(full_scene, 120), 0.01, 7)
     f_full = average_and_normalize(
         [index_classical(full_noisy, None, grid, k=K)]

@@ -35,9 +35,17 @@ from lapdsm.scene import scene_to_dict
         (["train-dpn", "--config", "1", "--sources-per-function", "0"], "--sources-per-function"),
         (["train-dpn", "--config", "1", "--order", "0"], "--order"),
         (["train-dpn", "--config", "1", "--iterations", "-1"], "--iterations"),
+        (["kernel", "--r-steps", "-1"], "argument --r-steps: must be an integer >= 1, got '-1'"),
+        (["kernel", "--r-steps", "0"], "argument --r-steps: must be an integer >= 1, got '0'"),
+        (["kernel", "--quad-points", "10"], "argument --quad-points: must be an integer >= 64, got '10'"),
+        (["simulate", "--preset", "ex1_1", "--forward-grid", "0"], "argument --forward-grid: must be an integer >= 1, got '0'"),
+        (["simulate", "--preset", "ex1_1", "--forward-grid", "-3"], "argument --forward-grid: must be an integer >= 1, got '-3'"),
+        (["simulate", "--preset", "ex1_1", "--full-aperture", "0"], "argument --full-aperture: must be an integer >= 1, got '0'"),
     ],
     ids=["grid", "sigma-exp-list", "config", "grid-0", "sources-0", "rn-grid-0", "rn-sources-0", "points-0",
-         "batch-functions-0", "sources-per-function-0", "train-order-0", "iterations-negative"],
+         "batch-functions-0", "sources-per-function-0", "train-order-0", "iterations-negative",
+         "kernel-r-steps-negative", "kernel-r-steps-0", "kernel-quad-points-10", "simulate-forward-grid-0",
+         "simulate-forward-grid-negative", "simulate-full-aperture-0"],
 )
 def test_malformed_argument_is_one_line_error(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as exit_info:
@@ -63,15 +71,10 @@ def test_malformed_argument_is_one_line_error(tmp_path, capsys, argv, option):
         (["kernel", "--k", "-1"], "--k must be finite and positive"),
         (["kernel", "--k", "nan"], "--k must be finite and positive"),
         (["kernel", "--r-max", "nan"], "--r-max must be finite"),
-        (["kernel", "--r-steps", "-1"], "--r-steps must be >= 1, got -1"),
-        (["kernel", "--r-steps", "0"], "--r-steps must be >= 1, got 0"),
-        (["simulate", "--preset", "ex1_1", "--forward-grid", "0"], "forward grid must have >= 1 cell per side, got 0"),
-        (["simulate", "--preset", "ex1_1", "--forward-grid", "-3"], "forward grid must have >= 1 cell per side, got -3"),
     ],
     ids=["reconstruct-nan", "reconstruct-list-nan", "reconstruct-overflow", "reconstruct-order-0", "rn-nan",
          "rn-overflow", "rn-underflow", "rn-order-0", "kernel-k-0", "kernel-k-negative", "kernel-k-nan",
-         "kernel-r-max-nan", "kernel-r-steps-negative", "kernel-r-steps-0", "simulate-forward-grid-0",
-         "simulate-forward-grid-negative"],
+         "kernel-r-max-nan"],
 )
 def test_bad_value_is_one_line_error(sim_dir, tmp_path, capsys, argv, message):
     if argv[0] == "reconstruct":
@@ -375,6 +378,18 @@ def test_corrupted_file_is_never_a_traceback(valid_inputs, name, at, byte):
             code = main(argv + ["--out", str(d / "out")])
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIBLE))
+def test_undecodable_file_is_named(valid_inputs, tmp_path, capsys, name):
+    # reconstruct reads both the far-field CSV and its .meta.json: the message must say which is bad
+    for file, content in valid_inputs.items():
+        (tmp_path / file).write_bytes(content[:5] + b"\xff" + content[6:] if file == name else content)
+    argv = [str(tmp_path / a) if a in valid_inputs else a for a in CORRUPTIBLE[name]]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and str(tmp_path / name) in err and "can't decode byte 0xff" in err
 
 
 class TestKernelAndRn:

@@ -179,7 +179,7 @@ class TestRelativeNorm:
     def test_classical_probe_has_unit_relative_norm(self):
         ap = config1_aperture()
         grid = SamplingGrid(DOMAIN, 8)
-        field = relative_norm(green_probing_set(grid, ap, K), ap, K, grid)
+        field = relative_norm(green_probing_set(grid, ap, K), K, grid)
         np.testing.assert_allclose(field.values, 1.0, rtol=1e-12)
 
 

@@ -1,8 +1,11 @@
 """Scene geometry, receiver layouts, noise model, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lapdsm.errors import ValidationError
 from lapdsm.scene import (
@@ -194,3 +197,43 @@ class TestSerialization:
         d["scatterers"][0]["type"] = "pentagon"
         with pytest.raises(ValidationError):
             scene_from_dict(d)
+
+
+# the JSON key of each scatterer field, as scene files have always spelled them
+JSON_KEYS = {
+    "disk": {"center": "center", "radius": "radius", "n": "refractive_index"},
+    "ring": {"center": "center", "inner": "inner_radius", "outer": "outer_radius", "n": "refractive_index"},
+    "rectangle": {"center": "center", "width": "width", "height": "height", "n": "refractive_index"},
+}
+
+
+@st.composite
+def scenes(draw):
+    """Disks, rings and rectangles inside [-1, 1]^2, in a random box around it, with random incidences."""
+    center = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+    size = st.floats(0.01, 0.5)
+    index = st.floats(0.1, 10.0).filter(lambda n: abs(n - 1.0) >= 1e-12)
+    shape = st.one_of(
+        st.builds(Disk, center, size, index),
+        st.builds(lambda c, r, t, n: Ring(c, r / 2, r / 2 + t / 2, n), center, size, size, index),
+        st.builds(Rectangle, center, size.map(lambda w: 2 * w), size.map(lambda h: 2 * h), index),
+    )
+    angles = draw(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=3))
+    return Scene(
+        wavenumber=draw(st.floats(0.1, 50.0)),
+        domain=Box(*(draw(st.floats(1.0, 3.0)) * sign for sign in (-1, 1, -1, 1))),
+        scatterers=tuple(draw(st.lists(shape, max_size=4))),
+        incidences=tuple((np.cos(t), np.sin(t)) for t in angles),
+        aperture=draw(apertures()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenes())
+def test_scene_json_round_trip(scene):
+    d = json.loads(json.dumps(scene_to_dict(scene)))
+    assert scene_from_dict(d) == scene
+    for s, sd in zip(scene.scatterers, d["scatterers"]):
+        keys = JSON_KEYS[sd.pop("type")]
+        assert sd.keys() == keys.keys()
+        assert all(np.array_equal(getattr(s, field), sd[key]) for key, field in keys.items())
