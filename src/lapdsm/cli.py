@@ -241,6 +241,17 @@ def _count(minimum: int):
     return count
 
 
+def _finite(text: str) -> float:
+    """argparse type of a real flag that must be finite, so nan and inf name the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed argument on one line, like every other input error."""
 
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="synthesize far-field data for a scene")
     sim.add_argument("--scene", help="scene JSON file")
     sim.add_argument("--preset", choices=presets.PRESET_NAMES)
-    sim.add_argument("--noise", type=float, default=0.01)
+    sim.add_argument("--noise", type=_finite, default=0.01)
     sim.add_argument("--seed", type=int, default=42)
     sim.add_argument("--forward-grid", type=_count(1), default=DEFAULT_FORWARD_GRID)
     sim.add_argument(

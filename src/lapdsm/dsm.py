@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .forward import green_far_prefactor
-from .numerics import arc_norm, directions, gauss_arc_nodes, plane_waves
+from .numerics import arc_norm, directions, gauss_arc_nodes, green_far_prefactor, plane_waves
 from .scene import ApertureSet, FarFieldData, SamplingGrid
 
 

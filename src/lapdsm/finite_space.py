@@ -8,8 +8,8 @@ coefficient of G_inf(y, .), so the FSSM matrix is the FFSM one in the source
 basis: conj(B_ffsm(y)) times a Gram block of the same arc-mode table.  Both
 right-hand sides are full-circle inner products, evaluated by the trapezoid
 rule of numerics.circle_angles over plane waves.  The resulting linear
-system A F(z) ~ B(z) is solved with Tikhonov regularization, factored once
-and back-substituted for every sampling point.
+system A F(z) ~ B(z) is solved with Tikhonov regularization: one SVD of A
+per system, whose filter factors apply to every sampling point at once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .dsm import IndexField, ProbingSet, averaged_index
 from .errors import NumericalError, ValidationError
@@ -91,21 +90,22 @@ def fssm_rhs_field(points: np.ndarray, sources: np.ndarray, k: float) -> np.ndar
 
 
 def tikhonov_solve(a: np.ndarray, sigma: float, rhs_field: np.ndarray) -> np.ndarray:
-    """F(z) = (sigma I + A* A)^{-1} A* B(z), factored once for all z; shape (n_points, 2P+1)."""
+    """F(z) = (sigma I + A* A)^{-1} A* B(z) for all z at once; shape (n_points, 2P+1).
+
+    With A = U S V* it is V diag(s / (s^2 + sigma)) U* B(z), the Tikhonov filter
+    factors (Hansen 1998): A is decomposed rather than A* A, whose condition
+    number is the square of A's, and s^2 + sigma > 0 leaves no breakdown.
+    """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValidationError(f"regularization parameter must be finite and positive, got {sigma}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("framework matrix must be finite")
-    normal = sigma * np.eye(a.shape[1]) + a.conj().T @ a
     try:
-        cho = linalg.cho_factor(normal)
-    except linalg.LinAlgError as e:
-        raise NumericalError(
-            f"Tikhonov factorization failed at sigma={sigma:.3e} "
-            f"(cond(A*A) ~ {np.linalg.cond(a.conj().T @ a):.2e})"
-        ) from e
-    rhs = a.conj().T @ np.asarray(rhs_field, dtype=np.complex128).T  # (2P+1, n_points)
-    return linalg.cho_solve(cho, rhs).T
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as e:  # pragma: no cover - LAPACK's SVD converges on finite input
+        raise NumericalError(f"Tikhonov SVD failed at sigma={sigma:.3e}: {e}") from e
+    rhs = np.asarray(rhs_field, dtype=np.complex128)  # (n_points, rows of A)
+    return ((rhs @ u.conj()) * (s / (s * s + sigma))) @ vh.conj()
 
 
 def probing_from_coefficients(coefficients: np.ndarray, aperture: ApertureSet) -> ProbingSet:

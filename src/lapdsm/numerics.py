@@ -1,8 +1,9 @@
 """Plane waves, Fourier modes and the quadrature rules used throughout the package.
 
 Every probe in the package is built from two arrays: the plane wave
-e^{-ik xhat . z} and the Fourier modes e^{in theta} on the aperture.  Both
-are evaluated here and nowhere else in the package.  The receiver quadrature
+e^{-ik xhat . z} and the Fourier modes e^{in theta} on the aperture.  Both,
+and the far-field Green amplitude that turns a plane wave into G_inf, are
+evaluated here and nowhere else in the package.  The receiver quadrature
 is a per-arc uniform-weight Riemann sum, the same discrete rule the training
 loss uses, so that reconstruction and learning agree on the meaning of an
 inner product on the aperture.  Inner products over the full circle S^1 use
@@ -42,6 +43,11 @@ def plane_waves(points, xhat, k: float) -> np.ndarray:
     # 0 - sin, not -sin: a zero phase keeps the +0 imaginary part that cos - 1j * sin gives
     np.subtract(0.0, np.sin(phase, out=phase), out=waves.imag)
     return waves
+
+
+def green_far_prefactor(k: float) -> complex:
+    """e^{i pi/4} / sqrt(8 k pi), the 2-D far-field Green amplitude: G_inf(z, xhat) is it times e^{-ik xhat . z}."""
+    return np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * k * np.pi)
 
 
 def fourier_modes(order: int, angles) -> np.ndarray:
@@ -108,11 +114,39 @@ def arc_norm(values, aperture) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached per count."""
-    x, w = np.polynomial.legendre.leggauss(points)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only and cached per count.
+
+    Newton's method on P_n, evaluated by the three-term recurrence, from
+    Tricomi's asymptotic guesses (cf. Hale & Townsend 2013) converges in about
+    three steps, so the rule costs O(n^2) where a companion-matrix eigensolve
+    costs O(n^3).  The nodes are symmetric, so only those in [0, 1) are solved for.
+    """
+    n = points
+    theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    x = np.cos(theta) * (1.0 - (n - 1.0) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4))
+    for _ in range(10):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) < 1e-14:  # quadratic convergence: the next step is rounding
+            break
+    odd = n % 2
+    if odd:
+        x[-1] = 0.0
+    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
+    x = np.concatenate([-x, x[::-1][odd:]])
+    w = np.concatenate([w, w[::-1][odd:]])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
+    p_below, p = np.ones_like(x), x.copy()
+    for k in range(1, n):
+        p_below, p = p, ((2 * k + 1) * x * p - k * p_below) / (k + 1)
+    return p, n * (x * p - p_below) / (x * x - 1.0)
 
 
 def gauss_arc_nodes(aperture, points_per_arc: int):

@@ -10,7 +10,7 @@ tests can check the separable path against the plain pairing
 import numpy as np
 
 from lapdsm.dsm import ProbingSet
-from lapdsm.forward import green_far_prefactor
+from lapdsm.numerics import green_far_prefactor
 from lapdsm.scene import ApertureSet, SamplingGrid
 
 

@@ -7,8 +7,8 @@ kernel between every pair of contrast cells, the total field on every forward
 cell -- the Born and penetrable-disk far fields the forward solver is
 checked against, the Bessel closed forms of the full-circle inner products the package
 evaluates by the trapezoid rule, range-checked wrappers of scipy's Bessel and
-Hankel functions, and the peak finder and preset centres of the localization
-checks.  No program code calls them; the tests pin the vectorized program
+Hankel functions, a QR least-squares Tikhonov solve, and the peak finder and
+preset centres of the localization checks.  No program code calls them; the tests pin the vectorized program
 paths and scipy against them.
 """
 
@@ -18,8 +18,8 @@ from scipy import special as sp
 from lapdsm.errors import ValidationError
 from lapdsm.dsm import IndexField
 from lapdsm.finite_space import ffsm_rhs_field, fssm_rhs_field
-from lapdsm.forward import ContrastGrid, ForwardSolution, _self_term, green_far_prefactor
-from lapdsm.numerics import fourier_modes, plane_waves
+from lapdsm.forward import ContrastGrid, ForwardSolution, _self_term
+from lapdsm.numerics import fourier_modes, green_far_prefactor, plane_waves
 from lapdsm.presets import preset_scene
 from lapdsm.scene import ApertureSet, Scene
 
@@ -147,6 +147,19 @@ def fssm_matrix_entrywise(aperture: ApertureSet, order: int, sources: np.ndarray
         angular = np.array([arc_mode_integral(aperture, m - q) for m in ms])
         a += np.outer(radial, angular)
     return pre * a
+
+
+def tikhonov_qr(a: np.ndarray, sigma: float, rhs_field: np.ndarray) -> np.ndarray:
+    """F(z) minimizing |A F - B(z)|^2 + sigma |F|^2, by a QR solve of [A; sqrt(sigma) I] F = [B(z); 0].
+
+    The stacked least-squares form never squares A's condition number, so it
+    is the oracle of tikhonov_solve; shape (n_points, 2P+1) as there.
+    """
+    rows, cols = a.shape
+    stacked = np.vstack([a, np.sqrt(sigma) * np.eye(cols)])
+    rhs = np.vstack([np.asarray(rhs_field, dtype=np.complex128).T, np.zeros((cols, rhs_field.shape[0]))])
+    q, r = np.linalg.qr(stacked)
+    return np.linalg.solve(r, q.conj().T @ rhs).T
 
 
 def born_far_field(scene: Scene, incidence_index: int, angles, grid: ContrastGrid) -> np.ndarray:

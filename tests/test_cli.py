@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lapdsm
 from lapdsm.cli import main
 from lapdsm.dpn import NetworkParams, TrainConfig
 from lapdsm.fileio import write_checkpoint
@@ -41,11 +44,15 @@ from lapdsm.scene import scene_to_dict
         (["simulate", "--preset", "ex1_1", "--forward-grid", "0"], "argument --forward-grid: must be an integer >= 1, got '0'"),
         (["simulate", "--preset", "ex1_1", "--forward-grid", "-3"], "argument --forward-grid: must be an integer >= 1, got '-3'"),
         (["simulate", "--preset", "ex1_1", "--full-aperture", "0"], "argument --full-aperture: must be an integer >= 1, got '0'"),
+        (["simulate", "--preset", "ex1_1", "--noise", "nan"], "argument --noise: must be a finite number, got 'nan'"),
+        (["simulate", "--preset", "ex1_1", "--noise", "inf"], "argument --noise: must be a finite number, got 'inf'"),
+        (["simulate", "--preset", "ex1_1", "--noise=-inf"], "argument --noise: must be a finite number, got '-inf'"),
     ],
     ids=["grid", "sigma-exp-list", "config", "grid-0", "sources-0", "rn-grid-0", "rn-sources-0", "points-0",
          "batch-functions-0", "sources-per-function-0", "train-order-0", "iterations-negative",
          "kernel-r-steps-negative", "kernel-r-steps-0", "kernel-quad-points-10", "simulate-forward-grid-0",
-         "simulate-forward-grid-negative", "simulate-full-aperture-0"],
+         "simulate-forward-grid-negative", "simulate-full-aperture-0", "simulate-noise-nan", "simulate-noise-inf",
+         "simulate-noise-minus-inf"],
 )
 def test_malformed_argument_is_one_line_error(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as exit_info:
@@ -433,3 +440,38 @@ class TestKernelAndRn:
             ["rn", "--method", "ffsm", "--config", "1", "--grid", "8",
              "--out", str(tmp_path / "x")]
         ) == 2
+
+
+# every command in the order its inputs need, each run in a fresh interpreter that cannot import scipy
+NUMPY_ALONE = [
+    ["simulate", "--preset", "ex1_1", "--forward-grid", "30", "--full-aperture", "64", "--out", "sim"],
+    ["reconstruct", "--data", "sim.noisy.csv", "--method", "partial", "--grid", "8", "--out", "partial"],
+    ["reconstruct", "--data", "sim.noisy.csv", "--method", "full", "--grid", "8", "--out", "full"],
+    ["reconstruct", "--data", "sim.noisy.csv", "--method", "ffsm", "--sigma-exp", "4", "--grid", "8", "--out", "ffsm"],
+    ["reconstruct", "--data", "sim.noisy.csv", "--method", "fssm", "--sigma-exp", "4", "--sources", "4",
+     "--grid", "8", "--out", "fssm"],
+    ["train-dpn", "--config", "1", "--iterations", "2", "--batch-functions", "4", "--points", "4", "--out", "net"],
+    ["reconstruct", "--data", "sim.noisy.csv", "--method", "dpn", "--checkpoint", "net.ckpt", "--grid", "8",
+     "--out", "dpn"],
+    ["rn", "--method", "fssm", "--config", "1", "--sigma-exp", "4", "--sources", "4", "--grid", "8", "--out", "rn"],
+    ["kernel", "--r-steps", "3", "--quad-points", "64", "--out", "kernel"],
+]
+
+
+def _python(tmp_path, code, *args):
+    src = str(Path(lapdsm.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestNumpyAlone:
+    def test_import_loads_no_scipy(self, tmp_path):
+        run = _python(tmp_path, "import sys, lapdsm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert run.returncode == 0 and run.stdout == "[]\n", run.stderr
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        prelude = "import sys; sys.modules['scipy'] = None; from lapdsm.cli import main; sys.exit(main(sys.argv[1:]))"
+        for argv in NUMPY_ALONE:
+            run = _python(tmp_path, prelude, *argv)
+            assert run.returncode == 0, (argv, run.stderr)

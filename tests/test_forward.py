@@ -6,22 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import linalg
 
 from lapdsm.cli import main
 from lapdsm.errors import NumericalError, ValidationError
 from lapdsm.forward import (
+    MIN_CELLS_PER_WAVELENGTH,
+    _hankel1,
     _interaction_matrix,
+    _self_term,
     contrast_grid,
     far_field,
-    green_far_prefactor,
     solve_scattering,
     synthesize_far_field,
 )
+from lapdsm.numerics import green_far_prefactor
 from lapdsm.presets import preset_scene
 from lapdsm.scene import Box, Disk, Rectangle, Scene, full_circle
 
-from reference import born_far_field, disk_far_field_series, pairwise_interaction_matrix, total_field
+from reference import born_far_field, disk_far_field_series, hankel1, pairwise_interaction_matrix, total_field
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)
@@ -40,6 +42,11 @@ class TestContrastGrid:
         sc = make_scene([Disk((0, 0), 0.2, 2.0)])
         with pytest.raises(ValidationError):
             contrast_grid(sc, 10)  # far below 10 cells per wavelength
+
+    def test_exactly_the_minimum_resolution_is_accepted(self):
+        # k = pi n / 10 on [-1, 1]^2 is 10 cells per wavelength, which rounds to 9.999999999999998 for some n
+        for resolution in range(8, 49):
+            contrast_grid(make_scene([Disk((0, 0), 0.25, 2.0)], k=np.pi * resolution / 10.0), resolution)
 
     def test_contrast_values(self):
         sc = make_scene([Disk((0, 0), 0.3, 2.0)])
@@ -84,6 +91,11 @@ class TestSolver:
         with pytest.raises(ValidationError, match="k = 4"):
             solve_scattering(make_scene([Disk((0, 0), 0.2, 2.0)]), 0, g)
 
+    def test_grid_for_other_incidences_is_rejected(self):
+        g = contrast_grid(make_scene([Disk((0, 0), 0.2, 2.0)]), 64)
+        with pytest.raises(ValidationError, match="incidence directions"):
+            solve_scattering(make_scene([Disk((0, 0), 0.2, 2.0)], incidences=((0.0, 1.0),)), 0, g)
+
 
 _shape = st.one_of(
     st.builds(
@@ -122,12 +134,13 @@ class TestOperator:
         assert np.max(np.abs(table - oracle)) <= 1e-14 * np.max(np.abs(oracle[off_diagonal]))
 
     def test_one_factorization_serves_every_incidence(self, monkeypatch):
+        # one LAPACK solve per grid, with every incidence as a right-hand-side column
         scene = preset_scene("ex2_2")
         factored = []
-        lu_factor = linalg.lu_factor
-        monkeypatch.setattr(linalg, "lu_factor", lambda a, **kw: factored.append(a.shape) or lu_factor(a, **kw))
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: factored.append(b.shape) or solve(a, b))
         data = synthesize_far_field(scene, 120)
-        assert len(factored) == 1 and len(scene.incidences) == 3
+        assert len(factored) == 1 and len(scene.incidences) == 3 and factored[0][1] == 3
         angles = scene.aperture.receiver_angles()
         for j in range(3):
             alone = far_field(solve_scattering(scene, j, contrast_grid(scene, 120)), angles, scene.wavenumber)
@@ -136,15 +149,14 @@ class TestOperator:
 
     @staticmethod
     def _spoil_second_solve(monkeypatch):
-        solves = []
-        lu_solve = linalg.lu_solve
+        solve = np.linalg.solve
 
-        def spoiled(lu, b, **kw):
-            solves.append(b)
-            x = lu_solve(lu, b, **kw)
-            return x * (1.0 + 1e-6) if len(solves) == 2 else x
+        def spoiled(a, b):
+            x = solve(a, b)
+            x[:, 1] *= 1.0 + 1e-6  # the second incidence's column
+            return x
 
-        monkeypatch.setattr(linalg, "lu_solve", spoiled)
+        monkeypatch.setattr(np.linalg, "solve", spoiled)
 
     def test_bad_solve_for_one_incidence_is_numerical_error(self, monkeypatch):
         self._spoil_second_solve(monkeypatch)
@@ -158,6 +170,50 @@ class TestOperator:
         assert code == 3
         assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    def test_singular_system_is_numerical_error(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalError, match="Singular matrix"):
+            synthesize_far_field(preset_scene("ex2_2"), 40)
+
+
+# The offset table's largest argument k h (n - 1) sqrt(2) on an n-cell grid at
+# >= MIN_CELLS_PER_WAVELENGTH cells per wavelength (k h <= 2 pi / 10), for n up to 400.
+LARGEST_TABLE_ARGUMENT = 2.0 * np.pi / MIN_CELLS_PER_WAVELENGTH * 399 * np.sqrt(2.0)
+
+
+class TestHankel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_x=st.lists(st.floats(np.log(1e-3), np.log(LARGEST_TABLE_ARGUMENT)), min_size=1, max_size=50),
+        order=st.sampled_from([0, 1]),
+    )
+    def test_matches_scipy_over_the_table_range(self, log_x, order):
+        # measured worst case 2.0e-15 on a dense sweep of [1e-3, 355], next to the crossover at 20
+        x = np.exp(log_x)
+        want = hankel1(order, x)
+        assert np.max(np.abs(_hankel1(order, x) - want) / np.abs(want)) <= 4e-15
+
+    def test_both_sides_of_the_crossover(self):
+        # a tiny x beside 20 in one call (a small k on a fine grid) starts the series at 60,
+        # where its unnormalized J_n would overflow without rescaling
+        x = np.array([np.nextafter(20.0, 0.0), 20.0, 1e-3, 1e-6, 1e-12, LARGEST_TABLE_ARGUMENT])
+        for order in (0, 1):
+            np.testing.assert_allclose(_hankel1(order, x), hankel1(order, x), rtol=4e-15, atol=0)
+        assert _hankel1(0, np.ones((2, 3))).shape == (2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ka=st.floats(1e-6, 0.36), k=st.floats(0.5, 60.0))
+    def test_self_term_matches_scipy(self, ka, k):
+        # ka <= 2 pi / (10 sqrt(pi)) < 0.36 at >= 10 cells per wavelength.  The formula
+        # cancels two terms of size 1/k^2, so the error is measured on that scale
+        # (worst seen 9e-16), not relative to the small difference
+        a = ka / k
+        want = (1j * np.pi * a / (2.0 * k)) * hankel1(1, ka) - 1.0 / k**2
+        assert abs(_self_term(k, a * np.sqrt(np.pi)) - want) <= 2e-15 / k**2
 
 
 class TestDiskSeriesOracle:
