@@ -23,7 +23,7 @@ import numpy as np
 
 from .dsm import ProbingSet
 from .errors import NumericalError, ValidationError
-from .numerics import circle_angles, directions, fourier_modes, plane_waves, reach
+from .numerics import circle_angles, directions, fourier_modes, grid_plane_waves, plane_waves, reach
 from .scene import ApertureSet, Box, pollute
 from .rng import CounterRng
 
@@ -151,19 +151,12 @@ def _backward(params: NetworkParams, acts, dout: np.ndarray) -> list[np.ndarray]
 def _probe(coeffs: np.ndarray, z: np.ndarray, angles: np.ndarray, k: float) -> np.ndarray:
     """Fourier sum of the coefficients plus the plane-wave initial guess, shape (n_points, n_angles).
 
-    Training and inference both evaluate the probe here.
+    Training evaluates the probe here; probing_set_from_network is the same probe on a grid.
     """
     order = (coeffs.shape[1] - 1) // 2
     probe = plane_waves(z, directions(angles), k)
     probe += coeffs @ fourier_modes(order, angles)
     return probe
-
-
-def probing_eval(params: NetworkParams, z, angles, k: float) -> np.ndarray:
-    """Probing values of the network at points z (n, 2) and angles, shape (n_points, n_angles)."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    return _probe(network_forward(params, z), z, angles, k)
 
 
 @dataclass(frozen=True)
@@ -312,6 +305,8 @@ def validation_residual(
 
 
 def probing_set_from_network(params: NetworkParams, grid, aperture: ApertureSet, k: float):
-    """ProbingSet over a sampling grid from a trained network."""
-    samples = probing_eval(params, grid.points, aperture.receiver_angles(), k)
+    """ProbingSet over a sampling grid from a trained network: _probe, with separable plane waves."""
+    angles = aperture.receiver_angles()
+    samples = grid_plane_waves(grid, directions(angles), k, product=True)
+    samples += network_forward(params, grid.points) @ fourier_modes(params.order, angles)
     return ProbingSet(samples, aperture)

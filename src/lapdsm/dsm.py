@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import arc_norm, directions, gauss_arc_nodes, green_far_prefactor, plane_waves
+from .numerics import arc_norm, directions, gauss_arc_nodes, green_far_prefactor, grid_plane_waves, plane_waves
 from .scene import ApertureSet, FarFieldData, SamplingGrid
 
 
@@ -76,9 +76,7 @@ def index_classical(
     elif k is None:
         raise ValidationError("k is required when probing defaults to G_inf")
     else:
-        xhat, zero = directions(angles), np.zeros(grid.resolution)
-        ex = plane_waves(np.column_stack([grid.xs, zero]), xhat, k)
-        ey = plane_waves(np.column_stack([zero, grid.ys]), xhat, k)
+        ex, ey = grid_plane_waves(grid, directions(angles), k)
         vals = np.abs(green_far_prefactor(k) * ((ey * v) @ ex.T)).ravel()
     return IndexField(grid=grid, values=vals)
 

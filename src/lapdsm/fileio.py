@@ -89,8 +89,7 @@ def write_pgm(path, field: IndexField) -> None:
     pix = np.rint(255.0 * field.values / peak).astype(int).reshape(n, n)
     with open(path, "w") as f:
         f.write(f"P2\n{n} {n}\n255\n")
-        for row in pix:
-            f.write(" ".join(str(v) for v in row) + "\n")
+        f.write(((" ".join(["%d"] * n) + "\n") * n) % tuple(pix.ravel().tolist()))
 
 
 def write_metadata(path, meta: dict) -> None:

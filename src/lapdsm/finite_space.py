@@ -6,10 +6,10 @@ Fourier modes on the full circle, FSSM against far-field Green functions of
 a source lattice.  The FFSM right-hand side B_q(y) is the q-th Fourier
 coefficient of G_inf(y, .), so the FSSM matrix is the FFSM one in the source
 basis: conj(B_ffsm(y)) times a Gram block of the same arc-mode table.  Both
-right-hand sides are full-circle inner products, evaluated by the trapezoid
-rule of numerics.circle_angles over plane waves.  The resulting linear
-system A F(z) ~ B(z) is solved with Tikhonov regularization: one SVD of A
-per system, whose filter factors apply to every sampling point at once.
+right-hand sides are full-circle inner products by the trapezoid rule of
+numerics.circle_angles, kept as B(z) = P(z) M: the plane waves P(z) at the
+rule's T directions times a T x rows matrix M.  The Tikhonov SVD filter of
+A F(z) ~ B(z) acts on M once per sigma, so every probe is P(z) K_sigma.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .dsm import IndexField, ProbingSet, averaged_index
 from .errors import NumericalError, ValidationError
-from .numerics import circle_angles, circle_modes, directions, fourier_modes, plane_waves, reach
+from .numerics import circle_angles, circle_modes, directions, fourier_modes, grid_plane_waves, plane_waves, reach
 from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
 
 
@@ -52,16 +52,15 @@ def ffsm_matrix(aperture: ApertureSet, order: int) -> np.ndarray:
     return _mode_gram(aperture, order, order)
 
 
-def _ffsm_rhs(points: np.ndarray, order: int, k: float) -> np.ndarray:
-    """B_n(z) = <G_inf(z, .), e^{int}/sqrt(2pi)>_{S^1} by the trapezoid rule, shape (n_points, 2P+1)."""
-    pts = np.asarray(points, dtype=float)
-    t = circle_angles(k, reach(pts), order)
+def _ffsm_rhs(points: np.ndarray, order: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """B_n(z) = <G_inf(z, .), e^{int}/sqrt(2pi)>_{S^1} by the trapezoid rule, as (xhat, M): M is (T, 2P+1)."""
+    t = circle_angles(k, reach(points), order)
     pre = np.exp(1j * np.pi / 4.0) / (2.0 * np.sqrt(k) * t.size)
-    return plane_waves(pts, directions(t), k) @ (pre * np.conj(circle_modes(order, t.size)).T)
+    return directions(t), pre * np.conj(circle_modes(order, t.size)).T
 
 
-def ffsm_rhs_field(points: np.ndarray, order: int, k: float) -> np.ndarray:
-    """B_n(z) = i^{-n} e^{i pi/4}/(2 sqrt(k)) J_n(k|z|) e^{-i n theta_z}, shape (n_points, 2P+1).
+def ffsm_rhs_field(points: np.ndarray, order: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, M) of B = plane_waves(z, xhat, k) @ M, B_n(z) = i^{-n} e^{i pi/4} J_n(k|z|) e^{-in theta_z} / 2 sqrt(k).
 
     fssm_matrix evaluates the same rule at the sources through _ffsm_rhs, so
     every call of this function is the right-hand side of a sampling grid.
@@ -78,19 +77,19 @@ def fssm_matrix(aperture: ApertureSet, order: int, sources: np.ndarray, k: float
     """
     rows = circle_angles(k, reach(sources)).size
     gram = _mode_gram(aperture, rows, order)
-    return np.conj(_ffsm_rhs(sources, rows, k)) @ gram
+    xhat, m = _ffsm_rhs(sources, rows, k)
+    return np.conj(plane_waves(sources, xhat, k) @ m) @ gram
 
 
-def fssm_rhs_field(points: np.ndarray, sources: np.ndarray, k: float) -> np.ndarray:
-    """B_n(z) = <G_inf(z, .), G_inf(y_n, .)>_{S^1} = J_0(k |z - y_n|) / (4k), shape (n_points, n_sources)."""
-    pts = np.asarray(points, dtype=float)
-    t = circle_angles(k, reach(pts) + reach(sources))
+def fssm_rhs_field(points: np.ndarray, sources: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, M) of B = plane_waves(z, xhat, k) @ M, B_n(z) = <G_inf(z,.), G_inf(y_n,.)>_{S^1} = J_0(k|z - y_n|)/4k."""
+    t = circle_angles(k, reach(points) + reach(sources))
     xhat = directions(t)
-    return plane_waves(pts, xhat, k) @ (np.conj(plane_waves(sources, xhat, k)).T / (4.0 * k * t.size))
+    return xhat, np.conj(plane_waves(sources, xhat, k)).T / (4.0 * k * t.size)
 
 
 def tikhonov_solve(a: np.ndarray, sigma: float, rhs_field: np.ndarray) -> np.ndarray:
-    """F(z) = (sigma I + A* A)^{-1} A* B(z) for all z at once; shape (n_points, 2P+1).
+    """F(z) = (sigma I + A* A)^{-1} A* B(z) for every row B(z) of rhs_field at once; shape (rows, 2P+1).
 
     With A = U S V* it is V diag(s / (s^2 + sigma)) U* B(z), the Tikhonov filter
     factors (Hansen 1998): A is decomposed rather than A* A, whose condition
@@ -104,15 +103,15 @@ def tikhonov_solve(a: np.ndarray, sigma: float, rhs_field: np.ndarray) -> np.nda
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover - LAPACK's SVD converges on finite input
         raise NumericalError(f"Tikhonov SVD failed at sigma={sigma:.3e}: {e}") from e
-    rhs = np.asarray(rhs_field, dtype=np.complex128)  # (n_points, rows of A)
+    rhs = np.asarray(rhs_field, dtype=np.complex128)  # (rows, rows of A)
     return ((rhs @ u.conj()) * (s / (s * s + sigma))) @ vh.conj()
 
 
-def probing_from_coefficients(coefficients: np.ndarray, aperture: ApertureSet) -> ProbingSet:
-    """G_Gamma(z, theta_q) = sum_n f_n(z) e^{i n theta_q} / sqrt(2 pi)."""
-    order = (coefficients.shape[1] - 1) // 2
+def probing_from_coefficients(kernel: np.ndarray, aperture: ApertureSet, waves: np.ndarray) -> ProbingSet:
+    """G_Gamma(z, theta_q) = sum_n f_n(z) e^{i n theta_q} / sqrt(2 pi), f(z) = P(z) K: waves P, kernel K (T, 2P+1)."""
+    order = (kernel.shape[1] - 1) // 2
     basis = fourier_modes(order, aperture.receiver_angles()) / np.sqrt(2.0 * np.pi)  # (2P+1, Q)
-    return ProbingSet(coefficients @ basis, aperture)
+    return ProbingSet(waves @ (kernel @ basis), aperture)
 
 
 def finite_space_probings(
@@ -126,19 +125,20 @@ def finite_space_probings(
 ) -> Iterator[ProbingSet]:
     """Yield the probing set on a grid for each sigma in turn.
 
-    The matrix A and the right-hand side B(z) do not depend on sigma, so they
-    are assembled once; each sigma costs one Tikhonov solve and one evaluation.
+    A, M and the grid's plane waves P do not depend on sigma, so they are
+    built once; each sigma costs one Tikhonov solve on M and one evaluation.
     """
     if method == "ffsm":
-        a, rhs = ffsm_matrix(aperture, order), ffsm_rhs_field(grid.points, order, k)
+        a, (xhat, m) = ffsm_matrix(aperture, order), ffsm_rhs_field(grid.points, order, k)
     elif method == "fssm":
         if sources is None:
             raise ValidationError("FSSM needs a source lattice")
-        a, rhs = fssm_matrix(aperture, order, sources, k), fssm_rhs_field(grid.points, sources, k)
+        a, (xhat, m) = fssm_matrix(aperture, order, sources, k), fssm_rhs_field(grid.points, sources, k)
     else:
         raise ValidationError(f"unknown finite-space method {method!r}")
+    waves = grid_plane_waves(grid, xhat, k, product=True)
     for sigma in sigmas:
-        yield probing_from_coefficients(tikhonov_solve(a, sigma, rhs), aperture)
+        yield probing_from_coefficients(tikhonov_solve(a, sigma, m), aperture, waves)
 
 
 def reconstruct_finite_space(

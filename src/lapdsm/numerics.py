@@ -45,6 +45,14 @@ def plane_waves(points, xhat, k: float) -> np.ndarray:
     return waves
 
 
+def grid_plane_waves(grid, xhat, k: float, product: bool = False):
+    """e^{-ik xhat . z} = e^{-ik x cos t} e^{-ik y sin t} on a grid: the factors ex, ey (n, Q), or with
+    product=True their row-major product (n * n, Q), plane_waves of grid.points to rounding."""
+    xhat = np.asarray(xhat, dtype=float)
+    ex, ey = plane_waves(grid.xs[:, None], xhat[:, :1], k), plane_waves(grid.ys[:, None], xhat[:, 1:], k)
+    return (ey[:, None, :] * ex[None, :, :]).reshape(-1, xhat.shape[0]) if product else (ex, ey)
+
+
 def green_far_prefactor(k: float) -> complex:
     """e^{i pi/4} / sqrt(8 k pi), the 2-D far-field Green amplitude: G_inf(z, xhat) is it times e^{-ik xhat . z}."""
     return np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * k * np.pi)

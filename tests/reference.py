@@ -15,9 +15,9 @@ paths and scipy against them.
 import numpy as np
 from scipy import special as sp
 
+from dense_probing import ffsm_rhs_dense, fssm_rhs_dense
 from lapdsm.errors import ValidationError
 from lapdsm.dsm import IndexField
-from lapdsm.finite_space import ffsm_rhs_field, fssm_rhs_field
 from lapdsm.forward import ContrastGrid, ForwardSolution, _self_term
 from lapdsm.numerics import fourier_modes, green_far_prefactor, plane_waves
 from lapdsm.presets import preset_scene
@@ -71,16 +71,16 @@ def bessel_j0_kernel(k: float, r) -> np.ndarray:
 
 def ffsm_rhs(z, order: int, k: float) -> np.ndarray:
     """B_n(z) = i^{-n} e^{i pi/4}/(2 sqrt(k)) J_n(k|z|) e^{-i n theta_z}."""
-    return ffsm_rhs_field(np.asarray(z, dtype=float)[None, :], order, k)[0]
+    return ffsm_rhs_dense(np.asarray(z, dtype=float)[None, :], order, k)[0]
 
 
 def fssm_rhs(z, sources: np.ndarray, k: float) -> np.ndarray:
     """B_n(z) = J_0(k |z - y_n|) / (4k), the full-circle kernel against each source."""
-    return fssm_rhs_field(np.asarray(z, dtype=float)[None, :], sources, k)[0]
+    return fssm_rhs_dense(np.asarray(z, dtype=float)[None, :], sources, k)[0]
 
 
 def ffsm_rhs_bessel(points, order: int, k: float) -> np.ndarray:
-    """ffsm_rhs_field's closed form: one J_|n| per order, with the J_{-n} sign and theta = 0 at the origin."""
+    """ffsm_rhs_dense's closed form: one J_|n| per order, with the J_{-n} sign and theta = 0 at the origin."""
     pts = np.asarray(points, dtype=float)
     r = np.hypot(pts[:, 0], pts[:, 1])
     theta = np.arctan2(pts[:, 1], pts[:, 0])
@@ -93,7 +93,7 @@ def ffsm_rhs_bessel(points, order: int, k: float) -> np.ndarray:
 
 
 def fssm_rhs_bessel(points, sources: np.ndarray, k: float) -> np.ndarray:
-    """fssm_rhs_field's closed form J_0(k |z - y_n|) / (4k), shape (n_points, n_sources)."""
+    """fssm_rhs_dense's closed form J_0(k |z - y_n|) / (4k), shape (n_points, n_sources)."""
     pts = np.asarray(points, dtype=float)
     d = np.hypot(
         pts[:, None, 0] - sources[None, :, 0],

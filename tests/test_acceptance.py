@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_probing import ffsm_rhs_dense, fssm_rhs_dense
 from dpn_floor import attainable_floor
 from lapdsm import dpn
 from lapdsm.cli import main as cli_main
@@ -21,14 +22,7 @@ from lapdsm.dsm import (
     index_classical,
     kernel_gamma,
 )
-from lapdsm.finite_space import (
-    ffsm_matrix,
-    ffsm_rhs_field,
-    fssm_matrix,
-    fssm_rhs_field,
-    reconstruct_finite_space,
-    source_lattice,
-)
+from lapdsm.finite_space import ffsm_matrix, fssm_matrix, reconstruct_finite_space, source_lattice
 from lapdsm.forward import contrast_grid, far_field, solve_scattering, synthesize_far_field
 from lapdsm.numerics import arc_norm, gauss_arc_nodes
 from lapdsm.presets import DOMAIN, WAVENUMBER, config1_aperture, config2_aperture, preset_scene
@@ -124,11 +118,11 @@ def test_criterion_04_matrix_oracles():
     cbasis = np.exp(-1j * np.outer(ns, circle_angles))
     worst_b = 0.0
     for z in zs:
-        b = ffsm_rhs_field(z[None, :], order, K)[0]
+        b = ffsm_rhs_dense(z[None, :], order, K)[0]
         gz = green_far_field(z, circle_angles, K)
         oracle_b = (cbasis * circle_weights) @ gz / np.sqrt(2 * np.pi)
         worst_b = max(worst_b, np.max(np.abs(b - oracle_b)))
-    b_f = fssm_rhs_field(zs, sources, K)
+    b_f = fssm_rhs_dense(zs, sources, K)
     oracle_bf = np.empty_like(b_f)
     for i, z in enumerate(zs):
         gz = green_far_field(z, circle_angles, K)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_probing import probing_eval
 from dpn_floor import attainable_floor, validation_batch
 from lapdsm import dpn
 from lapdsm.dpn import (
@@ -13,14 +14,13 @@ from lapdsm.dpn import (
     loss,
     loss_gradient,
     network_forward,
-    probing_eval,
     sample_batch,
     train,
     validation_residual,
 )
 from lapdsm.presets import config1_aperture
 from lapdsm.rng import CounterRng
-from lapdsm.scene import ApertureSet, Arc, Box, full_circle
+from lapdsm.scene import ApertureSet, Arc, Box, SamplingGrid, full_circle
 from reference import batch_target_bessel
 
 K = 8.0
@@ -117,8 +117,8 @@ class TestProbingEval:
         np.testing.assert_allclose(probing_eval(params, z, angles, K), expect, rtol=1e-12)
 
     def test_training_probe_is_the_inference_probe(self):
-        # the loss pairs exactly the probe that reconstruct and rn evaluate,
-        # with the receiver weights that reconstruct pairs with
+        # the loss pairs exactly the pointwise probe, with the receiver weights
+        # that reconstruct pairs with; the next test ties it to the grid probe
         cfg = tiny_config(max_noise=0.0)
         params = NetworkParams.initialize(cfg, CounterRng(12))
         for ap in APERTURES:
@@ -127,6 +127,19 @@ class TestProbingEval:
             g = probing_eval(params, batch.eval_points, ap.receiver_angles(), K)
             w = ap.quadrature_weights()
             np.testing.assert_array_equal(r, g @ (w * np.conj(batch.v_noisy)).T - dpn._batch_target(batch, K))
+
+    @settings(max_examples=25, deadline=None)
+    @given(resolution=st.integers(1, 16), seed=st.integers(0, 2**64 - 1), k=st.floats(0.5, 20.0))
+    def test_grid_probe_is_the_pointwise_probe(self, resolution, seed, k):
+        # reconstruct and rn take the plane-wave term as a separable product on
+        # the grid: the probe the loss pairs, to rounding
+        params = NetworkParams.initialize(tiny_config(), CounterRng(seed))
+        grid = SamplingGrid(DOMAIN, resolution)
+        for ap in APERTURES:
+            got = dpn.probing_set_from_network(params, grid, ap, k).samples
+            want = probing_eval(params, grid.points, ap.receiver_angles(), k)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_angle_periodicity(self):
         params = NetworkParams.initialize(tiny_config(), CounterRng(2))

@@ -14,6 +14,7 @@ from lapdsm.fileio import (
     write_checkpoint,
     write_farfield_csv,
     write_index_csv,
+    write_pgm,
 )
 from lapdsm.presets import config1_aperture, config2_aperture
 from lapdsm.scene import Box, FarFieldData, SamplingGrid
@@ -129,3 +130,27 @@ def test_checkpoint_is_byte_identical_to_per_value_writer(tmp_path_factory, orde
     for got, w, b in zip(back.layers, weights, biases):
         np.testing.assert_array_equal(got[:-1], w)
         np.testing.assert_array_equal(got[-1], b)
+
+
+def per_row_pgm(path, field):
+    """The row-at-a-time writer that write_pgm replaced, kept as its oracle."""
+    n = field.grid.resolution
+    pix = np.rint(255.0 * field.values / field.values.max()).astype(int).reshape(n, n)
+    with open(path, "w") as f:
+        f.write(f"P2\n{n} {n}\n255\n")
+        for row in pix:
+            f.write(" ".join(str(v) for v in row) + "\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(resolution=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_pgm_is_byte_identical_to_per_row_writer(tmp_path_factory, resolution, seed):
+    pixels = np.random.default_rng(seed).integers(0, 256, resolution**2)
+    pixels[0] = 255  # the peak, so the pixels are the random image itself
+    field = IndexField(SamplingGrid(Box(-1.0, 1.0, -1.0, 1.0), resolution), pixels / 255.0)
+    d = tmp_path_factory.mktemp("pgm")
+    write_pgm(d / "new.pgm", field)
+    per_row_pgm(d / "old.pgm", field)
+    assert (d / "new.pgm").read_bytes() == (d / "old.pgm").read_bytes()
+    body = (d / "new.pgm").read_text().split()[4:]
+    np.testing.assert_array_equal(np.array(body, dtype=int), pixels)

@@ -1,11 +1,14 @@
 """Finite-space probing construction pinned against quadrature oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+from dense_probing import dense_finite_space_samples, ffsm_rhs_dense, fssm_rhs_dense
 from lapdsm import presets
 from lapdsm.dsm import kernel_gamma
 from lapdsm.errors import ValidationError
@@ -20,7 +23,7 @@ from lapdsm.finite_space import (
     source_lattice,
     tikhonov_solve,
 )
-from lapdsm.numerics import gauss_arc_nodes
+from lapdsm.numerics import circle_angles, directions, gauss_arc_nodes, reach
 from lapdsm.presets import config1_aperture, config2_aperture
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, Box, FarFieldData, SamplingGrid, full_circle
@@ -127,7 +130,7 @@ class TestFfsmRhs:
 
     def test_field_version_consistent(self):
         pts = np.array([[0.1, 0.2], [-0.5, 0.7]])
-        field = ffsm_rhs_field(pts, 6, K)
+        field = ffsm_rhs_dense(pts, 6, K)
         for row, z in zip(field, pts):
             np.testing.assert_allclose(row, ffsm_rhs(z, 6, K), rtol=1e-12)
 
@@ -143,7 +146,21 @@ class TestFfsmRhs:
         pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(50, 2))
         if with_origin:
             pts[7] = 0.0
-        assert_close_to_largest(ffsm_rhs_field(pts, order, k), ffsm_rhs_bessel(pts, order, k))
+        assert_close_to_largest(ffsm_rhs_dense(pts, order, k), ffsm_rhs_bessel(pts, order, k))
+
+
+class TestFactoredRhs:
+    @pytest.mark.parametrize("method", ["ffsm", "fssm"])
+    def test_factors_are_circle_rule_waves_and_a_small_matrix(self, method):
+        # B(z) = P(z) M: P the plane waves at the T directions of circle_angles, M of T rows
+        pts = SamplingGrid(DOMAIN, 16).points
+        sources = source_lattice(DOMAIN, 4)
+        if method == "ffsm":
+            (xhat, m), t, cols = ffsm_rhs_field(pts, 6, K), circle_angles(K, reach(pts), 6), 13
+        else:
+            (xhat, m), t, cols = fssm_rhs_field(pts, sources, K), circle_angles(K, reach(pts) + reach(sources)), 16
+        np.testing.assert_array_equal(xhat, directions(t))
+        assert m.shape == (t.size, cols)
 
 
 class TestFssm:
@@ -167,7 +184,7 @@ class TestFssm:
         # the trapezoid rule over the circle reproduces J_0(k |z - y|) / (4k)
         sources = source_lattice(DOMAIN, per_side)
         pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(50, 2))
-        assert_close_to_largest(fssm_rhs_field(pts, sources, k), fssm_rhs_bessel(pts, sources, k))
+        assert_close_to_largest(fssm_rhs_dense(pts, sources, k), fssm_rhs_bessel(pts, sources, k))
 
     def test_rhs_is_translation_kernel(self):
         sources = source_lattice(DOMAIN, 4)
@@ -190,7 +207,7 @@ class TestFssm:
 class TestTikhonov:
     def test_sigma_to_infinity_kills_solution(self):
         ap = config1_aperture()
-        rhs = ffsm_rhs_field(np.array([[0.2, 0.3]]), 8, K)
+        rhs = ffsm_rhs_dense(np.array([[0.2, 0.3]]), 8, K)
         coeffs = tikhonov_solve(ffsm_matrix(ap, 8), 1e12, rhs)
         assert np.max(np.abs(coeffs)) < 1e-10
 
@@ -198,7 +215,7 @@ class TestTikhonov:
         ap = config1_aperture()
         a = ffsm_matrix(ap, 10)
         sigma = 1e-3
-        rhs = ffsm_rhs_field(np.array([[0.4, -0.2]]), 10, K)
+        rhs = ffsm_rhs_dense(np.array([[0.4, -0.2]]), 10, K)
         f = tikhonov_solve(a, sigma, rhs)[0]
         lhs = sigma * f + a.conj().T @ (a @ f)
         np.testing.assert_allclose(lhs, a.conj().T @ rhs[0], atol=1e-12)
@@ -206,8 +223,8 @@ class TestTikhonov:
     def test_linearity_in_rhs(self):
         ap = config2_aperture()
         a = ffsm_matrix(ap, 6)
-        r1 = ffsm_rhs_field(np.array([[0.1, 0.1]]), 6, K)
-        r2 = ffsm_rhs_field(np.array([[-0.3, 0.6]]), 6, K)
+        r1 = ffsm_rhs_dense(np.array([[0.1, 0.1]]), 6, K)
+        r2 = ffsm_rhs_dense(np.array([[-0.3, 0.6]]), 6, K)
         f1 = tikhonov_solve(a, 1e-4, r1)
         f2 = tikhonov_solve(a, 1e-4, r2)
         f12 = tikhonov_solve(a, 1e-4, r1 + r2)
@@ -215,7 +232,7 @@ class TestTikhonov:
 
     @pytest.mark.parametrize("sigma", [0.0, -1e-4, np.nan, np.inf])
     def test_sigma_must_be_finite_and_positive(self, sigma):
-        rhs = ffsm_rhs_field(np.array([[0.2, 0.3]]), 4, K)
+        rhs = ffsm_rhs_dense(np.array([[0.2, 0.3]]), 4, K)
         with pytest.raises(ValidationError, match="finite and positive"):
             tikhonov_solve(ffsm_matrix(config1_aperture(), 4), sigma, rhs)
 
@@ -224,7 +241,7 @@ class TestTikhonov:
         ap = config1_aperture()
         a = ffsm_matrix(ap, 8)
         sigma = 1e-2
-        rhs = ffsm_rhs_field(np.array([[0.25, -0.55]]), 8, K)
+        rhs = ffsm_rhs_dense(np.array([[0.25, -0.55]]), 8, K)
         f = tikhonov_solve(a, sigma, rhs)[0]
 
         def functional(v):
@@ -245,10 +262,10 @@ class TestTikhonov:
         ap, order, sigma, k = config1_aperture(), 20, 1e-8, presets.WAVENUMBER
         points = SamplingGrid(presets.DOMAIN, 64).points
         if method == "ffsm":
-            a, rhs = ffsm_matrix(ap, order), ffsm_rhs_field(points, order, k)
+            a, rhs = ffsm_matrix(ap, order), ffsm_rhs_dense(points, order, k)
         else:
             sources = source_lattice(presets.DOMAIN, 20)
-            a, rhs = fssm_matrix(ap, order, sources, k), fssm_rhs_field(points, sources, k)
+            a, rhs = fssm_matrix(ap, order, sources, k), fssm_rhs_dense(points, sources, k)
         oracle = tikhonov_qr(a, sigma, rhs)
         normal = sigma * np.eye(a.shape[1]) + a.conj().T @ a
         cholesky = linalg.cho_solve(linalg.cho_factor(normal), a.conj().T @ rhs.T).T
@@ -264,7 +281,7 @@ class TestProbingConstruction:
         ap = config1_aperture(receivers=10)
         c = np.zeros((1, 13), dtype=complex)
         c[0, 6] = np.sqrt(2 * np.pi)  # n = 0 mode only
-        probe = probing_from_coefficients(c, ap)
+        probe = probing_from_coefficients(c, ap, np.ones((1, 1)))  # f(z) = c: one direction of unit weight
         np.testing.assert_allclose(probe.samples, 1.0, rtol=1e-12)
 
     def test_full_circle_ffsm_recovers_green(self):
@@ -277,6 +294,34 @@ class TestProbingConstruction:
             expect = green_far_field(grid.points[i], angles, K)
             rel = np.linalg.norm(probe.samples[i] - expect) / np.linalg.norm(expect)
             assert rel < 0.01
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        method=st.sampled_from(["ffsm", "fssm"]),
+        sigma_exp=st.floats(2.0, 8.0),
+        resolution=st.integers(4, 24),
+        aperture=st.sampled_from([config1_aperture(), config2_aperture()]),
+    )
+    def test_factored_probe_equals_dense_pipeline(self, method, sigma_exp, resolution, aperture):
+        # P(z) (K_sigma basis) against B(z) on every grid point, tikhonov_solve, coefficients @ basis
+        k, order, sigma = presets.WAVENUMBER, 20, 10.0**-sigma_exp
+        grid = SamplingGrid(presets.DOMAIN, resolution)
+        sources = source_lattice(presets.DOMAIN, 20) if method == "fssm" else None
+        (probe,) = finite_space_probings(method, aperture, grid, order, [sigma], k, sources)
+        dense = dense_finite_space_samples(method, aperture, grid, order, sigma, k, sources)
+        assert_close_to_largest(probe.samples, dense, tol=1e-12)
+
+    def test_fssm_probe_builds_no_grid_sized_right_hand_side(self):
+        # at grid 128 the dense B(z) alone (16,384 x 400 complex) is 4.4 probing sets
+        grid = SamplingGrid(presets.DOMAIN, 128)
+        sources = source_lattice(presets.DOMAIN, 20)
+        tracemalloc.start()
+        try:
+            (probe,) = finite_space_probings("fssm", config1_aperture(), grid, 20, [1e-4], presets.WAVENUMBER, sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * probe.samples.nbytes
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):

@@ -14,10 +14,11 @@ from lapdsm.numerics import (
     directions,
     fourier_modes,
     gauss_arc_nodes,
+    grid_plane_waves,
     plane_waves,
     reach,
 )
-from lapdsm.scene import ApertureSet, Arc, full_circle
+from lapdsm.scene import ApertureSet, Arc, Box, SamplingGrid, full_circle
 from reference import bessel_j, bessel_j_signed, hankel1
 
 
@@ -142,6 +143,31 @@ class TestPlaneWaves:
         np.testing.assert_allclose(plane_waves(np.add(p, q), xhat, k), wp * wq, rtol=0, atol=1e-12)
         # e^{ik d . x}, the incident wave, is the plane wave of direction -d
         np.testing.assert_allclose(plane_waves(np.array(p), -xhat, k), np.conj(wp), rtol=0, atol=1e-15)
+
+
+class TestGridPlaneWaves:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        resolution=st.integers(1, 24),
+        corner=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+        size=st.floats(0.1, 4.0),
+        directions_count=st.integers(1, 30),
+        k=st.floats(0.5, 20.0),
+    )
+    def test_product_is_plane_waves_of_the_points(self, resolution, corner, size, directions_count, k):
+        grid = SamplingGrid(Box(corner[0], corner[0] + size, corner[1], corner[1] + size), resolution)
+        xhat = directions(np.linspace(-np.pi, np.pi, directions_count, endpoint=False))
+        got = grid_plane_waves(grid, xhat, k, product=True)
+        assert got.shape == (resolution**2, directions_count)
+        np.testing.assert_allclose(got, plane_waves(grid.points, xhat, k), rtol=0, atol=1e-13)
+
+    def test_factors_are_the_axis_waves(self):
+        grid = SamplingGrid(Box(-1.0, 1.0, -0.5, 1.5), 7)
+        xhat = directions(np.linspace(0.0, 6.0, 9))
+        ex, ey = grid_plane_waves(grid, xhat, 8.0)
+        zero = np.zeros(7)
+        np.testing.assert_array_equal(ex, plane_waves(np.column_stack([grid.xs, zero]), xhat, 8.0))
+        np.testing.assert_array_equal(ey, plane_waves(np.column_stack([zero, grid.ys]), xhat, 8.0))
 
 
 class TestFourierModes:
