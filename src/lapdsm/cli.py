@@ -20,11 +20,13 @@ from .dpn import TrainConfig, probing_set_from_network
 from .errors import NumericalError, ValidationError
 from .finite_space import finite_space_probings, reconstruct_finite_space, source_lattice
 from .forward import synthesize_far_field
+from .numerics import directions
 from .scene import (
     ApertureSet,
     Arc,
     Box,
     SamplingGrid,
+    Scene,
     add_noise,
     aperture_to_dict,
     full_circle,
@@ -33,18 +35,14 @@ from .scene import (
     scene_to_dict,
 )
 
-DEFAULT_GRID = 128
-DEFAULT_FORWARD_GRID = 120
-DEFAULT_ORDER = 20
-DEFAULT_SOURCES = 20
 
-
-def _load_scene_arg(args):
-    if getattr(args, "scene", None):
-        return load_scene(args.scene)
-    if getattr(args, "preset", None):
-        return presets.preset_scene(args.preset)
-    raise ValidationError("provide --scene FILE or --preset NAME")
+def _source(args) -> tuple[ApertureSet, float, Box, Scene | None]:
+    """Aperture, wavenumber and domain of the one source flag the parser let through,
+    and its scene: None for --config, which names an aperture alone."""
+    if args.scene or args.preset:
+        scene = load_scene(args.scene) if args.scene else presets.preset_scene(args.preset)
+        return scene.aperture, scene.wavenumber, scene.domain, scene
+    return presets.CONFIG_APERTURES[args.config](), presets.WAVENUMBER, presets.DOMAIN, None
 
 
 def _meta_base(args, command: str) -> dict:
@@ -60,7 +58,7 @@ def _derive_meta_path(data_path: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    scene = _load_scene_arg(args)
+    scene = _source(args)[3]
     if args.full_aperture:
         scene = dataclasses.replace(scene, aperture=full_circle(args.full_aperture))
     data = synthesize_far_field(scene, args.forward_grid)
@@ -106,14 +104,8 @@ def _reconstruct_fields(args, data, grid, k, sigma_exps) -> list[IndexField]:
         return reconstruct_finite_space(data, method, args.order, sigmas, grid, k, sources=sources)
     if method == "full" and not data.aperture.is_full_circle():
         raise ValidationError("method 'full' requires full-circle data")
-    if method in ("full", "partial"):
-        field = averaged_index(data, None, grid, k)
-    elif method == "dpn":
-        probing = probing_set_from_network(_load_checkpoint(args, k), grid, data.aperture, k)
-        field = averaged_index(data, probing, grid)
-    else:
-        raise ValidationError(f"unknown reconstruction method {method!r}")
-    return [field] * len(sigma_exps)
+    probing = probing_set_from_network(_load_checkpoint(args, k), grid, data.aperture, k) if method == "dpn" else None
+    return [averaged_index(data, probing, grid, k)] * len(sigma_exps)
 
 
 def cmd_reconstruct(args) -> int:
@@ -138,28 +130,9 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _aperture_for_config(args) -> tuple[ApertureSet, float, Box]:
-    if getattr(args, "scene", None) or getattr(args, "preset", None):
-        scene = _load_scene_arg(args)
-        return scene.aperture, scene.wavenumber, scene.domain
-    if args.config == 1:
-        return presets.config1_aperture(), presets.WAVENUMBER, presets.DOMAIN
-    if args.config == 2:
-        return presets.config2_aperture(), presets.WAVENUMBER, presets.DOMAIN
-    raise ValidationError("provide --config 1|2, --preset, or --scene")
-
-
 def cmd_train(args) -> int:
-    aperture, k, domain = _aperture_for_config(args)
-    config = TrainConfig(
-        order=args.order,
-        batch_functions=args.batch_functions,
-        sources_per_function=args.sources_per_function,
-        points_per_iteration=args.points,
-        iterations=args.iterations,
-        max_noise=args.max_noise,
-        seed=args.seed,
-    )
+    aperture, k, domain, _ = _source(args)
+    config = TrainConfig(**{field: getattr(args, dest) for dest, (field, _kind) in _TRAIN_FLAGS.items()})
     meta = _meta_base(args, "train-dpn")
     meta.update(
         aperture=aperture_to_dict(aperture),
@@ -169,7 +142,8 @@ def cmd_train(args) -> int:
     )
 
     def checkpoint_writer(iteration, params, trace):
-        fileio.write_checkpoint(f"{args.out}.ckpt", params, k)
+        if iteration < config.iterations:  # the final checkpoint is written once, below
+            fileio.write_checkpoint(f"{args.out}.ckpt", params, k)
 
     params, trace = dpn.train(config, aperture, domain, k, callback=checkpoint_writer)
     fileio.write_checkpoint(f"{args.out}.ckpt", params, k)
@@ -179,10 +153,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if not (np.isfinite(args.k) and args.k > 0):
-        raise ValidationError(f"--k must be finite and positive, got {args.k!r}")
-    if not np.isfinite(args.r_max):
-        raise ValidationError(f"--r-max must be finite, got {args.r_max!r}")
     aperture = ApertureSet((Arc(alpha=args.alpha, beta=0.0, receivers=64),))
     try:
         betas = [float(b) for b in args.beta_list.split(",")]
@@ -191,33 +161,21 @@ def cmd_kernel(args) -> int:
     if not np.all(np.isfinite(betas)):
         raise ValidationError(f"--beta-list angles must be finite, got {args.beta_list!r}")
     radii = np.linspace(0.0, args.r_max, args.r_steps)
-    columns = []
-    for b in betas:
-        direction = np.array([np.cos(b), np.sin(b)])
-        col = [
-            abs(kernel_gamma((0.0, 0.0), r * direction, aperture, args.k, args.quad_points))
-            for r in radii
-        ]
-        columns.append(col)
-    with open(f"{args.out}.csv", "w") as f:
-        f.write("R," + ",".join(f"beta={b:g}" for b in betas) + "\n")
-        for i, r in enumerate(radii):
-            f.write("%.17g" % r + "," + ",".join("%.17g" % c[i] for c in columns) + "\n")
-    meta = _meta_base(args, "kernel")
-    fileio.write_metadata(f"{args.out}.meta.json", meta)
+    points = radii[:, None, None] * directions(betas)  # (radius, beta, 2)
+    values = np.abs(kernel_gamma((0.0, 0.0), points, aperture, args.k, args.quad_points))
+    fileio.write_kernel_csv(f"{args.out}.csv", betas, radii, values)
+    fileio.write_metadata(f"{args.out}.meta.json", _meta_base(args, "kernel"))
     return 0
 
 
 def cmd_rn(args) -> int:
-    aperture, k, domain = _aperture_for_config(args)
+    aperture, k, domain, _ = _source(args)
     grid = SamplingGrid(domain, args.grid)
-    if args.method in ("ffsm", "fssm"):
-        sigmas, sources = _finite_space_inputs(args, [args.sigma_exp], domain)
-        (probing,) = finite_space_probings(args.method, aperture, grid, args.order, sigmas, k, sources)
-    elif args.method == "dpn":
+    if args.method == "dpn":
         probing = probing_set_from_network(_load_checkpoint(args, k), grid, aperture, k)
     else:
-        raise ValidationError("rn supports methods ffsm, fssm, dpn")
+        sigmas, sources = _finite_space_inputs(args, [args.sigma_exp], domain)
+        (probing,) = finite_space_probings(args.method, aperture, grid, args.order, sigmas, k, sources)
     field = relative_norm(probing, k, grid)
     fileio.write_index_csv(f"{args.out}.csv", field)
     fileio.write_pgm(f"{args.out}.pgm", field)
@@ -241,15 +199,61 @@ def _count(minimum: int):
     return count
 
 
-def _finite(text: str) -> float:
-    """argparse type of a real flag that must be finite, so nan and inf name the flag."""
+def _real(positive: bool = False):
+    """argparse type of a real flag that must be finite (and > 0 if positive), so nan and inf name the flag."""
+
+    def real(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if np.isfinite(value) and (value > 0 or not positive):
+            return value
+        want = "finite and positive" if positive else "a finite number"
+        raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+
+    return real
+
+
+_finite = _real()
+
+
+def _reals(text: str) -> list[float]:
+    """argparse type of a comma-separated list of finite numbers."""
     try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+        return [_finite(v) for v in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated finite numbers, got {text!r}") from None
+
+
+# train-dpn's flags, by dest: the TrainConfig field each sets and its type; the defaults are TrainConfig()'s
+_TRAIN_FLAGS = {
+    "order": ("order", _count(1)),
+    "iterations": ("iterations", _count(0)),
+    "batch_functions": ("batch_functions", _count(1)),
+    "sources_per_function": ("sources_per_function", _count(1)),
+    "points": ("points_per_iteration", _count(1)),
+    "max_noise": ("max_noise", _finite),
+    "seed": ("seed", int),
+}
+
+# flags that name one input in different ways; a command takes at most one flag of each table
+_SOURCE = {
+    "--config": dict(type=int, choices=sorted(presets.CONFIG_APERTURES)),
+    "--scene": dict(help="scene JSON file"),
+    "--preset": dict(choices=presets.PRESET_NAMES),
+}
+_SIGMA = {
+    "--sigma-exp": dict(type=_finite, help="sigma = 0.1^m"),
+    "--sigma-exp-list": dict(type=_reals, help="comma-separated exponents; writes one output per value"),
+}
+
+
+def _one_of(parser, table: dict, *flags: str, required: bool = False) -> None:
+    """Add the named flags of a table as a mutually exclusive group, so the parser rejects two of them."""
+    group = parser.add_mutually_exclusive_group(required=required)
+    for flag in flags:
+        group.add_argument(flag, **table[flag])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,13 +266,19 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="lapdsm", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, metavar="PREFIX")
+    probe = argparse.ArgumentParser(add_help=False)  # how reconstruct and rn build a probing function
+    probe.add_argument("--order", type=_count(1), default=20)
+    probe.add_argument("--sources", type=_count(1), default=20, help="FSSM lattice per side")
+    probe.add_argument("--checkpoint", help="DPN checkpoint file")
+    probe.add_argument("--grid", type=_count(1), default=128)
 
-    sim = sub.add_parser("simulate", help="synthesize far-field data for a scene")
-    sim.add_argument("--scene", help="scene JSON file")
-    sim.add_argument("--preset", choices=presets.PRESET_NAMES)
+    sim = sub.add_parser("simulate", parents=[out], help="synthesize far-field data for a scene")
+    _one_of(sim, _SOURCE, "--scene", "--preset", required=True)
     sim.add_argument("--noise", type=_finite, default=0.01)
     sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--forward-grid", type=_count(1), default=DEFAULT_FORWARD_GRID)
+    sim.add_argument("--forward-grid", type=_count(1), default=120)
     sim.add_argument(
         "--full-aperture",
         type=_count(1),
@@ -278,62 +288,35 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RECEIVERS",
         help="replace the scene aperture with a full circle",
     )
-    sim.add_argument("--out", required=True, metavar="PREFIX")
     sim.set_defaults(func=cmd_simulate)
 
-    rec = sub.add_parser("reconstruct", help="compute an index field from far-field data")
+    rec = sub.add_parser("reconstruct", parents=[out, probe], help="compute an index field from far-field data")
     rec.add_argument("--data", required=True, help="far-field CSV from simulate")
     rec.add_argument("--meta", help="metadata sidecar (default: derived from --data)")
     rec.add_argument("--method", required=True, choices=["full", "partial", "ffsm", "fssm", "dpn"])
-    rec.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    rec.add_argument("--sigma-exp", type=float, default=None, help="sigma = 0.1^m")
-    rec.add_argument(
-        "--sigma-exp-list",
-        type=lambda s: [float(v) for v in s.split(",")],
-        default=None,
-        help="comma-separated exponents; writes one output per value",
-    )
-    rec.add_argument("--sources", type=_count(1), default=DEFAULT_SOURCES, help="FSSM lattice per side")
-    rec.add_argument("--checkpoint", help="DPN checkpoint file")
-    rec.add_argument("--grid", type=_count(1), default=DEFAULT_GRID)
-    rec.add_argument("--out", required=True, metavar="PREFIX")
+    _one_of(rec, _SIGMA, *_SIGMA)
     rec.set_defaults(func=cmd_reconstruct)
 
-    tr = sub.add_parser("train-dpn", help="train the deep probing network")
-    tr.add_argument("--config", type=int, choices=[1, 2])
-    tr.add_argument("--scene")
-    tr.add_argument("--preset", choices=presets.PRESET_NAMES)
-    tr.add_argument("--order", type=_count(1), default=DEFAULT_ORDER)
-    tr.add_argument("--iterations", type=_count(0), default=5000)
-    tr.add_argument("--batch-functions", type=_count(1), default=400)
-    tr.add_argument("--sources-per-function", type=_count(1), default=3)
-    tr.add_argument("--points", type=_count(1), default=400)
-    tr.add_argument("--max-noise", type=float, default=0.05)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--out", required=True, metavar="PREFIX")
+    tr = sub.add_parser("train-dpn", parents=[out], help="train the deep probing network")
+    _one_of(tr, _SOURCE, *_SOURCE, required=True)
+    defaults = TrainConfig()
+    for dest, (field, kind) in _TRAIN_FLAGS.items():
+        tr.add_argument("--" + dest.replace("_", "-"), type=kind, default=getattr(defaults, field))
     tr.set_defaults(func=cmd_train)
 
-    ker = sub.add_parser("kernel", help="tabulate the aperture kernel decay")
-    ker.add_argument("--alpha", type=float, default=np.pi / 3.0)
+    ker = sub.add_parser("kernel", parents=[out], help="tabulate the aperture kernel decay")
+    ker.add_argument("--alpha", type=_finite, default=np.pi / 3.0)
     ker.add_argument("--beta-list", default="0,0.7853981633974483,1.5707963267948966")
-    ker.add_argument("--k", type=float, default=8.0)
-    ker.add_argument("--r-max", type=float, default=2.0)
+    ker.add_argument("--k", type=_real(positive=True), default=8.0)
+    ker.add_argument("--r-max", type=_finite, default=2.0)
     ker.add_argument("--r-steps", type=_count(1), default=201)
     ker.add_argument("--quad-points", type=_count(64), default=512)
-    ker.add_argument("--out", required=True, metavar="PREFIX")
     ker.set_defaults(func=cmd_kernel)
 
-    rn = sub.add_parser("rn", help="relative norm of a constructed probing function")
+    rn = sub.add_parser("rn", parents=[out, probe], help="relative norm of a constructed probing function")
     rn.add_argument("--method", required=True, choices=["ffsm", "fssm", "dpn"])
-    rn.add_argument("--config", type=int, choices=[1, 2])
-    rn.add_argument("--scene")
-    rn.add_argument("--preset", choices=presets.PRESET_NAMES)
-    rn.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    rn.add_argument("--sigma-exp", type=float, default=None)
-    rn.add_argument("--sources", type=_count(1), default=DEFAULT_SOURCES)
-    rn.add_argument("--checkpoint")
-    rn.add_argument("--grid", type=_count(1), default=DEFAULT_GRID)
-    rn.add_argument("--out", required=True, metavar="PREFIX")
+    _one_of(rn, _SOURCE, *_SOURCE, required=True)
+    rn.add_argument("--sigma-exp", **_SIGMA["--sigma-exp"])
     rn.set_defaults(func=cmd_rn)
 
     return p

@@ -81,11 +81,11 @@ def index_classical(
     return IndexField(grid=grid, values=vals)
 
 
-def kernel_gamma(z, y, aperture: ApertureSet, k: float, quadrature_points: int = 256) -> complex:
-    """K_Gamma(z, y) = <G_inf(z, .), G_inf(y, .)>_Gamma by Gauss quadrature.
+def kernel_gamma(z, y, aperture: ApertureSet, k: float, quadrature_points: int = 256):
+    """K_Gamma(z, y) = <G_inf(z, .), G_inf(y, .)>_Gamma by Gauss quadrature, for points y (..., 2).
 
     Analysis-only; quadrature_points Gauss-Legendre nodes per arc, so the
-    value is accurate far beyond the receiver sampling.
+    value is accurate far beyond the receiver sampling.  Returns shape (...).
     """
     if quadrature_points < 64:
         raise ValidationError("kernel_gamma needs at least 64 quadrature points per arc")
@@ -93,7 +93,7 @@ def kernel_gamma(z, y, aperture: ApertureSet, k: float, quadrature_points: int =
     y = np.asarray(y, dtype=float)
     angles, weights = gauss_arc_nodes(aperture, quadrature_points)
     integrand = plane_waves(z - y, directions(angles), k) / (8.0 * k * np.pi)
-    return complex(integrand @ weights)
+    return integrand @ weights
 
 
 def green_norm_on_aperture(aperture: ApertureSet, k: float) -> float:

@@ -73,11 +73,22 @@ def read_farfield_csv(path, aperture: ApertureSet) -> FarFieldData:
 
 
 def write_index_csv(path, field: IndexField) -> None:
-    """Rows: x,y,value over the sampling grid (row-major)."""
-    rows = np.column_stack([field.grid.points, field.values])
+    """Rows: x,y,value over the sampling grid (row-major); the n x and n y
+    coordinates are formatted once, into one template of every row's prefix."""
+    xs = ["%.17g," % x for x in field.grid.xs.tolist()]
+    ys = ["%.17g," % y for y in field.grid.ys.tolist()]
+    template = "".join([x + y + "%.17g\n" for y in ys for x in xs])
     with open(path, "w") as f:
         f.write("x,y,value\n")
-        f.write(("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist()))
+        f.write(template % tuple(field.values.tolist()))
+
+
+def write_kernel_csv(path, betas, radii: np.ndarray, values: np.ndarray) -> None:
+    """Header R,beta=...; one row per radius: the radius, then |K_Gamma| for each direction."""
+    rows = np.column_stack([radii, values])
+    with open(path, "w") as f:
+        f.write("R," + ",".join(f"beta={b:g}" for b in betas) + "\n")
+        f.write(((",".join(["%.17g"] * rows.shape[1]) + "\n") * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def write_pgm(path, field: IndexField) -> None:

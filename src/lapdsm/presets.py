@@ -37,6 +37,8 @@ def config2_aperture(receivers_per_arc: int = 30) -> ApertureSet:
     )
 
 
+CONFIG_APERTURES = {1: config1_aperture, 2: config2_aperture}
+
 _SQRT3_2 = np.sqrt(3.0) / 2.0
 
 _PRESETS = {
@@ -82,6 +84,6 @@ def preset_scene(name: str) -> Scene:
         domain=DOMAIN,
         scatterers=spec["scatterers"],
         incidences=spec["incidences"],
-        aperture=config1_aperture() if spec["config"] == 1 else config2_aperture(),
+        aperture=CONFIG_APERTURES[spec["config"]](),
     )
 

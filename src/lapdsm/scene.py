@@ -408,9 +408,3 @@ def scene_from_dict(d: dict) -> Scene:
 def load_scene(path) -> Scene:
     with text_input(path) as f:
         return scene_from_dict(json.load(f))
-
-
-def save_scene(scene: Scene, path) -> None:
-    with open(path, "w") as f:
-        json.dump(scene_to_dict(scene), f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -1,6 +1,7 @@
 """Command-line interface: artifact generation, determinism, exit codes."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapdsm
-from lapdsm.cli import main
+from lapdsm import cli, fileio
+from lapdsm.cli import build_parser, main
 from lapdsm.dpn import NetworkParams, TrainConfig
 from lapdsm.fileio import write_checkpoint
 from lapdsm.presets import preset_scene
@@ -63,36 +65,137 @@ def test_malformed_argument_is_one_line_error(tmp_path, capsys, argv, option):
     assert not list(tmp_path.iterdir())
 
 
+def exit_code(argv) -> int:
+    """main's exit code, whether the parser or the command reports the error."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["reconstruct", "--method", "ffsm", "--sigma-exp", "nan"], "finite and positive, got nan"),
-        (["reconstruct", "--method", "ffsm", "--sigma-exp-list", "4,nan"], "finite and positive, got nan"),
+        (["reconstruct", "--method", "ffsm", "--sigma-exp", "nan"],
+         "argument --sigma-exp: must be a finite number, got 'nan'"),
+        (["reconstruct", "--method", "ffsm", "--sigma-exp-list", "4,nan"],
+         "argument --sigma-exp-list: must be comma-separated finite numbers, got '4,nan'"),
         (["reconstruct", "--method", "ffsm", "--sigma-exp", "-400"], "finite and positive, got inf"),
-        (["reconstruct", "--method", "ffsm", "--sigma-exp", "4", "--order", "0"], "order must be >= 1"),
-        (["rn", "--method", "fssm", "--config", "1", "--sigma-exp", "nan"], "finite and positive, got nan"),
+        (["reconstruct", "--method", "ffsm", "--sigma-exp", "4", "--order", "0"],
+         "argument --order: must be an integer >= 1, got '0'"),
+        (["rn", "--method", "fssm", "--config", "1", "--sigma-exp", "nan"],
+         "argument --sigma-exp: must be a finite number, got 'nan'"),
         (["rn", "--method", "ffsm", "--config", "1", "--sigma-exp", "-400"], "finite and positive, got inf"),
         (["rn", "--method", "ffsm", "--config", "1", "--sigma-exp", "400"], "finite and positive, got 0.0"),
-        (["rn", "--method", "fssm", "--config", "2", "--sigma-exp", "4", "--order", "0"], "order must be >= 1"),
-        (["kernel", "--k", "0"], "--k must be finite and positive"),
-        (["kernel", "--k", "-1"], "--k must be finite and positive"),
-        (["kernel", "--k", "nan"], "--k must be finite and positive"),
-        (["kernel", "--r-max", "nan"], "--r-max must be finite"),
+        (["rn", "--method", "fssm", "--config", "2", "--sigma-exp", "4", "--order", "0"],
+         "argument --order: must be an integer >= 1, got '0'"),
+        (["kernel", "--k", "0"], "argument --k: must be finite and positive, got '0'"),
+        (["kernel", "--k", "-1"], "argument --k: must be finite and positive, got '-1'"),
+        (["kernel", "--k", "nan"], "argument --k: must be finite and positive, got 'nan'"),
+        (["kernel", "--r-max", "nan"], "argument --r-max: must be a finite number, got 'nan'"),
     ],
     ids=["reconstruct-nan", "reconstruct-list-nan", "reconstruct-overflow", "reconstruct-order-0", "rn-nan",
          "rn-overflow", "rn-underflow", "rn-order-0", "kernel-k-0", "kernel-k-negative", "kernel-k-nan",
          "kernel-r-max-nan"],
 )
 def test_bad_value_is_one_line_error(sim_dir, tmp_path, capsys, argv, message):
+    # a value the parser can judge alone exits from parse_args; sigma's overflow is found by the solver
     if argv[0] == "reconstruct":
         argv = argv + ["--data", str(sim_dir / "ex1_1.noisy.csv"), "--grid", "8"]
     elif argv[0] == "rn":
         argv = argv + ["--grid", "8"]
-    code = main(argv + ["--out", str(tmp_path / "x")])
+    code = exit_code(argv + ["--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+# each pair of flags that name one input twice, in otherwise valid small commands: (argv, first, second);
+# SCENE and DATA stand for input files
+SOURCES = {"--config": "1", "--scene": "SCENE", "--preset": "ex2_1"}
+CONFLICTS = {
+    "simulate-scene-preset": (["simulate", "--forward-grid", "20"], "--scene", "--preset"),
+    "reconstruct-sigma-exp-list": (["reconstruct", "--data", "DATA", "--method", "ffsm", "--grid", "8"],
+                                   "--sigma-exp", "--sigma-exp-list"),
+    **{
+        f"{command}-{a[2:]}-{b[2:]}": ([command, *extra], a, b)
+        for command, extra in [
+            ("train-dpn", ["--iterations", "1", "--batch-functions", "2", "--points", "2", "--order", "2"]),
+            ("rn", ["--method", "ffsm", "--sigma-exp", "4", "--grid", "8"]),
+        ]
+        for a, b in [("--config", "--preset"), ("--config", "--scene"), ("--scene", "--preset")]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFLICTS))
+def test_conflicting_flags_are_one_line_error(sim_dir, tmp_path, capsys, name):
+    argv, first, second = CONFLICTS[name]
+    (tmp_path / "scene.json").write_text(json.dumps(scene_to_dict(preset_scene("ex1_1"))))
+    files = {"SCENE": str(tmp_path / "scene.json"), "DATA": str(sim_dir / "ex1_1.noisy.csv")}
+    values = {**SOURCES, "--sigma-exp": "4", "--sigma-exp-list": "6,8"}
+    argv = [files.get(a, a) for a in argv + [first, values[first], second, values[second]]]
+    (tmp_path / "out").mkdir()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "out" / "x")])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.count("\n") == 1 and f"argument {second}: not allowed with argument {first}" in err
+    assert not list((tmp_path / "out").iterdir())
+
+
+# each subcommand's parsed namespace for a minimal argv and for one that sets the reshaped flags;
+# .meta.json echoes it, so a key, value or type that moves would change every artifact
+NAMESPACES = {
+    "simulate": (["simulate", "--preset", "ex1_1", "--out", "x"],
+                 dict(scene=None, preset="ex1_1", noise=0.01, seed=42, forward_grid=120, full_aperture=0)),
+    "simulate-set": (["simulate", "--scene", "s.json", "--noise", "0", "--full-aperture", "--out", "x"],
+                     dict(scene="s.json", preset=None, noise=0.0, seed=42, forward_grid=120, full_aperture=512)),
+    "reconstruct": (["reconstruct", "--data", "d.csv", "--method", "partial", "--out", "x"],
+                    dict(data="d.csv", meta=None, method="partial", order=20, sigma_exp=None, sigma_exp_list=None,
+                         sources=20, checkpoint=None, grid=128)),
+    "reconstruct-set": (["reconstruct", "--data", "d.csv", "--method", "ffsm", "--order", "7", "--sigma-exp-list",
+                         "4,6.5", "--out", "x"],
+                        dict(data="d.csv", meta=None, method="ffsm", order=7, sigma_exp=None, sigma_exp_list=[4.0, 6.5],
+                             sources=20, checkpoint=None, grid=128)),
+    "reconstruct-sigma": (["reconstruct", "--data", "d.csv", "--method", "fssm", "--sigma-exp", "4", "--out", "x"],
+                          dict(data="d.csv", meta=None, method="fssm", order=20, sigma_exp=4.0, sigma_exp_list=None,
+                               sources=20, checkpoint=None, grid=128)),
+    "train-dpn": (["train-dpn", "--config", "1", "--out", "x"],
+                  dict(config=1, scene=None, preset=None, order=20, iterations=5000, batch_functions=400,
+                       sources_per_function=3, points=400, max_noise=0.05, seed=0)),
+    "train-dpn-set": (["train-dpn", "--preset", "ex2_1", "--max-noise", "0", "--seed", "-3", "--out", "x"],
+                      dict(config=None, scene=None, preset="ex2_1", order=20, iterations=5000, batch_functions=400,
+                           sources_per_function=3, points=400, max_noise=0.0, seed=-3)),
+    "kernel": (["kernel", "--out", "x"],
+               dict(alpha=np.pi / 3.0, beta_list="0,0.7853981633974483,1.5707963267948966", k=8.0, r_max=2.0,
+                    r_steps=201, quad_points=512)),
+    "kernel-set": (["kernel", "--alpha", "1", "--k", "5", "--r-max", "-1", "--out", "x"],
+                   dict(alpha=1.0, beta_list="0,0.7853981633974483,1.5707963267948966", k=5.0, r_max=-1.0,
+                        r_steps=201, quad_points=512)),
+    "rn": (["rn", "--method", "ffsm", "--config", "2", "--out", "x"],
+           dict(method="ffsm", config=2, scene=None, preset=None, order=20, sigma_exp=None, sources=20,
+                checkpoint=None, grid=128)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMESPACES))
+def test_parsed_namespace_is_pinned(name):
+    argv, want = NAMESPACES[name]
+    command = argv[0]
+    func = getattr(cli, "cmd_train" if command == "train-dpn" else f"cmd_{command}")
+    want = {**want, "subcommand": command, "out": "x", "func": func}
+    assert {k: repr(v) for k, v in vars(build_parser().parse_args(argv)).items()} == {k: repr(v) for k, v in want.items()}
+
+
+def test_train_defaults_are_train_config():
+    args = build_parser().parse_args(["train-dpn", "--config", "1", "--out", "x"])
+    config = TrainConfig()
+    assert (args.order, args.iterations, args.batch_functions, args.sources_per_function, args.points,
+            args.max_noise, args.seed) == (config.order, config.iterations, config.batch_functions,
+                                           config.sources_per_function, config.points_per_iteration,
+                                           config.max_noise, config.seed)
 
 
 def read_bytes(path):
@@ -144,8 +247,11 @@ class TestSimulate:
         lines = (tmp_path / "full.noiseless.csv").read_text().splitlines()
         assert len(lines) == 1 + 64
 
-    def test_missing_scene_is_validation_error(self, tmp_path):
-        assert main(["simulate", "--out", str(tmp_path / "x")]) == 2
+    def test_missing_scene_is_validation_error(self, tmp_path, capsys):
+        assert exit_code(["simulate", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "one of the arguments --scene --preset is required" in err
+        assert not list(tmp_path.iterdir())
 
     def test_unreadable_scene_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -301,6 +407,18 @@ class TestTrainAndDpnReconstruct:
         )
         assert code == 0
         assert (tmp_path / "rec.csv").exists()
+
+    @pytest.mark.parametrize("iterations,writes", [(4, 2), (5, 3), (0, 1)])
+    def test_final_checkpoint_is_written_once(self, tmp_path, monkeypatch, iterations, writes):
+        # a checkpoint every 2 steps: 4 iterations write after step 2 and at the end, not at step 4 as well
+        paths = []
+        write = fileio.write_checkpoint
+        monkeypatch.setattr(fileio, "write_checkpoint", lambda path, *a: paths.append(path) or write(path, *a))
+        monkeypatch.setattr(cli, "TrainConfig", functools.partial(TrainConfig, checkpoint_every=2))
+        args = ["train-dpn", "--config", "1", "--iterations", str(iterations), "--batch-functions", "2",
+                "--points", "2", "--order", "2", "--out", str(tmp_path / "net")]
+        assert main(args) == 0
+        assert paths == [f"{tmp_path / 'net'}.ckpt"] * writes
 
     def test_train_determinism(self, tmp_path):
         args = ["train-dpn", "--config", "1", "--iterations", "3", "--batch-functions", "8",

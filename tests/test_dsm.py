@@ -87,6 +87,18 @@ class TestKernel:
                 y = radius * np.array([np.cos(beta), np.sin(beta)])
                 assert abs(kernel_gamma((0, 0), y, ap, K)) < peak
 
+    @settings(max_examples=30, deadline=None)
+    @given(ap=apertures(), seed=st.integers(0, 2**32 - 1), shape=st.lists(st.integers(1, 5), min_size=0, max_size=2))
+    def test_array_of_points_matches_one_point_at_a_time(self, ap, seed, shape):
+        # the kernel command evaluates every (radius, direction) point in one call
+        rng = np.random.default_rng(seed)
+        z, ys = rng.uniform(-1, 1, 2), rng.uniform(-2, 2, (*shape, 2))
+        got = kernel_gamma(z, ys, ap, K)
+        assert got.shape == tuple(shape)
+        want = np.array([kernel_gamma(z, y, ap, K) for y in ys.reshape(-1, 2)]).reshape(shape)
+        peak = ap.measure / (8.0 * K * np.pi)  # |K(z, z)|, which bounds every value
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * peak)
+
     def test_hermitian_symmetry(self):
         ap = config2_aperture()
         v = kernel_gamma((0.1, 0.2), (-0.4, 0.5), ap, K)

@@ -14,6 +14,7 @@ from lapdsm.fileio import (
     write_checkpoint,
     write_farfield_csv,
     write_index_csv,
+    write_kernel_csv,
     write_pgm,
 )
 from lapdsm.presets import config1_aperture, config2_aperture
@@ -44,6 +45,56 @@ def test_index_csv_is_byte_identical_to_per_row_writer(tmp_path_factory, resolut
     d = tmp_path_factory.mktemp("csv")
     write_index_csv(d / "new.csv", field)
     per_row_index_csv(d / "old.csv", field)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+def column_index_csv(path, field):
+    """The writer that formatted every coordinate of every row, kept as the oracle of the shared-prefix writer."""
+    rows = np.column_stack([field.grid.points, field.values])
+    with open(path, "w") as f:
+        f.write("x,y,value\n")
+        f.write(("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    resolution=st.integers(1, 40),
+    corner=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    size=st.tuples(st.floats(1e-9, 1e6), st.floats(1e-9, 1e6)),
+    values=st.data(),
+)
+def test_index_csv_is_byte_identical_to_column_writer(tmp_path_factory, resolution, corner, size, values):
+    (x0, y0), (w, h) = corner, size
+    grid = SamplingGrid(Box(x0, x0 + w, y0, y0 + h), resolution)
+    field = IndexField(grid, values.draw(st.lists(st.floats(0.0, 1e300), min_size=resolution**2, max_size=resolution**2)))
+    d = tmp_path_factory.mktemp("csv")
+    write_index_csv(d / "new.csv", field)
+    column_index_csv(d / "old.csv", field)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+def per_row_kernel_csv(path, betas, radii, columns):
+    """The row-at-a-time writer the kernel command used before fileio wrote its CSV, kept as its oracle."""
+    with open(path, "w") as f:
+        f.write("R," + ",".join(f"beta={b:g}" for b in betas) + "\n")
+        for i, r in enumerate(radii):
+            f.write("%.17g" % r + "," + ",".join("%.17g" % c[i] for c in columns) + "\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    betas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+    r_max=st.floats(-5.0, 5.0),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-300, 1e-2, 1e300]),
+)
+def test_kernel_csv_is_byte_identical_to_per_row_writer(tmp_path_factory, betas, r_max, steps, seed, scale):
+    radii = np.linspace(0.0, r_max, steps)
+    values = scale * np.random.default_rng(seed).uniform(0.0, 1.0, (steps, len(betas)))
+    d = tmp_path_factory.mktemp("csv")
+    write_kernel_csv(d / "new.csv", betas, radii, values)
+    per_row_kernel_csv(d / "old.csv", betas, radii, [values[:, j].tolist() for j in range(len(betas))])
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
 
 
