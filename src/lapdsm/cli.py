@@ -105,7 +105,7 @@ def _reconstruct_fields(args, data, grid, k, sigma_exps) -> list[IndexField]:
     if method == "full" and not data.aperture.is_full_circle():
         raise ValidationError("method 'full' requires full-circle data")
     probing = probing_set_from_network(_load_checkpoint(args, k), grid, data.aperture, k) if method == "dpn" else None
-    return [averaged_index(data, probing, grid, k)] * len(sigma_exps)
+    return [averaged_index(data, probing, grid, k)]
 
 
 def cmd_reconstruct(args) -> int:
@@ -237,6 +237,24 @@ _TRAIN_FLAGS = {
     "seed": ("seed", int),
 }
 
+
+class _Given(argparse.Action):
+    """Store a probe flag's value and note that it was given, so the parser can check it against --method."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.__dict__.setdefault("_given", []).append(self.option_strings[0])
+
+
+# the probe flags each method reads; another one given with the method is an error, not ignored
+_READS = {
+    "full": (),
+    "partial": (),
+    "ffsm": ("--order", "--sigma-exp", "--sigma-exp-list"),
+    "fssm": ("--order", "--sources", "--sigma-exp", "--sigma-exp-list"),
+    "dpn": ("--checkpoint",),
+}
+
 # flags that name one input in different ways; a command takes at most one flag of each table
 _SOURCE = {
     "--config": dict(type=int, choices=sorted(presets.CONFIG_APERTURES)),
@@ -244,8 +262,8 @@ _SOURCE = {
     "--preset": dict(choices=presets.PRESET_NAMES),
 }
 _SIGMA = {
-    "--sigma-exp": dict(type=_finite, help="sigma = 0.1^m"),
-    "--sigma-exp-list": dict(type=_reals, help="comma-separated exponents; writes one output per value"),
+    "--sigma-exp": dict(type=_finite, action=_Given, help="sigma = 0.1^m"),
+    "--sigma-exp-list": dict(type=_reals, action=_Given, help="comma-separated exponents; writes one output per value"),
 }
 
 
@@ -257,10 +275,18 @@ def _one_of(parser, table: dict, *flags: str, required: bool = False) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed argument on one line, like every other input error."""
+    """Reports a malformed argument on one line, like every other input error, and rejects a
+    probe flag that the chosen method does not read."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for flag in vars(namespace).pop("_given", ()):
+            if flag not in _READS[namespace.method]:
+                self.error(f"argument {flag}: not read by method {namespace.method!r}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True, metavar="PREFIX")
     probe = argparse.ArgumentParser(add_help=False)  # how reconstruct and rn build a probing function
-    probe.add_argument("--order", type=_count(1), default=20)
-    probe.add_argument("--sources", type=_count(1), default=20, help="FSSM lattice per side")
-    probe.add_argument("--checkpoint", help="DPN checkpoint file")
+    probe.add_argument("--order", type=_count(1), default=20, action=_Given)
+    probe.add_argument("--sources", type=_count(1), default=20, action=_Given, help="FSSM lattice per side")
+    probe.add_argument("--checkpoint", action=_Given, help="DPN checkpoint file")
     probe.add_argument("--grid", type=_count(1), default=128)
 
     sim = sub.add_parser("simulate", parents=[out], help="synthesize far-field data for a scene")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dsm import ProbingSet
 from .errors import NumericalError, ValidationError
-from .numerics import circle_angles, directions, fourier_modes, grid_plane_waves, plane_waves, reach
+from .numerics import circle_angles, directions, fourier_modes, grid_row_blocks, plane_waves, reach
 from .scene import ApertureSet, Box, pollute
 from .rng import CounterRng
 
@@ -305,8 +305,16 @@ def validation_residual(
 
 
 def probing_set_from_network(params: NetworkParams, grid, aperture: ApertureSet, k: float):
-    """ProbingSet over a sampling grid from a trained network: _probe, with separable plane waves."""
+    """ProbingSet over a sampling grid from a trained network: _probe, written band by band of grid rows.
+
+    Each band adds its network coefficients times the Fourier modes to its
+    plane waves in the probe's one buffer, so the activations and the
+    coefficients are built for one band of points at a time.
+    """
     angles = aperture.receiver_angles()
-    samples = grid_plane_waves(grid, directions(angles), k, product=True)
-    samples += network_forward(params, grid.points) @ fourier_modes(params.order, angles)
+    modes = fourier_modes(params.order, angles)
+    points = grid.points
+    samples = np.empty((points.shape[0], angles.shape[0]), dtype=np.complex128)
+    for rows, waves in grid_row_blocks(grid, directions(angles), k):
+        np.add(waves, network_forward(params, points[rows]) @ modes, out=samples[rows])
     return ProbingSet(samples, aperture)

@@ -7,6 +7,7 @@ same seed are byte-identical.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -151,6 +152,16 @@ def read_checkpoint(path) -> tuple[NetworkParams, float]:
             i += 1
             if lines[i] != ["layer", str(fan_in), str(fan_out)]:
                 raise ValueError(f"expected 'layer {fan_in} {fan_out}'")
+            block = lines[i + 1 : i + fan_in + 2]
+            try:  # the whole block in one conversion; a failure is located row by row below
+                w = np.fromiter(map(float, chain.from_iterable(block)), float, (fan_in + 1) * fan_out)
+                whole = len(block) == fan_in + 1 and all(len(r) == fan_out for r in block) and np.isfinite(w).all()
+            except ValueError:
+                whole = False
+            if whole:
+                i += fan_in + 1
+                layers.append(w.reshape(fan_in + 1, fan_out))
+                continue
             rows = []
             for _ in range(fan_in + 1):
                 i += 1

@@ -9,7 +9,8 @@ basis: conj(B_ffsm(y)) times a Gram block of the same arc-mode table.  Both
 right-hand sides are full-circle inner products by the trapezoid rule of
 numerics.circle_angles, kept as B(z) = P(z) M: the plane waves P(z) at the
 rule's T directions times a T x rows matrix M.  The Tikhonov SVD filter of
-A F(z) ~ B(z) acts on M once per sigma, so every probe is P(z) K_sigma.
+A F(z) ~ B(z) acts on M once per sigma, so every probe is P(z) K_sigma,
+written band by band of grid rows into its one buffer (numerics.grid_row_blocks).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .dsm import IndexField, ProbingSet, averaged_index
 from .errors import NumericalError, ValidationError
-from .numerics import circle_angles, circle_modes, directions, fourier_modes, grid_plane_waves, plane_waves, reach
+from .numerics import circle_angles, circle_modes, directions, fourier_modes, grid_row_blocks, plane_waves, reach
 from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
 
 
@@ -107,11 +108,23 @@ def tikhonov_solve(a: np.ndarray, sigma: float, rhs_field: np.ndarray) -> np.nda
     return ((rhs @ u.conj()) * (s / (s * s + sigma))) @ vh.conj()
 
 
-def probing_from_coefficients(kernel: np.ndarray, aperture: ApertureSet, waves: np.ndarray) -> ProbingSet:
-    """G_Gamma(z, theta_q) = sum_n f_n(z) e^{i n theta_q} / sqrt(2 pi), f(z) = P(z) K: waves P, kernel K (T, 2P+1)."""
+def probing_from_coefficients(
+    kernel: np.ndarray, aperture: ApertureSet, grid: SamplingGrid, xhat, k: float
+) -> ProbingSet:
+    """G_Gamma(z, theta_q) = sum_n f_n(z) e^{i n theta_q} / sqrt(2 pi) on the grid, f(z) = P(z) K.
+
+    P(z) are the plane waves of z in the directions xhat (T, 2) and K the
+    kernel (T, 2P+1); each band of grid rows is one product P(z) (K basis)
+    written into the probe's buffer, so the grid's T plane waves are never
+    held at once.
+    """
     order = (kernel.shape[1] - 1) // 2
     basis = fourier_modes(order, aperture.receiver_angles()) / np.sqrt(2.0 * np.pi)  # (2P+1, Q)
-    return ProbingSet(waves @ (kernel @ basis), aperture)
+    weights = kernel @ basis  # (T, Q)
+    samples = np.empty((grid.resolution**2, weights.shape[1]), dtype=np.complex128)
+    for rows, waves in grid_row_blocks(grid, xhat, k):
+        np.matmul(waves, weights, out=samples[rows])
+    return ProbingSet(samples, aperture)
 
 
 def finite_space_probings(
@@ -125,8 +138,8 @@ def finite_space_probings(
 ) -> Iterator[ProbingSet]:
     """Yield the probing set on a grid for each sigma in turn.
 
-    A, M and the grid's plane waves P do not depend on sigma, so they are
-    built once; each sigma costs one Tikhonov solve on M and one evaluation.
+    A and M do not depend on sigma, so they are built once; each sigma costs
+    one Tikhonov solve on M and one evaluation on the grid.
     """
     if method == "ffsm":
         a, (xhat, m) = ffsm_matrix(aperture, order), ffsm_rhs_field(grid.points, order, k)
@@ -136,9 +149,8 @@ def finite_space_probings(
         a, (xhat, m) = fssm_matrix(aperture, order, sources, k), fssm_rhs_field(grid.points, sources, k)
     else:
         raise ValidationError(f"unknown finite-space method {method!r}")
-    waves = grid_plane_waves(grid, xhat, k, product=True)
     for sigma in sigmas:
-        yield probing_from_coefficients(tikhonov_solve(a, sigma, m), aperture, waves)
+        yield probing_from_coefficients(tikhonov_solve(a, sigma, m), aperture, grid, xhat, k)
 
 
 def reconstruct_finite_space(
@@ -151,5 +163,8 @@ def reconstruct_finite_space(
     sources: np.ndarray | None = None,
 ) -> list[IndexField]:
     """End-to-end Algorithm per sigma: probing construction, pairing, averaging, normalizing."""
-    probings = finite_space_probings(method, data.aperture, grid, order, sigmas, k, sources)
-    return [averaged_index(data, probing, grid) for probing in probings]
+    fields = []
+    for probing in finite_space_probings(method, data.aperture, grid, order, sigmas, k, sources):
+        fields.append(averaged_index(data, probing, grid))
+        del probing  # so the next sigma's probe is not built beside this one
+    return fields

@@ -3,12 +3,14 @@ r"""Far-field synthesis by a Lippmann-Schwinger volume-integral solver.
 The total field obeys u = u^i + k^2 \int_D G(y, .) (n(y) - 1) u(y) dy; we
 discretize with piecewise-constant collocation on the cells of a uniform
 grid, solve the dense system restricted to contrast-carrying cells, and
-radiate the induced current to the far field.  The kernel is gathered from
-one table of integer cell offsets, evaluated by the numpy Hankel function
-below, and the system is solved once per grid with every incidence as one
-right-hand-side column.  Two independent oracles in the test suite (Born
-approximation and the penetrable-disk separation-of-variables series)
-validate the solver.
+radiate the induced current to the far field.  The kernel is gathered band
+by band from one table of integer cell offsets, evaluated by the numpy
+Hankel function below, and turned into I - k^2 G Q in place, so the system
+and LAPACK's copy of it are the only N x N arrays.  The system is solved once
+per grid with every incidence as one right-hand-side column, and the
+far-field plane waves are built once per grid for every incidence.  Two
+independent oracles in the test suite (Born approximation and the
+penetrable-disk separation-of-variables series) validate the solver.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .numerics import directions, green_far_prefactor, plane_waves
 from .scene import FarFieldData, Scene, SamplingGrid, refractive_index_grid
 
 MIN_CELLS_PER_WAVELENGTH = 10.0
+# rows of the interaction matrix gathered per band from the offset table
+_GATHER_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,13 @@ class ContrastGrid:
         """
         k = self.wavenumber
         cells = np.flatnonzero(self.q != 0.0)
-        g = _interaction_matrix(k, self.h, self.resolution, cells)
-        a = np.eye(cells.size, dtype=np.complex128) - k**2 * g * self.q[cells][None, :]
+        # I - k^2 G Q assembled in place on the gathered G, entry for entry the
+        # rounding of eye - k^2 * g * q: 0 - x, then 1 + (0 - x) = 1 - x on the diagonal
+        a = _interaction_matrix(k, self.h, self.resolution, cells)
+        a *= k**2
+        a *= self.q[cells]
+        np.subtract(0.0, a, out=a)
+        a.reshape(-1)[:: cells.size + 1] += 1.0
         try:
             u = np.linalg.solve(a, self.incident[cells])
         except np.linalg.LinAlgError as e:
@@ -195,7 +204,15 @@ def _interaction_matrix(k: float, h: float, resolution: int, cells: np.ndarray) 
     table = (1j / 4.0) * _hankel1(0, k * r) * h * h
     table[0, 0] = _self_term(k, h)
     rows, cols = divmod(cells, resolution)
-    return table[np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :])]
+    flat = table.ravel()
+    g = np.empty((cells.size, cells.size), dtype=np.complex128)
+    for start in range(0, cells.size, _GATHER_ROWS):  # band by band, so no index array is N x N
+        band = slice(start, start + _GATHER_ROWS)
+        index = np.abs(rows[band, None] - rows[None, :])  # the flat index |di| * resolution + |dj| of the table
+        index *= resolution
+        index += np.abs(cols[band, None] - cols[None, :])
+        flat.take(index, out=g[band])
+    return g
 
 
 def solve_scattering(scene: Scene, incidence_index: int, grid: ContrastGrid) -> ForwardSolution:
@@ -224,26 +241,31 @@ def _checked(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def far_field(solution: ForwardSolution, angles, k: float) -> np.ndarray:
-    """Radiate the induced current: u_inf(x) = sum_j h^2 G_inf(y_j, x) I_j."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    mask = solution.current != 0.0
-    if not np.any(mask):
-        return np.zeros(angles.shape, dtype=np.complex128)
-    pts = solution.grid.points[mask]
-    cur = solution.current[mask]
+def _radiation_waves(grid: ContrastGrid, angles, k: float) -> np.ndarray:
+    """e^{-ik xhat . y} for every receiver direction xhat and contrast cell y, shape (n_angles, contrast cells)."""
     # the phase k xhat . y is symmetric in xhat and y; with the angles first the
     # (angles x cells) @ current sum keeps its accumulation order, hence its bits
-    waves = plane_waves(directions(angles), pts, k)  # (n_angles, n_cells)
-    return green_far_prefactor(k) * solution.grid.cell_area * (waves @ cur)
+    return plane_waves(directions(np.atleast_1d(angles)), grid.points[grid.q != 0.0], k)
+
+
+def far_field(solution: ForwardSolution, angles, k: float, waves: np.ndarray | None = None) -> np.ndarray:
+    """Radiate the induced current: u_inf(x) = sum_j h^2 G_inf(y_j, x) I_j over the contrast cells y_j.
+
+    waves are the plane waves of the angles and the contrast cells, built
+    here when not given; synthesize_far_field builds them once per grid.
+    """
+    grid = solution.grid
+    if waves is None:
+        waves = _radiation_waves(grid, angles, k)
+    return green_far_prefactor(k) * grid.cell_area * (waves @ solution.current[grid.q != 0.0])
 
 
 def synthesize_far_field(scene: Scene, resolution: int = 120) -> FarFieldData:
     """Noiseless far-field data for every incidence at the scene's receivers."""
     grid = contrast_grid(scene, resolution)
     angles = scene.aperture.receiver_angles()
-    rows = []
-    for j in range(len(scene.incidences)):
-        sol = solve_scattering(scene, j, grid)
-        rows.append(far_field(sol, angles, scene.wavenumber))
+    solutions = [solve_scattering(scene, j, grid) for j in range(len(scene.incidences))]
+    # built once for every incidence, and after the solve, so that it never sits beside LAPACK's copy of the system
+    waves = _radiation_waves(grid, angles, scene.wavenumber)
+    rows = [far_field(sol, angles, scene.wavenumber, waves) for sol in solutions]
     return FarFieldData(np.array(rows), scene.aperture)

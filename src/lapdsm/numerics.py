@@ -8,17 +8,24 @@ is a per-arc uniform-weight Riemann sum, the same discrete rule the training
 loss uses, so that reconstruction and learning agree on the meaning of an
 inner product on the aperture.  Inner products over the full circle S^1 use
 the trapezoid rule of circle_angles, which replaces every Bessel closed form
-outside the forward solver.
+outside the forward solver.  On a sampling grid the plane wave splits into
+one factor per axis, and grid_row_blocks yields it band by band of whole grid
+rows, so a grid probe is filled in its one n * n x Q buffer and no other array
+of that size is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
+
+# grid rows per band of grid_row_blocks: 2,048 points at grid 128
+GRID_BLOCK_ROWS = 16
 
 
 def directions(angles) -> np.ndarray:
@@ -45,12 +52,29 @@ def plane_waves(points, xhat, k: float) -> np.ndarray:
     return waves
 
 
-def grid_plane_waves(grid, xhat, k: float, product: bool = False):
-    """e^{-ik xhat . z} = e^{-ik x cos t} e^{-ik y sin t} on a grid: the factors ex, ey (n, Q), or with
-    product=True their row-major product (n * n, Q), plane_waves of grid.points to rounding."""
+def grid_plane_waves(grid, xhat, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-ik xhat . z} = e^{-ik x cos t} e^{-ik y sin t} on a grid: the factors ex, ey, each (n, Q)."""
     xhat = np.asarray(xhat, dtype=float)
-    ex, ey = plane_waves(grid.xs[:, None], xhat[:, :1], k), plane_waves(grid.ys[:, None], xhat[:, 1:], k)
-    return (ey[:, None, :] * ex[None, :, :]).reshape(-1, xhat.shape[0]) if product else (ex, ey)
+    return plane_waves(grid.xs[:, None], xhat[:, :1], k), plane_waves(grid.ys[:, None], xhat[:, 1:], k)
+
+
+def grid_row_blocks(grid, xhat, k: float) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield, per band of whole grid rows, the band's slice of grid.points and its plane waves
+    ey x ex, shape (band points, Q): plane_waves of those points to rounding.
+
+    A grid probe is written band by band into its one n * n x Q buffer, so no
+    other array of that size is built.  Bands are GRID_BLOCK_ROWS rows and the
+    last one takes the remainder, so none is shorter than that or the whole
+    grid: BLAS rounds a product of a few rows by other kernels than one of
+    many (OpenBLAS's small-matrix and thread-split paths), and at this length
+    a band's products keep the bits of the whole-grid product.
+    """
+    ex, ey = grid_plane_waves(grid, xhat, k)
+    n = grid.resolution
+    edges = [*range(0, max(n // GRID_BLOCK_ROWS, 1) * GRID_BLOCK_ROWS, GRID_BLOCK_ROWS), n]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        band = ey[start:stop]
+        yield slice(start * n, stop * n), (band[:, None, :] * ex[None, :, :]).reshape(-1, ex.shape[1])
 
 
 def green_far_prefactor(k: float) -> complex:

@@ -7,7 +7,9 @@ B(z) = P(z) M and solves on M alone.  These helpers build the dense arrays
 the program avoids, so the tests can check the factored paths against the
 plain ones: G_inf as a probing set of its own, B on every point, the
 finite-space pipeline B -> tikhonov_solve -> coefficients @ basis, and the
-network probe at arbitrary points.
+network probe at arbitrary points.  The grid probes themselves are written
+band by band of grid rows; the whole-grid products below are the one-shot
+evaluations they must reproduce bit for bit.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from lapdsm.dpn import NetworkParams, _probe, network_forward
 from lapdsm.dsm import ProbingSet
 from lapdsm.finite_space import ffsm_matrix, ffsm_rhs_field, fssm_matrix, fssm_rhs_field, tikhonov_solve
-from lapdsm.numerics import fourier_modes, green_far_prefactor, plane_waves
+from lapdsm.numerics import directions, fourier_modes, green_far_prefactor, grid_plane_waves, plane_waves
 from lapdsm.scene import ApertureSet, SamplingGrid
 
 
@@ -54,3 +56,23 @@ def probing_eval(params: NetworkParams, z, angles, k: float) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=float))
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     return _probe(network_forward(params, z), z, angles, k)
+
+
+def whole_grid_waves(grid: SamplingGrid, xhat, k: float) -> np.ndarray:
+    """The grid's plane waves on every point at once, ey x ex in row-major order, shape (n * n, Q)."""
+    ex, ey = grid_plane_waves(grid, xhat, k)
+    return (ey[:, None, :] * ex[None, :, :]).reshape(-1, ex.shape[1])
+
+
+def whole_grid_network_probe(params: NetworkParams, grid: SamplingGrid, aperture: ApertureSet, k: float) -> np.ndarray:
+    """probing_set_from_network's samples in one evaluation: plane waves plus coefficients @ modes."""
+    angles = aperture.receiver_angles()
+    modes = fourier_modes(params.order, angles)
+    return whole_grid_waves(grid, directions(angles), k) + network_forward(params, grid.points) @ modes
+
+
+def whole_grid_coefficient_probe(kernel: np.ndarray, aperture: ApertureSet, grid: SamplingGrid, xhat, k: float):
+    """probing_from_coefficients's samples in one evaluation: P (K basis) over every grid point."""
+    order = (kernel.shape[1] - 1) // 2
+    basis = fourier_modes(order, aperture.receiver_angles()) / np.sqrt(2.0 * np.pi)
+    return whole_grid_waves(grid, xhat, k) @ (kernel @ basis)

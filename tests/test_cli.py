@@ -145,6 +145,59 @@ def test_conflicting_flags_are_one_line_error(sim_dir, tmp_path, capsys, name):
     assert not list((tmp_path / "out").iterdir())
 
 
+# the probe flags each method reads; reconstruct and rn reject any other probe flag
+PROBE_FLAGS = {"--order": "3", "--sources": "2", "--checkpoint": "missing.ckpt", "--sigma-exp": "4",
+               "--sigma-exp-list": "4,6"}
+READS = {"full": (), "partial": (), "ffsm": ("--order", "--sigma-exp", "--sigma-exp-list"),
+         "fssm": ("--order", "--sources", "--sigma-exp", "--sigma-exp-list"), "dpn": ("--checkpoint",)}
+UNUSED = {
+    f"{command}-{method}-{flag[2:]}": ([command, "--method", method, *source], flag, method)
+    for command, methods, source in [
+        ("reconstruct", ["full", "partial", "ffsm", "fssm", "dpn"], ["--data", "DATA"]),
+        ("rn", ["ffsm", "fssm", "dpn"], ["--config", "1"]),
+    ]
+    for method in methods
+    for flag in PROBE_FLAGS
+    if flag not in READS[method] and (command, flag) != ("rn", "--sigma-exp-list")
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSED))
+def test_unused_probe_flag_is_one_line_error(sim_dir, tmp_path, capsys, name):
+    argv, flag, method = UNUSED[name]
+    argv = [str(sim_dir / "ex1_1.noisy.csv") if a == "DATA" else a for a in argv] + [flag, PROBE_FLAGS[flag]]
+    (tmp_path / "out").mkdir()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--grid", "8", "--out", str(tmp_path / "out" / "x")])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.count("\n") == 1 and f"argument {flag}: not read by method '{method}'" in err
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_partial_with_every_unused_flag_names_the_first(sim_dir, tmp_path, capsys):
+    # this call exited 0 and recorded "sigma_exp": 4.0 in its .meta.json, though the partial index reads none of them
+    argv = ["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"), "--method", "partial", "--sigma-exp", "4",
+            "--order", "3", "--sources", "2", "--checkpoint", "missing.ckpt", "--grid", "8"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "lapdsm reconstruct: error: argument --sigma-exp: not read by method 'partial'\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method", sorted(READS))
+def test_every_flag_a_method_reads_is_accepted(method):
+    reads = [a for flag in READS[method] if flag != "--sigma-exp-list" for a in (flag, PROBE_FLAGS[flag])]
+    args = build_parser().parse_args(["reconstruct", "--data", "d.csv", "--method", method, *reads, "--out", "x"])
+    assert args.method == method and not hasattr(args, "_given")
+    if method in ("ffsm", "fssm"):
+        build_parser().parse_args(["reconstruct", "--data", "d.csv", "--method", method, "--sigma-exp-list", "4,6",
+                                   "--out", "x"])
+    if method not in ("full", "partial"):
+        build_parser().parse_args(["rn", "--method", method, "--config", "1", *reads, "--out", "x"])
+
+
 # each subcommand's parsed namespace for a minimal argv and for one that sets the reshaped flags;
 # .meta.json echoes it, so a key, value or type that moves would change every artifact
 NAMESPACES = {
@@ -324,8 +377,8 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("method", ["ffsm", "fssm"])
     def test_sigma_exp_list_matches_single_runs(self, sim_dir, tmp_path, method):
-        args = ["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"), "--method", method,
-                "--sources", "8", "--grid", "16"]
+        args = ["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"), "--method", method, "--grid", "16"]
+        args += ["--sources", "8"] if method == "fssm" else []  # ffsm does not read --sources
         assert main(args + ["--sigma-exp-list", "4,8", "--out", str(tmp_path / "sweep")]) == 0
         for m in ("4", "8"):
             assert main(args + ["--sigma-exp", m, "--out", str(tmp_path / f"one{m}")]) == 0

@@ -1,11 +1,13 @@
 """Deep probing network: forward pass, loss, gradients, training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_probing import probing_eval
+from dense_probing import probing_eval, whole_grid_network_probe
 from dpn_floor import attainable_floor, validation_batch
 from lapdsm import dpn
 from lapdsm.dpn import (
@@ -140,6 +142,28 @@ class TestProbingEval:
             want = probing_eval(params, grid.points, ap.receiver_angles(), k)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("resolution", [1, 15, 16, 17, 130])
+    def test_banded_grid_probe_equals_whole_grid_bit_for_bit(self, resolution):
+        # the paper-sized network, in bands of 16 grid rows with a partial last band at 1, 17 and 130
+        params = NetworkParams.initialize(TrainConfig(), CounterRng(4))
+        grid = SamplingGrid(DOMAIN, resolution)
+        for ap in APERTURES:
+            got = dpn.probing_set_from_network(params, grid, ap, K).samples
+            np.testing.assert_array_equal(got, whole_grid_network_probe(params, grid, ap, K))
+
+    def test_grid_probe_builds_no_second_grid_sized_array(self):
+        # measured peaks at grid 128 with the paper-sized network: 3.01 probing sets when the activations,
+        # the coefficients and the probe were built for the whole grid at once, 1.41 band by band
+        params = NetworkParams.initialize(TrainConfig(), CounterRng(3))
+        grid = SamplingGrid(DOMAIN, 128)
+        tracemalloc.start()
+        try:
+            probe = dpn.probing_set_from_network(params, grid, config1_aperture(), K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * probe.samples.nbytes
 
     def test_angle_periodicity(self):
         params = NetworkParams.initialize(tiny_config(), CounterRng(2))

@@ -183,6 +183,44 @@ def test_checkpoint_is_byte_identical_to_per_value_writer(tmp_path_factory, orde
         np.testing.assert_array_equal(got[-1], b)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        # one value moved from line 4 to line 3: the block's count is right, its rows are not
+        (lambda lines: lines[:2] + [lines[2] + " " + lines[3].split(" ", 1)[0], lines[3].split(" ", 1)[1]] + lines[4:],
+         ":3: malformed checkpoint: expected 12 values, got 13"),
+        (lambda lines: lines[:4], ":5: malformed checkpoint: list index out of range"),
+        (lambda lines: lines[:3] + [lines[3].replace(" ", " nan ", 1)] + lines[4:],
+         ":4: malformed checkpoint: expected 12 values, got 13"),
+        (lambda lines: lines[:4] + [lines[4].rsplit(" ", 1)[0] + " -inf"] + lines[5:],
+         ":5: malformed checkpoint: values must be finite"),
+        (lambda lines: lines[:18] + [lines[18] + " 1"] + lines[19:], ":19: malformed checkpoint: expected 2 values, got 3"),
+    ],
+    ids=["value-moved-between-rows", "truncated", "extra-nan", "infinite-bias", "last-layer-long-row"],
+)
+def test_malformed_checkpoint_names_its_line(tmp_path, edit, message):
+    # layers 2 -> 12 -> 2 (order 0): line 2 is 'layer 2 12', lines 3-5 its rows, line 6 'layer 12 2', lines 7-19
+    params = NetworkParams(layers=[np.full((3, 12), 0.5), np.full((13, 2), -0.25)], order=0)
+    write_checkpoint(tmp_path / "net.ckpt", params, 8.0)
+    lines = (tmp_path / "net.ckpt").read_text().splitlines()
+    (tmp_path / "bad.ckpt").write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValidationError) as info:
+        read_checkpoint(tmp_path / "bad.ckpt")
+    assert str(info.value) == f"{tmp_path / 'bad.ckpt'}{message}"
+
+
+def test_checkpoint_values_may_be_split_by_any_whitespace(tmp_path):
+    params = NetworkParams(layers=[np.arange(36.0).reshape(3, 12) / 7, np.arange(26.0).reshape(13, 2) / 3], order=0)
+    write_checkpoint(tmp_path / "net.ckpt", params, 8.0)
+    text = (tmp_path / "net.ckpt").read_text().splitlines()
+    spaced = text[:3] + ["  " + text[3].replace(" ", " \t ") + " "] + text[4:]
+    (tmp_path / "spaced.ckpt").write_text("\n".join(spaced) + "\n")
+    back, k = read_checkpoint(tmp_path / "spaced.ckpt")
+    assert k == 8.0
+    for got, want in zip(back.layers, params.layers):
+        np.testing.assert_array_equal(got, want)
+
+
 def per_row_pgm(path, field):
     """The row-at-a-time writer that write_pgm replaced, kept as its oracle."""
     n = field.grid.resolution

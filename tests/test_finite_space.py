@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from dense_probing import dense_finite_space_samples, ffsm_rhs_dense, fssm_rhs_dense
+from dense_probing import dense_finite_space_samples, ffsm_rhs_dense, fssm_rhs_dense, whole_grid_coefficient_probe
 from lapdsm import presets
 from lapdsm.dsm import kernel_gamma
 from lapdsm.errors import ValidationError
@@ -281,7 +281,9 @@ class TestProbingConstruction:
         ap = config1_aperture(receivers=10)
         c = np.zeros((1, 13), dtype=complex)
         c[0, 6] = np.sqrt(2 * np.pi)  # n = 0 mode only
-        probe = probing_from_coefficients(c, ap, np.ones((1, 1)))  # f(z) = c: one direction of unit weight
+        # f(z) = c: one direction of unit weight, whose plane wave is 1 at the one grid point z = 0
+        grid = SamplingGrid(Box(-1.0, 1.0, -1.0, 1.0), 1)
+        probe = probing_from_coefficients(c, ap, grid, directions([0.0]), K)
         np.testing.assert_allclose(probe.samples, 1.0, rtol=1e-12)
 
     def test_full_circle_ffsm_recovers_green(self):
@@ -311,6 +313,21 @@ class TestProbingConstruction:
         dense = dense_finite_space_samples(method, aperture, grid, order, sigma, k, sources)
         assert_close_to_largest(probe.samples, dense, tol=1e-12)
 
+    @pytest.mark.parametrize("resolution", [1, 15, 16, 17, 130])
+    @pytest.mark.parametrize("method", ["ffsm", "fssm"])
+    def test_banded_probe_equals_whole_grid_product_bit_for_bit(self, method, resolution):
+        # bands of 16 grid rows, a partial last band at 1, 17 and 130
+        ap, k, order, sigma = config1_aperture(), presets.WAVENUMBER, 20, 1e-4
+        grid = SamplingGrid(presets.DOMAIN, resolution)
+        if method == "ffsm":
+            sources, a, (xhat, m) = None, ffsm_matrix(ap, order), ffsm_rhs_field(grid.points, order, k)
+        else:
+            sources = source_lattice(presets.DOMAIN, 20)
+            a, (xhat, m) = fssm_matrix(ap, order, sources, k), fssm_rhs_field(grid.points, sources, k)
+        (probe,) = finite_space_probings(method, ap, grid, order, [sigma], k, sources)
+        whole = whole_grid_coefficient_probe(tikhonov_solve(a, sigma, m), ap, grid, xhat, k)
+        np.testing.assert_array_equal(probe.samples, whole)
+
     def test_fssm_probe_builds_no_grid_sized_right_hand_side(self):
         # at grid 128 the dense B(z) alone (16,384 x 400 complex) is 4.4 probing sets
         grid = SamplingGrid(presets.DOMAIN, 128)
@@ -322,6 +339,21 @@ class TestProbingConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 3 * probe.samples.nbytes
+
+    def test_sigma_sweep_holds_one_probe_at_a_time(self):
+        # at grid 128 a config-I probe is 16,384 x 100 complex; measured peaks of a three-sigma FFSM sweep:
+        # 2.66 probes with the grid's wave table and the previous sigma's probe kept, 1.18 band by band
+        ap, grid = config1_aperture(), SamplingGrid(presets.DOMAIN, 128)
+        u = np.exp(1j * np.linspace(0.0, 5.0, ap.total_receivers))
+        probe_bytes = grid.resolution**2 * ap.total_receivers * 16
+        tracemalloc.start()
+        try:
+            reconstruct_finite_space(FarFieldData(u[None, :], ap), "ffsm", 20, [1e-4, 1e-6, 1e-8], grid,
+                                     presets.WAVENUMBER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * probe_bytes
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):

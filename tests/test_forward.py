@@ -1,6 +1,7 @@
 """Forward solver pinned against the Born and disk-series oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,35 @@ class TestOperator:
         off_diagonal = ~np.eye(cells.size, dtype=bool)
         np.testing.assert_array_equal(np.diag(table), np.diag(oracle))
         assert np.max(np.abs(table - oracle)) <= 1e-14 * np.max(np.abs(oracle[off_diagonal]))
+
+    def test_banded_gather_equals_the_whole_grid_matrix(self):
+        # 200 of the 576 cells of a 24 x 24 grid: bands of other rows than the whole grid's, same entries
+        k, h, resolution = 6.0, 2.0 / 24, 24
+        cells = np.sort(np.random.default_rng(5).choice(resolution**2, 200, replace=False))
+        whole = _interaction_matrix(k, h, resolution, np.arange(resolution**2))
+        np.testing.assert_array_equal(_interaction_matrix(k, h, resolution, cells), whole[np.ix_(cells, cells)])
+
+    @pytest.mark.parametrize("name", ["ex1_1", "ex2_2"])
+    def test_in_place_system_equals_eye_minus_k2_g_q_bit_for_bit(self, name):
+        scene = preset_scene(name)
+        g = contrast_grid(scene, 120)
+        cells = np.flatnonzero(g.q != 0.0)
+        k = scene.wavenumber
+        want = np.eye(cells.size, dtype=np.complex128) - k**2 * _interaction_matrix(k, g.h, 120, cells) * g.q[cells]
+        np.testing.assert_array_equal(g.system[0], want)
+
+    def test_system_is_assembled_in_place(self):
+        # ex2_2 at grid 120 has N = 1,080 contrast cells; measured peaks in N^2 complex: 4.01 with the
+        # identity, k^2 g and k^2 g q as copies and two N^2 index arrays, 1.11 in place
+        g = contrast_grid(preset_scene("ex2_2"), 120)
+        n = int(np.count_nonzero(g.q))
+        tracemalloc.start()
+        try:
+            g.system
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16 * n * n
 
     def test_one_factorization_serves_every_incidence(self, monkeypatch):
         # one LAPACK solve per grid, with every incidence as a right-hand-side column
