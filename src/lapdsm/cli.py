@@ -141,7 +141,7 @@ def cmd_train(args) -> int:
         config=dataclasses.asdict(config),
     )
 
-    def checkpoint_writer(iteration, params, trace):
+    def checkpoint_writer(iteration, params):
         if iteration < config.iterations:  # the final checkpoint is written once, below
             fileio.write_checkpoint(f"{args.out}.ckpt", params, k)
 

@@ -17,7 +17,7 @@ so training is bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,11 +97,6 @@ class NetworkParams:
             layers.append(w.reshape(fan_in + 1, fan_out))
         return cls(layers=layers, order=config.order)
 
-    @classmethod
-    def zeros(cls, config: TrainConfig) -> "NetworkParams":
-        dims = config.layer_dims
-        return cls(layers=[np.zeros((a + 1, b)) for a, b in zip(dims[:-1], dims[1:])], order=config.order)
-
 
 def _layers(params: NetworkParams, a: np.ndarray):
     """Yield each hidden layer's rectified activation, then the linear output."""
@@ -166,9 +161,7 @@ class TrainingBatch:
     source_points: np.ndarray  # (M, N, 2)
     source_coeffs: np.ndarray  # (M, N) complex
     eval_points: np.ndarray  # (L, 2)
-    noise_level: float
-    v_clean: np.ndarray  # (M, Q) complex, at receiver angles
-    v_noisy: np.ndarray  # (M, Q) complex
+    v_noisy: np.ndarray  # (M, Q) complex, at receiver angles
 
 
 def _test_functions(coeffs: np.ndarray, sources: np.ndarray, angles: np.ndarray, k: float) -> np.ndarray:
@@ -188,17 +181,9 @@ def sample_batch(
     y = rng.uniform_box(m * n, domain.xmin, domain.xmax, domain.ymin, domain.ymax).reshape(m, n, 2)
     c = (rng.normals(m * n) + 1j * rng.normals(m * n)).reshape(m, n)
     delta = float(rng.uniforms(1)[0] * config.max_noise)
-    v = _test_functions(c, y, aperture.receiver_angles(), k)
-    v_noisy = pollute(v, delta, aperture, rng)
+    v_noisy = pollute(_test_functions(c, y, aperture.receiver_angles(), k), delta, aperture, rng)
     z = rng.uniform_box(l, domain.xmin, domain.xmax, domain.ymin, domain.ymax)
-    return TrainingBatch(
-        source_points=y,
-        source_coeffs=c,
-        eval_points=z,
-        noise_level=delta,
-        v_clean=v,
-        v_noisy=v_noisy,
-    )
+    return TrainingBatch(source_points=y, source_coeffs=c, eval_points=z, v_noisy=v_noisy)
 
 
 def _batch_target(batch: TrainingBatch, k: float) -> np.ndarray:
@@ -221,11 +206,6 @@ def _residual(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet
     inner = g @ (w * np.conj(batch.v_noisy)).T  # (L, M)
     r = inner - _batch_target(batch, k)
     return r, acts, w
-
-
-def loss(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float) -> float:
-    r, *_ = _residual(params, batch, aperture, k)
-    return float(np.mean(np.abs(r) ** 2))
 
 
 def loss_gradient(
@@ -263,7 +243,7 @@ def train(
 ) -> tuple[NetworkParams, np.ndarray]:
     """Run the full training loop; returns final parameters and the loss trace.
 
-    callback(iteration, params, trace) fires every checkpoint_every steps.
+    callback(iteration, params) fires every checkpoint_every steps.
     """
     rng = CounterRng(config.seed)
     params = NetworkParams.initialize(config, rng.spawn(0))
@@ -284,24 +264,8 @@ def train(
             )
         _adam_step(params, m, v, grads, j + 1, learning_rate(j))
         if callback is not None and (j + 1) % config.checkpoint_every == 0:
-            callback(j + 1, params, trace[: j + 1])
+            callback(j + 1, params)
     return params, trace
-
-
-def validation_residual(
-    params: NetworkParams,
-    config: TrainConfig,
-    aperture: ApertureSet,
-    domain: Box,
-    k: float,
-    n_functions: int = 100,
-    seed: int = 12345,
-) -> float:
-    """Mean squared loss bracket on fresh unpolluted test functions."""
-    cfg = replace(config, batch_functions=n_functions, max_noise=0.0)
-    rng = CounterRng(seed, stream=777)
-    batch = sample_batch(cfg, domain, aperture, k, rng)
-    return loss(params, batch, aperture, k)
 
 
 def probing_set_from_network(params: NetworkParams, grid, aperture: ApertureSet, k: float):

@@ -104,29 +104,14 @@ def green_norm_on_aperture(aperture: ApertureSet, k: float) -> float:
 def relative_norm(probing: ProbingSet, k: float, grid: SamplingGrid) -> IndexField:
     """RN(z) = ||G_Gamma(z, .)||_{L2(Gamma)} / ||G_inf(z, .)||_{L2(Gamma)}."""
     num = arc_norm(probing.samples, probing.aperture)
-    den = green_norm_on_aperture(probing.aperture, k)
-    if den <= 0:
-        raise ValidationError("degenerate aperture: zero Green-function norm")
-    return IndexField(grid=grid, values=num / den)
+    return IndexField(grid=grid, values=num / green_norm_on_aperture(probing.aperture, k))
 
 
-def average_and_normalize(fields: list[IndexField]) -> IndexField:
-    """Pointwise mean over incidences, then division by the global maximum."""
-    if not fields:
-        raise ValidationError("no index fields to average")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValidationError("index fields live on different grids")
-    mean = np.mean([f.values for f in fields], axis=0)
+def averaged_index(data: FarFieldData, probing: ProbingSet | None, grid: SamplingGrid, k=None) -> IndexField:
+    """index_classical for every incidence, averaged pointwise, then divided by the global maximum."""
+    mean = np.mean([index_classical(data, probing, grid, k, j).values for j in range(data.n_incidences)], axis=0)
     peak = mean.max()
     if peak == 0.0:
         raise ValidationError("all-zero index field cannot be normalized")
     return IndexField(grid=grid, values=mean / peak)
-
-
-def averaged_index(data: FarFieldData, probing: ProbingSet | None, grid: SamplingGrid, k=None) -> IndexField:
-    """index_classical for every incidence, averaged and normalized."""
-    fields = [index_classical(data, probing, grid, k, j) for j in range(data.n_incidences)]
-    return average_and_normalize(fields)
 

@@ -7,18 +7,13 @@ same seed are byte-identical.
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 import numpy as np
 
 from .dpn import NetworkParams
 from .dsm import IndexField
 from .errors import ValidationError, text_input
-from .scene import ApertureSet, FarFieldData, SamplingGrid
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+from .scene import ApertureSet, FarFieldData
 
 
 def write_farfield_csv(path, data: FarFieldData) -> None:
@@ -116,10 +111,11 @@ def read_metadata(path) -> dict:
 
 
 def write_loss_trace(path, trace: np.ndarray) -> None:
+    """Rows: iteration,loss for iterations 1..n."""
+    rows = np.column_stack([np.arange(1, trace.size + 1), trace])
     with open(path, "w") as f:
         f.write("iteration,loss\n")
-        for j, v in enumerate(trace, start=1):
-            f.write(f"{j},{_fmt(v)}\n")
+        f.write(("%d,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +124,7 @@ def write_loss_trace(path, trace: np.ndarray) -> None:
 def write_checkpoint(path, params: NetworkParams, k: float) -> None:
     dims = params.layer_dims
     with open(path, "w") as f:
-        f.write(f"DPN v1 P={params.order} layers={','.join(str(d) for d in dims)} k={_fmt(k)}\n")
+        f.write(f"DPN v1 P={params.order} layers={','.join(str(d) for d in dims)} k={k:.17g}\n")
         for w in params.layers:
             f.write(f"layer {w.shape[0] - 1} {w.shape[1]}\n")
             row = " ".join(["%.17g"] * w.shape[1]) + "\n"
@@ -137,7 +133,11 @@ def write_checkpoint(path, params: NetworkParams, k: float) -> None:
 
 
 def read_checkpoint(path) -> tuple[NetworkParams, float]:
-    """Network and wavenumber from a checkpoint; malformed content raises ValidationError."""
+    """Network and wavenumber from a checkpoint; malformed content raises ValidationError naming its line.
+
+    Each row is checked for its length, assigned into its layer's array
+    (numpy parses each token as Python's float does), then checked for finiteness.
+    """
     with text_input(path) as f:
         lines = [line.split() for line in f]
     i = 0
@@ -152,25 +152,16 @@ def read_checkpoint(path) -> tuple[NetworkParams, float]:
             i += 1
             if lines[i] != ["layer", str(fan_in), str(fan_out)]:
                 raise ValueError(f"expected 'layer {fan_in} {fan_out}'")
-            block = lines[i + 1 : i + fan_in + 2]
-            try:  # the whole block in one conversion; a failure is located row by row below
-                w = np.fromiter(map(float, chain.from_iterable(block)), float, (fan_in + 1) * fan_out)
-                whole = len(block) == fan_in + 1 and all(len(r) == fan_out for r in block) and np.isfinite(w).all()
-            except ValueError:
-                whole = False
-            if whole:
-                i += fan_in + 1
-                layers.append(w.reshape(fan_in + 1, fan_out))
-                continue
-            rows = []
-            for _ in range(fan_in + 1):
+            w = np.empty((fan_in + 1, fan_out))
+            for row in w:
                 i += 1
-                rows.append([float(v) for v in lines[i]])
-                if len(rows[-1]) != fan_out:
-                    raise ValueError(f"expected {fan_out} values, got {len(rows[-1])}")
-                if not np.all(np.isfinite(rows[-1])):
+                tokens = lines[i]
+                if len(tokens) != fan_out:
+                    raise ValueError(f"expected {fan_out} values, got {len(tokens)}")
+                row[:] = tokens
+                if not np.isfinite(row).all():
                     raise ValueError("values must be finite")
-            layers.append(np.array(rows))
+            layers.append(w)
     except (ValueError, IndexError) as e:
         raise ValidationError(f"{path}:{i + 1}: malformed checkpoint: {e}") from None
     return NetworkParams(layers=layers, order=order), k

@@ -224,9 +224,8 @@ def solve_scattering(scene: Scene, incidence_index: int, grid: ContrastGrid) -> 
         raise ValidationError("contrast grid was built for other incidence directions than the scene's")
     mask = grid.q != 0.0
     u = grid.incident[:, incidence_index].copy()  # then u on the contrast cells
-    if np.any(mask):
-        a, solved = grid.system
-        u[mask] = _checked(a, u[mask], solved[:, incidence_index])
+    a, solved = grid.system
+    u[mask] = _checked(a, u[mask], solved[:, incidence_index])
     return ForwardSolution(grid=grid, current=grid.q * k**2 * u)
 
 

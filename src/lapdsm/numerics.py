@@ -141,7 +141,9 @@ def arc_quadrature(values, aperture) -> complex:
 
 def arc_norm(values, aperture) -> np.ndarray:
     """Discrete L2(Gamma) norm of receiver samples, row by row over the last axis, shape values.shape[:-1]."""
-    return np.sqrt(np.real(arc_quadrature(np.abs(values) ** 2, aperture)))
+    squares = np.abs(values)
+    np.square(squares, out=squares)  # in place: no second array of the values' size
+    return np.sqrt(np.real(arc_quadrature(squares, aperture)))
 
 
 @lru_cache(maxsize=16)

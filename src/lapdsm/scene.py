@@ -216,14 +216,6 @@ class Box:
         if self.xmin >= self.xmax or self.ymin >= self.ymax:
             raise ValidationError("degenerate domain box")
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return (
-            (pts[..., 0] >= self.xmin)
-            & (pts[..., 0] <= self.xmax)
-            & (pts[..., 1] >= self.ymin)
-            & (pts[..., 1] <= self.ymax)
-        )
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -290,11 +282,6 @@ class SamplingGrid:
         xx, yy = np.meshgrid(self.xs, self.ys)
         return np.column_stack([xx.ravel(), yy.ravel()])
 
-    @property
-    def cell_area(self) -> float:
-        d, n = self.domain, self.resolution
-        return ((d.xmax - d.xmin) / n) * ((d.ymax - d.ymin) / n)
-
 
 @dataclass(frozen=True)
 class FarFieldData:
@@ -302,7 +289,6 @@ class FarFieldData:
 
     samples: np.ndarray  # (n_incidences, n_receivers)
     aperture: ApertureSet
-    noise_level: float = 0.0
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.complex128)
@@ -341,11 +327,9 @@ def add_noise(data: FarFieldData, delta: float, seed: int) -> FarFieldData:
     """Far-field data polluted by the seeded noise model, one incidence at a time."""
     if delta < 0:
         raise ValidationError("noise level must be nonnegative")
-    if data.noise_level != 0.0:
-        raise ValidationError("add_noise expects noiseless input data")
     rng = CounterRng(seed)
     out = [pollute(u, delta, data.aperture, rng) for u in data.samples]
-    return FarFieldData(np.array(out), data.aperture, delta)
+    return FarFieldData(np.array(out), data.aperture)
 
 
 # --------------------------------------------------------------------------

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from dense_probing import ffsm_rhs_dense, fssm_rhs_dense
-from dpn_floor import attainable_floor
+from dpn_floor import attainable_floor, loss, validation_residual, zero_network
 from lapdsm import dpn
 from lapdsm.cli import main as cli_main
 from lapdsm.dsm import (
-    average_and_normalize,
+    averaged_index,
     green_norm_on_aperture,
     index_classical,
     kernel_gamma,
@@ -213,14 +213,12 @@ def test_criterion_07_end_to_end_localization():
 
     full_scene = dataclasses.replace(preset_scene("ex1_1"), aperture=full_circle(512))
     full_noisy = add_noise(synthesize_far_field(full_scene, 120), 0.01, 7)
-    f_full = average_and_normalize(
-        [index_classical(full_noisy, None, grid, k=K)]
-    )
+    f_full = averaged_index(full_noisy, None, grid, K)
     full_ok = _localizes(f_full, centers)
 
     scene = preset_scene("ex1_1")
     noisy = add_noise(synthesize_far_field(scene, 120), 0.01, 7)
-    f_part = average_and_normalize([index_classical(noisy, None, grid, k=K)])
+    f_part = averaged_index(noisy, None, grid, K)
     partial_fails = not _localizes(f_part, centers)
 
     (f_ffsm,) = reconstruct_finite_space(noisy, "ffsm", 20, [0.1**8], grid, K)
@@ -261,9 +259,9 @@ def test_criterion_08_gradient_correctness():
             j = int(pick.uniforms(1)[0] * w.shape[1])
             orig = w[i, j]
             w[i, j] = orig + h
-            lp = dpn.loss(params, batch, ap, K)
+            lp = loss(params, batch, ap, K)
             w[i, j] = orig - h
-            lm = dpn.loss(params, batch, ap, K)
+            lm = loss(params, batch, ap, K)
             w[i, j] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[li][:-1][i, j]
@@ -294,9 +292,9 @@ def test_criterion_09_training_smoke():
         params, trace = dpn.train(cfg, ap, DOMAIN, K)
         smoothed_end = trace[-100:].mean()
         decreased.append(smoothed_end < 0.5 * trace[0])
-        zero = dpn.NetworkParams.zeros(cfg)
-        v_trained = dpn.validation_residual(params, cfg, ap, DOMAIN, K)
-        v_zero = dpn.validation_residual(zero, cfg, ap, DOMAIN, K)
+        zero = zero_network(cfg)
+        v_trained = validation_residual(params, cfg, ap, DOMAIN, K)
+        v_zero = validation_residual(zero, cfg, ap, DOMAIN, K)
         _, floor = attainable_floor(cfg, ap, DOMAIN, K)
         improved.append(v_trained < v_zero)
         details.append(
@@ -370,6 +368,6 @@ def test_longrun_trained_network_localization():
     noisy = add_noise(synthesize_far_field(scene, 120), 0.01, 7)
     grid = SamplingGrid(DOMAIN, 128)
     probing = dpn.probing_set_from_network(params, grid, ap, K)
-    field = average_and_normalize([index_classical(noisy, probing, grid)])
+    field = averaged_index(noisy, probing, grid)
     ok = _localizes(field, true_centers("ex1_1"))
     assert report("L", "trained-network-localization", ok)

@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_probing import probing_eval, whole_grid_network_probe
-from dpn_floor import attainable_floor, validation_batch
+from dpn_floor import attainable_floor, loss, validation_batch, validation_residual, zero_network
 from lapdsm import dpn
 from lapdsm.dpn import (
     NetworkParams,
     TrainConfig,
-    loss,
     loss_gradient,
     network_forward,
     sample_batch,
     train,
-    validation_residual,
 )
 from lapdsm.presets import config1_aperture
 from lapdsm.rng import CounterRng
@@ -44,7 +42,7 @@ def tiny_config(**kw):
 class TestNetworkForward:
     def test_zero_params_zero_coefficients(self):
         cfg = tiny_config()
-        params = NetworkParams.zeros(cfg)
+        params = zero_network(cfg)
         out = network_forward(params, np.array([[0.3, -0.2]]))
         np.testing.assert_array_equal(out, 0.0)
 
@@ -95,7 +93,7 @@ class TestNetworkForward:
 class TestProbingEval:
     def test_zero_params_is_plane_wave(self):
         cfg = tiny_config()
-        params = NetworkParams.zeros(cfg)
+        params = zero_network(cfg)
         z = np.array([[0.5, -0.1]])
         angles = np.linspace(0, 2 * np.pi, 9)
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -103,13 +101,13 @@ class TestProbingEval:
         np.testing.assert_allclose(probing_eval(params, z, angles, K), expect, rtol=1e-12)
 
     def test_origin_zero_params_is_one(self):
-        params = NetworkParams.zeros(tiny_config())
+        params = zero_network(tiny_config())
         vals = probing_eval(params, np.array([[0.0, 0.0]]), np.linspace(0, 6, 5), K)
         np.testing.assert_allclose(vals, 1.0, rtol=1e-14)
 
     def test_constant_mode_shift(self):
         cfg = tiny_config()
-        params = NetworkParams.zeros(cfg)
+        params = zero_network(cfg)
         # force f_0 = 1 via the output bias (real part of mode 0 is index order)
         params.layers[-1][-1][cfg.order] = 1.0
         z = np.array([[0.3, 0.3]])
@@ -187,8 +185,8 @@ class TestSampleBatch:
         cfg = tiny_config(max_noise=0.0)
         ap = config1_aperture()
         b = sample_batch(cfg, DOMAIN, ap, K, CounterRng(9))
-        np.testing.assert_array_equal(b.v_noisy, b.v_clean)
-        assert b.noise_level == 0.0
+        v_clean = dpn._test_functions(b.source_coeffs, b.source_points, ap.receiver_angles(), K)
+        np.testing.assert_array_equal(b.v_noisy, v_clean)
 
     def test_single_source_at_origin_is_constant(self):
         cfg = tiny_config(sources_per_function=1)
@@ -231,7 +229,7 @@ class TestLoss:
         # (|Gamma|/Q) sum_q e^{-ik xhat_q . z} conj(v) ~ 2 pi sum conj(c) J0(k|z-y|)
         cfg = tiny_config(max_noise=0.0, batch_functions=20, points_per_iteration=20)
         ap = full_circle(512)
-        params = NetworkParams.zeros(cfg)
+        params = zero_network(cfg)
         batch = sample_batch(cfg, DOMAIN, ap, K, CounterRng(21))
         assert loss(params, batch, ap, K) < 1e-3
 
@@ -245,8 +243,6 @@ class TestLoss:
             source_points=batch.source_points[perm],
             source_coeffs=batch.source_coeffs[perm],
             eval_points=batch.eval_points,
-            noise_level=batch.noise_level,
-            v_clean=batch.v_clean[perm],
             v_noisy=batch.v_noisy[perm],
         )
         assert loss(params, batch, ap, K) == pytest.approx(loss(params, permuted, ap, K))
@@ -335,7 +331,7 @@ class TestTraining:
         cfg = tiny_config(iterations=6, checkpoint_every=2)
         seen = []
         train(cfg, config1_aperture(receivers=20), DOMAIN, K,
-              callback=lambda it, p, tr: seen.append(it))
+              callback=lambda it, p: seen.append(it))
         assert seen == [2, 4, 6]
 
 
@@ -343,7 +339,7 @@ class TestValidationResidual:
     def test_zero_network_baseline_reproducible(self):
         cfg = tiny_config()
         ap = config1_aperture()
-        zero = NetworkParams.zeros(cfg)
+        zero = zero_network(cfg)
         a = validation_residual(zero, cfg, ap, DOMAIN, K)
         b = validation_residual(zero, cfg, ap, DOMAIN, K)
         assert a == b > 0.0
@@ -353,7 +349,7 @@ class TestAttainableFloor:
     def test_helper_batch_is_the_validation_batch(self):
         cfg = tiny_config(points_per_iteration=30)
         ap = config1_aperture()
-        zero = NetworkParams.zeros(cfg)
+        zero = zero_network(cfg)
         batch = validation_batch(cfg, ap, DOMAIN, K)
         assert loss(zero, batch, ap, K) == validation_residual(zero, cfg, ap, DOMAIN, K)
 
@@ -363,7 +359,7 @@ class TestAttainableFloor:
         cfg = tiny_config(points_per_iteration=1)
         ap = config1_aperture()
         coeffs, floor = attainable_floor(cfg, ap, DOMAIN, K)
-        params = NetworkParams.zeros(cfg)
+        params = zero_network(cfg)
         params.layers[-1][-1] = np.concatenate([coeffs[0].real, coeffs[0].imag])
         assert validation_residual(params, cfg, ap, DOMAIN, K) == pytest.approx(floor, rel=1e-9)
         rng = CounterRng(5)
@@ -379,7 +375,7 @@ class TestAttainableFloor:
         ap = config1_aperture()
         _, floor = attainable_floor(cfg, ap, DOMAIN, K)
         assert floor > 0.0
-        for params in (NetworkParams.zeros(cfg), NetworkParams.initialize(cfg, CounterRng(seed))):
+        for params in (zero_network(cfg), NetworkParams.initialize(cfg, CounterRng(seed))):
             assert validation_residual(params, cfg, ap, DOMAIN, K) >= floor
 
     def test_threefold_improvement_is_unreachable_in_criterion_9(self):
@@ -387,6 +383,6 @@ class TestAttainableFloor:
         # even the per-point optimum stays above a third of the zero network
         cfg = TrainConfig(batch_functions=100, points_per_iteration=100, iterations=1000, seed=0)
         ap = config1_aperture()
-        v_zero = validation_residual(NetworkParams.zeros(cfg), cfg, ap, DOMAIN, K)
+        v_zero = validation_residual(zero_network(cfg), cfg, ap, DOMAIN, K)
         _, floor = attainable_floor(cfg, ap, DOMAIN, K)
         assert 3.0 * floor > v_zero

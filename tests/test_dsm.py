@@ -9,7 +9,7 @@ from dense_probing import green_probing_set
 from lapdsm.dsm import (
     IndexField,
     ProbingSet,
-    average_and_normalize,
+    averaged_index,
     green_norm_on_aperture,
     index_classical,
     kernel_gamma,
@@ -197,16 +197,21 @@ class TestRelativeNorm:
 
 class TestAverageAndPeaks:
     def test_average_and_normalize(self):
+        # two incidences: the pointwise mean of their indices, divided by its maximum, bit for bit
+        ap = config1_aperture(receivers=20)
         grid = SamplingGrid(DOMAIN, 4)
-        a = IndexField(grid, np.full(16, 2.0))
-        b = IndexField(grid, np.full(16, 4.0))
-        out = average_and_normalize([a, b])
-        np.testing.assert_allclose(out.values, 1.0)
+        rng = np.random.default_rng(0)
+        data = FarFieldData(rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20)), ap)
+        first, second = (index_classical(data, None, grid, K, j).values for j in range(2))
+        mean = (first + second) / 2
+        out = averaged_index(data, None, grid, K)
+        np.testing.assert_array_equal(out.values, mean / mean.max())
 
     def test_all_zero_rejected(self):
+        ap = config1_aperture(receivers=20)
         grid = SamplingGrid(DOMAIN, 4)
-        with pytest.raises(ValidationError):
-            average_and_normalize([IndexField(grid, np.zeros(16))])
+        with pytest.raises(ValidationError, match="all-zero"):
+            averaged_index(FarFieldData(np.zeros((1, 20)), ap), None, grid, K)
 
     def test_dominant_peaks_finds_separated_bumps(self):
         grid = SamplingGrid(DOMAIN, 64)

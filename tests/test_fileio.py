@@ -209,6 +209,39 @@ def test_malformed_checkpoint_names_its_line(tmp_path, edit, message):
     assert str(info.value) == f"{tmp_path / 'bad.ckpt'}{message}"
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 6), min_size=0, max_size=3),
+    spot=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+    fault=st.sampled_from(["short", "long", "x", "0x10", "1.0.0", "--1", "nan", "inf", "-inf"]),
+)
+def test_corrupt_row_names_exactly_its_line(tmp_path_factory, hidden, spot, fault):
+    # one row of one layer: too short, too long, or one value replaced by a non-number or a non-finite number
+    dims = [2, *hidden, 6]  # order 1
+    params = NetworkParams(layers=[np.full((i + 1, o), 0.5) for i, o in zip(dims[:-1], dims[1:])], order=1)
+    d = tmp_path_factory.mktemp("ckpt")
+    write_checkpoint(d / "net.ckpt", params, 8.0)
+    lines = (d / "net.ckpt").read_text().splitlines()
+    layer = spot[0] % len(params.layers)
+    fan_in, fan_out = dims[layer], dims[layer + 1]
+    row = spot[1] % (fan_in + 1)
+    lineno = 1 + sum(i + 2 for i in dims[:layer]) + 1 + row + 1  # header, earlier layers, this layer's tag, rows
+    values = lines[lineno - 1].split()
+    if fault == "short":
+        values, message = values[:-1], f"expected {fan_out} values, got {fan_out - 1}"
+    elif fault == "long":
+        values, message = values + ["0.5"], f"expected {fan_out} values, got {fan_out + 1}"
+    else:
+        values[spot[2] % fan_out] = fault
+        finite = fault in ("nan", "inf", "-inf")
+        message = "values must be finite" if finite else f"could not convert string to float: {fault!r}"
+    lines[lineno - 1] = " ".join(values)
+    (d / "bad.ckpt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as info:
+        read_checkpoint(d / "bad.ckpt")
+    assert str(info.value) == f"{d / 'bad.ckpt'}:{lineno}: malformed checkpoint: {message}"
+
+
 def test_checkpoint_values_may_be_split_by_any_whitespace(tmp_path):
     params = NetworkParams(layers=[np.arange(36.0).reshape(3, 12) / 7, np.arange(26.0).reshape(13, 2) / 3], order=0)
     write_checkpoint(tmp_path / "net.ckpt", params, 8.0)
