@@ -2,7 +2,8 @@
 
 Every command echoes its full parameter set into a metadata sidecar and is
 reproducible: identical arguments and seed give byte-identical files.
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error (an input that asks for more
+memory than the process may have among them), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
         return args.func(args) or 0
     except (ValidationError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: {args.subcommand}: not enough memory for this input ({e})", file=sys.stderr)
         return 2
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import arc_norm, directions, gauss_arc_nodes, green_far_prefactor, grid_plane_waves, plane_waves
+from .numerics import (
+    arc_norm,
+    directions,
+    gauss_arc_nodes,
+    green_far_prefactor,
+    grid_bands,
+    grid_plane_waves,
+    plane_waves,
+)
 from .scene import ApertureSet, FarFieldData, SamplingGrid
 
 
@@ -102,8 +110,14 @@ def green_norm_on_aperture(aperture: ApertureSet, k: float) -> float:
 
 
 def relative_norm(probing: ProbingSet, k: float, grid: SamplingGrid) -> IndexField:
-    """RN(z) = ||G_Gamma(z, .)||_{L2(Gamma)} / ||G_inf(z, .)||_{L2(Gamma)}."""
-    num = arc_norm(probing.samples, probing.aperture)
+    """RN(z) = ||G_Gamma(z, .)||_{L2(Gamma)} / ||G_inf(z, .)||_{L2(Gamma)}.
+
+    The probe is reduced to norms band by band of grid rows, so no float copy
+    of the whole probe is made beside it.
+    """
+    num = np.empty(probing.samples.shape[0])
+    for rows in grid_bands(grid.resolution):
+        num[rows] = arc_norm(probing.samples[rows], probing.aperture)
     return IndexField(grid=grid, values=num / green_norm_on_aperture(probing.aperture, k))
 
 

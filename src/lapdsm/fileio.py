@@ -135,27 +135,32 @@ def write_checkpoint(path, params: NetworkParams, k: float) -> None:
 def read_checkpoint(path) -> tuple[NetworkParams, float]:
     """Network and wavenumber from a checkpoint; malformed content raises ValidationError naming its line.
 
-    Each row is checked for its length, assigned into its layer's array
-    (numpy parses each token as Python's float does), then checked for finiteness.
+    The file must have the lines the header's layer sizes need before any
+    layer is allocated.  Each row is split only to convert it: checked for its
+    length, assigned into its layer's array (numpy parses each token as
+    Python's float does), then checked for finiteness.
     """
     with text_input(path) as f:
-        lines = [line.split() for line in f]
+        lines = f.readlines()
     i = 0
     try:
-        tag, version, order, dims, k = lines[0]
+        tag, version, order, dims, k = lines[0].split()
         order, k = int(order.removeprefix("P=")), float(k.removeprefix("k="))
         dims = [int(d) for d in dims.removeprefix("layers=").split(",")]
         if (tag, version) != ("DPN", "v1") or len(dims) < 2 or dims[0] != 2 or dims[-1] != 4 * order + 2:
             raise ValueError("expected header 'DPN v1 P=<order> layers=2,...,<4P+2> k=<wavenumber>'")
+        if len(lines) < 1 + sum(fan_in + 2 for fan_in in dims[:-1]):  # a tag and fan_in + 1 rows per layer
+            i = len(lines)  # the first line the file lacks
+            raise IndexError("list index out of range")
         layers = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             i += 1
-            if lines[i] != ["layer", str(fan_in), str(fan_out)]:
+            if lines[i].split() != ["layer", str(fan_in), str(fan_out)]:
                 raise ValueError(f"expected 'layer {fan_in} {fan_out}'")
             w = np.empty((fan_in + 1, fan_out))
             for row in w:
                 i += 1
-                tokens = lines[i]
+                tokens = lines[i].split()
                 if len(tokens) != fan_out:
                     raise ValueError(f"expected {fan_out} values, got {len(tokens)}")
                 row[:] = tokens

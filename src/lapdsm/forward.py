@@ -4,13 +4,14 @@ The total field obeys u = u^i + k^2 \int_D G(y, .) (n(y) - 1) u(y) dy; we
 discretize with piecewise-constant collocation on the cells of a uniform
 grid, solve the dense system restricted to contrast-carrying cells, and
 radiate the induced current to the far field.  The kernel is gathered band
-by band from one table of integer cell offsets, evaluated by the numpy
-Hankel function below, and turned into I - k^2 G Q in place, so the system
-and LAPACK's copy of it are the only N x N arrays.  The system is solved once
-per grid with every incidence as one right-hand-side column, and the
-far-field plane waves are built once per grid for every incidence.  Two
-independent oracles in the test suite (Born approximation and the
-penetrable-disk separation-of-variables series) validate the solver.
+by band from one table of integer cell offsets over the contrast cells' span,
+evaluated by the numpy Hankel function below, and turned into I - k^2 G Q in
+place, so the system and LAPACK's copy of it are the only N x N arrays.  The
+system is solved once per grid with every incidence as one right-hand-side
+column, and one product per grid radiates every incidence's current through
+the lattice's separable plane waves.  Two independent oracles in the test
+suite (Born approximation and the penetrable-disk separation-of-variables
+series) validate the solver.
 """
 
 from __future__ import annotations
@@ -111,6 +112,9 @@ class ForwardSolution:
 # Below this argument H^(1)_n comes from the Bessel series, above it from Hankel's
 # expansion, whose smallest term there (~e^{-40}) is far below double precision.
 _HANKEL_CROSSOVER = 20.0
+# Miller's recurrence starts this far above the largest series argument, whatever the
+# arguments of a call, so that each value depends on its own argument alone
+_MILLER_START = 2 * int(_HANKEL_CROSSOVER / 2.0 + 20.0)
 _EULER_GAMMA = 0.5772156649015329
 
 
@@ -138,10 +142,9 @@ def _hankel1_series(order: int, x: np.ndarray) -> np.ndarray:
     """
     if x.size == 0:
         return np.empty(0, dtype=np.complex128)
-    start = 2 * int(x.max() / 2.0 + 20.0)
     j_above, j = np.zeros_like(x), np.ones_like(x)
     norm, y0_sum, y1_sum = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
-    for n in range(start, 0, -1):
+    for n in range(_MILLER_START, 0, -1):
         if n % 2 == 0:
             k = n // 2
             norm += 2.0 * j
@@ -166,16 +169,19 @@ def _hankel1_asymptotic(order: int, x: np.ndarray) -> np.ndarray:
     """Hankel's expansion (DLMF 10.17.5) for x >= _HANKEL_CROSSOVER.
 
     sqrt(2/(pi x)) e^{i(x - order pi/2 - pi/4)} sum_k i^k a_k / x^k, summed
-    until a term falls below 1e-17; e^{ix} is taken as cos x + i sin x so the
-    phase keeps numpy's exact argument reduction.
+    until the term at the crossover, the largest any x here gives, falls below
+    1e-17, so every x sums the same terms; e^{ix} is taken as cos x + i sin x
+    so the phase keeps numpy's exact argument reduction.
     """
     mu = 4.0 * order * order
     term = np.ones(x.shape, dtype=np.complex128)
     total = term.copy()
+    bound = 1.0
     for k in range(1, 60):
         term *= 1j * (mu - (2 * k - 1) ** 2) / (8.0 * k) / x
         total += term
-        if np.max(np.abs(term), initial=0.0) < 1e-17:
+        bound *= abs(mu - (2 * k - 1) ** 2) / (8.0 * k) / _HANKEL_CROSSOVER
+        if bound < 1e-17:
             break
     phase = (np.cos(x) + 1j * np.sin(x)) * np.exp(-0.25j * np.pi * (2 * order + 1))
     return np.sqrt(2.0 / (np.pi * x)) * phase * total
@@ -190,26 +196,40 @@ def _self_term(k: float, h: float) -> complex:
     return (1j * np.pi * a / (2.0 * k)) * _hankel1(1, k * a) - 1.0 / k**2
 
 
+def _span(index: np.ndarray) -> slice:
+    """The lattice lines from the smallest index to the largest, none for no index."""
+    return slice(int(index.min()), int(index.max()) + 1) if index.size else slice(0, 0)
+
+
+def _offset_table(k: float, h: float, height: int, width: int) -> np.ndarray:
+    """Integrated Green kernel h^2 G at the cell offsets (|di|, |dj|) < (height, width), self cell regularized.
+
+    Each entry depends on its offset alone, not on the table's extent, so a
+    table over the contrast cells' span holds the whole-grid table's bits.
+    """
+    r = h * np.hypot(np.arange(height, dtype=float)[:, None], np.arange(width, dtype=float)[None, :])
+    r[:1, :1] = 1.0  # placeholder, overwritten below
+    table = (1j / 4.0) * _hankel1(0, k * r) * h * h
+    table[:1, :1] = _self_term(k, h)
+    return table
+
+
 def _interaction_matrix(k: float, h: float, resolution: int, cells: np.ndarray) -> np.ndarray:
     """Integrated Green kernel between the given cells (self cell regularized).
 
     On the uniform lattice the kernel depends only on the integer offset
-    (|di|, |dj|) of two cells, so H_0^(1) is evaluated once on the
-    resolution x resolution offset table and gathered; `cells` are row-major
-    flat indices, as in SamplingGrid.points.
+    (|di|, |dj|) of two cells, so H_0^(1) is evaluated once on the offsets
+    the cells span and gathered; `cells` are row-major flat indices, as in
+    SamplingGrid.points.
     """
-    offset = np.arange(resolution, dtype=float)
-    r = h * np.hypot(offset[:, None], offset[None, :])
-    r[0, 0] = 1.0  # placeholder, overwritten below
-    table = (1j / 4.0) * _hankel1(0, k * r) * h * h
-    table[0, 0] = _self_term(k, h)
     rows, cols = divmod(cells, resolution)
-    flat = table.ravel()
+    height, width = (s.stop - s.start for s in (_span(rows), _span(cols)))
+    flat = _offset_table(k, h, height, width).ravel()
     g = np.empty((cells.size, cells.size), dtype=np.complex128)
     for start in range(0, cells.size, _GATHER_ROWS):  # band by band, so no index array is N x N
         band = slice(start, start + _GATHER_ROWS)
-        index = np.abs(rows[band, None] - rows[None, :])  # the flat index |di| * resolution + |dj| of the table
-        index *= resolution
+        index = np.abs(rows[band, None] - rows[None, :])  # the flat index |di| * width + |dj| of the table
+        index *= width
         index += np.abs(cols[band, None] - cols[None, :])
         flat.take(index, out=g[band])
     return g
@@ -240,31 +260,27 @@ def _checked(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _radiation_waves(grid: ContrastGrid, angles, k: float) -> np.ndarray:
-    """e^{-ik xhat . y} for every receiver direction xhat and contrast cell y, shape (n_angles, contrast cells)."""
-    # the phase k xhat . y is symmetric in xhat and y; with the angles first the
-    # (angles x cells) @ current sum keeps its accumulation order, hence its bits
-    return plane_waves(directions(np.atleast_1d(angles)), grid.points[grid.q != 0.0], k)
+def far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndarray:
+    """Radiate induced currents: u_inf(xhat) = sum_j h^2 G_inf(y_j, xhat) I_j over the contrast cells y_j.
 
-
-def far_field(solution: ForwardSolution, angles, k: float, waves: np.ndarray | None = None) -> np.ndarray:
-    """Radiate the induced current: u_inf(x) = sum_j h^2 G_inf(y_j, x) I_j over the contrast cells y_j.
-
-    waves are the plane waves of the angles and the contrast cells, built
-    here when not given; synthesize_far_field builds them once per grid.
+    currents, shape (n_incidences, n_cells), vanish off the contrast cells,
+    so the sum runs over the box of lattice rows and columns those cells span.
+    There e^{-ik xhat . y} = ex ey, one factor per axis, and the sum is
+    pre h^2 sum_rows ey * (C ex) for the box currents C of each row: one
+    product for every incidence and no receivers x cells table.  Returns
+    shape (n_incidences, n_angles).
     """
-    grid = solution.grid
-    if waves is None:
-        waves = _radiation_waves(grid, angles, k)
-    return green_far_prefactor(k) * grid.cell_area * (waves @ solution.current[grid.q != 0.0])
+    n, k = grid.resolution, grid.wavenumber
+    rows, cols = (_span(a) for a in divmod(np.flatnonzero(grid.q), n))
+    xhat = directions(np.atleast_1d(angles))
+    ex = plane_waves(grid.points[:n, 0][cols, None], xhat[:, :1], k)
+    ey = plane_waves(grid.points[::n, 1][rows, None], xhat[:, 1:], k)
+    by_row = np.tensordot(currents.reshape(-1, n, n)[:, rows, cols], ex, axes=1)  # C ex, (incidences, rows, Q)
+    return green_far_prefactor(k) * grid.cell_area * np.einsum("jrq,rq->jq", by_row, ey)
 
 
 def synthesize_far_field(scene: Scene, resolution: int = 120) -> FarFieldData:
     """Noiseless far-field data for every incidence at the scene's receivers."""
     grid = contrast_grid(scene, resolution)
-    angles = scene.aperture.receiver_angles()
-    solutions = [solve_scattering(scene, j, grid) for j in range(len(scene.incidences))]
-    # built once for every incidence, and after the solve, so that it never sits beside LAPACK's copy of the system
-    waves = _radiation_waves(grid, angles, scene.wavenumber)
-    rows = [far_field(sol, angles, scene.wavenumber, waves) for sol in solutions]
-    return FarFieldData(np.array(rows), scene.aperture)
+    currents = np.array([solve_scattering(scene, j, grid).current for j in range(len(scene.incidences))])
+    return FarFieldData(far_field(grid, currents, scene.aperture.receiver_angles()), scene.aperture)

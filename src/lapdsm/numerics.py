@@ -58,23 +58,33 @@ def grid_plane_waves(grid, xhat, k: float) -> tuple[np.ndarray, np.ndarray]:
     return plane_waves(grid.xs[:, None], xhat[:, :1], k), plane_waves(grid.ys[:, None], xhat[:, 1:], k)
 
 
+def grid_bands(resolution: int) -> list[slice]:
+    """Bands of GRID_BLOCK_ROWS whole grid rows, as slices of the row-major grid points.
+
+    The last band takes the remainder, so none is shorter than that or the
+    whole grid: BLAS rounds a product of a few rows by other kernels than one
+    of many (OpenBLAS's small-matrix and thread-split paths), and at this
+    length a band's products keep the bits of the whole-grid product.  A
+    matrix-vector product may still split a band at other rows than the whole
+    grid, which moves a few of its entries by an ulp.
+    """
+    n = resolution
+    edges = [*range(0, max(n // GRID_BLOCK_ROWS, 1) * GRID_BLOCK_ROWS, GRID_BLOCK_ROWS), n]
+    return [slice(start * n, stop * n) for start, stop in zip(edges[:-1], edges[1:])]
+
+
 def grid_row_blocks(grid, xhat, k: float) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield, per band of whole grid rows, the band's slice of grid.points and its plane waves
     ey x ex, shape (band points, Q): plane_waves of those points to rounding.
 
-    A grid probe is written band by band into its one n * n x Q buffer, so no
-    other array of that size is built.  Bands are GRID_BLOCK_ROWS rows and the
-    last one takes the remainder, so none is shorter than that or the whole
-    grid: BLAS rounds a product of a few rows by other kernels than one of
-    many (OpenBLAS's small-matrix and thread-split paths), and at this length
-    a band's products keep the bits of the whole-grid product.
+    A grid probe is written band by band (grid_bands) into its one n * n x Q
+    buffer, so no other array of that size is built.
     """
     ex, ey = grid_plane_waves(grid, xhat, k)
     n = grid.resolution
-    edges = [*range(0, max(n // GRID_BLOCK_ROWS, 1) * GRID_BLOCK_ROWS, GRID_BLOCK_ROWS), n]
-    for start, stop in zip(edges[:-1], edges[1:]):
-        band = ey[start:stop]
-        yield slice(start * n, stop * n), (band[:, None, :] * ex[None, :, :]).reshape(-1, ex.shape[1])
+    for rows in grid_bands(n):
+        band = ey[rows.start // n : rows.stop // n]
+        yield rows, (band[:, None, :] * ex[None, :, :]).reshape(-1, ex.shape[1])
 
 
 def green_far_prefactor(k: float) -> complex:

@@ -3,8 +3,9 @@
 Pointwise forms of what the package evaluates on whole grids -- the
 far-field Green function, the FFSM and FSSM right-hand sides, the FFSM and
 FSSM matrices entry by entry, the refractive index at one point, the forward
-kernel between every pair of contrast cells, the total field on every forward
-cell -- the Born and penetrable-disk far fields the forward solver is
+kernel between every pair of contrast cells, the radiation of the contrast
+cells' currents through one plane wave per receiver and cell, the total field
+on every forward cell -- the Born and penetrable-disk far fields the forward solver is
 checked against, the Bessel closed forms of the full-circle inner products the package
 evaluates by the trapezoid rule, range-checked wrappers of scipy's Bessel and
 Hankel functions, a QR least-squares Tikhonov solve, and the peak finder and
@@ -19,7 +20,7 @@ from dense_probing import ffsm_rhs_dense, fssm_rhs_dense
 from lapdsm.errors import ValidationError
 from lapdsm.dsm import IndexField
 from lapdsm.forward import ContrastGrid, ForwardSolution, _self_term
-from lapdsm.numerics import fourier_modes, green_far_prefactor, plane_waves
+from lapdsm.numerics import directions, fourier_modes, green_far_prefactor, plane_waves
 from lapdsm.presets import preset_scene
 from lapdsm.scene import ApertureSet, Scene
 
@@ -241,6 +242,18 @@ def pairwise_interaction_matrix(k: float, pts: np.ndarray, h: float) -> np.ndarr
     g = (1j / 4.0) * sp.hankel1(0, k * r) * h * h
     np.fill_diagonal(g, _self_term(k, h))
     return g
+
+
+def dense_far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndarray:
+    """pre h^2 sum_j e^{-ik xhat . y_j} I_j over the contrast cells y_j, shape (n_incidences, n_angles).
+
+    The receivers x cells plane-wave product that the separable radiation of
+    forward.far_field replaced, kept as its oracle; currents are
+    (n_incidences, n_cells) as there.
+    """
+    k, mask = grid.wavenumber, grid.q != 0.0
+    waves = plane_waves(directions(np.atleast_1d(angles)), grid.points[mask], k)
+    return green_far_prefactor(k) * grid.cell_area * (np.asarray(currents)[:, mask] @ waves.T)
 
 
 def total_field(scene: Scene, incidence_index: int, solution: ForwardSolution) -> np.ndarray:

@@ -178,7 +178,7 @@ def test_criterion_06_forward_solver_oracles():
     g = contrast_grid(weak, 120)
     sol = solve_scattering(weak, 0, g)
     angles = weak.aperture.receiver_angles()
-    full = far_field(sol, angles, K)
+    full = far_field(g, sol.current[None], angles)[0]
     born = born_far_field(weak, 0, angles, g)
     err_born = np.linalg.norm(full - born) / np.linalg.norm(full)
 
@@ -274,7 +274,21 @@ def test_criterion_08_gradient_correctness():
 
 
 # ---------------------------------------------------------------- criterion 9
-def test_criterion_09_training_smoke():
+@pytest.fixture(scope="module")
+def trained_networks():
+    """Criterion 9's three networks (config I, M = L = 100, 1,000 iterations, seeds 0-2) and their training time."""
+    t0 = time.time()
+    ap = config1_aperture()
+    networks = []
+    for seed in (0, 1, 2):
+        cfg = dpn.TrainConfig(
+            batch_functions=100, points_per_iteration=100, iterations=1000, seed=seed
+        )
+        networks.append((seed, cfg, *dpn.train(cfg, ap, DOMAIN, K)))
+    return networks, time.time() - t0
+
+
+def test_criterion_09_training_smoke(trained_networks):
     """Training learns a probe that generalizes beyond the plane-wave guess.
 
     The trained network must beat the untrained (zero) network on fresh
@@ -282,14 +296,11 @@ def test_criterion_09_training_smoke():
     not asked for: the per-point least-squares floor, a lower bound for every
     network of this order, lies above v_zero / 3 here (see dpn_floor).
     """
-    t0 = time.time()
+    networks, training_s = trained_networks
+    t0 = time.time() - training_s  # the bound covers the training too
     ap = config1_aperture()
     decreased, improved, details = [], [], []
-    for seed in (0, 1, 2):
-        cfg = dpn.TrainConfig(
-            batch_functions=100, points_per_iteration=100, iterations=1000, seed=seed
-        )
-        params, trace = dpn.train(cfg, ap, DOMAIN, K)
+    for seed, cfg, params, trace in networks:
         smoothed_end = trace[-100:].mean()
         decreased.append(smoothed_end < 0.5 * trace[0])
         zero = zero_network(cfg)
@@ -306,6 +317,29 @@ def test_criterion_09_training_smoke():
     ok = all(decreased) and all(improved) and elapsed < 900.0
     assert report(
         9, "training-smoke", ok, "; ".join(details) + f", {elapsed:.0f}s"
+    )
+
+
+def test_criterion_09_trained_networks_localize(trained_networks):
+    """The paper's third scheme: each trained probe localizes ex1_1, where the untrained one, partial's, does not.
+
+    The data and the test are criterion 7's: ex1_1 at 1 % noise, noise seed 7.
+    """
+    t0 = time.time()
+    networks, _ = trained_networks
+    ap, centers, grid = config1_aperture(), true_centers("ex1_1"), SamplingGrid(DOMAIN, 128)
+    noisy = add_noise(synthesize_far_field(preset_scene("ex1_1"), 120), 0.01, 7)
+
+    def localizes(params):
+        return _localizes(averaged_index(noisy, dpn.probing_set_from_network(params, grid, ap, K), grid), centers)
+
+    trained = [localizes(params) for _, _, params, _ in networks]
+    zero_fails = not localizes(zero_network(networks[0][1]))
+    elapsed = time.time() - t0
+    ok = all(trained) and zero_fails and elapsed < 30.0
+    assert report(
+        9, "trained-network-localization", ok,
+        f"trained {sum(trained)}/{len(trained)}, zero-network-fails {zero_fails}, {elapsed:.1f}s",
     )
 
 

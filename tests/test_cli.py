@@ -505,6 +505,15 @@ class TestTrainAndDpnReconstruct:
         assert code == 2
         assert message in err and err.count("\n") == 1
 
+    def test_checkpoint_naming_a_huge_layer_is_one_line_error(self, tmp_path, capsys):
+        header = "DPN v1 P=1 layers=2,1000000000000000,6 k=8"  # the second layer alone needs 10^15 + 2 lines
+        (tmp_path / "huge.ckpt").write_text(f"{header}\nlayer 2 1000000000000000\n0.5\n")
+        code = main(["rn", "--method", "dpn", "--config", "1", "--grid", "8", "--checkpoint",
+                     str(tmp_path / "huge.ckpt"), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {tmp_path / 'huge.ckpt'}:4: malformed checkpoint: list index out of range\n"
+
     def test_dpn_reconstruct_requires_checkpoint(self, sim_dir, tmp_path):
         code = main(
             ["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"), "--method", "dpn",
@@ -629,9 +638,9 @@ NUMPY_ALONE = [
 ]
 
 
-def _python(tmp_path, code, *args):
+def _python(tmp_path, code, *args, **env):
     src = str(Path(lapdsm.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -646,3 +655,23 @@ class TestNumpyAlone:
         for argv in NUMPY_ALONE:
             run = _python(tmp_path, prelude, *argv)
             assert run.returncode == 0, (argv, run.stderr)
+
+
+# inputs whose arrays outgrow any machine: a 1200-cell forward grid's 76,344 x 76,344 system (87 GiB)
+# and a 20000-point sampling grid's coordinates (3 GiB per array)
+TOO_BIG = [
+    ["simulate", "--preset", "ex1_1", "--forward-grid", "1200"],
+    ["rn", "--method", "ffsm", "--config", "1", "--sigma-exp", "4", "--grid", "20000"],
+]
+
+
+@pytest.mark.parametrize("argv", TOO_BIG, ids=lambda argv: argv[0])
+def test_input_too_big_for_memory_is_one_line_error(tmp_path, argv):
+    # under a 2 GiB address-space limit each allocation fails at once, so nothing is really allocated
+    prelude = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "from lapdsm.cli import main; sys.exit(main(sys.argv[1:]))")
+    run = _python(tmp_path, prelude, *argv, "--out", "big", OPENBLAS_NUM_THREADS="1")
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith(f"error: {argv[0]}: not enough memory for this input (")
+    assert run.stderr.count("\n") == 1
+    assert not list(tmp_path.iterdir())

@@ -209,6 +209,15 @@ def test_malformed_checkpoint_names_its_line(tmp_path, edit, message):
     assert str(info.value) == f"{tmp_path / 'bad.ckpt'}{message}"
 
 
+def test_header_naming_more_lines_than_the_file_has_is_malformed_before_allocation(tmp_path):
+    # the second layer alone would need 10^15 + 2 lines; allocating the first would take 21 PiB
+    lines = ["DPN v1 P=1 layers=2,1000000000000000,6 k=8", "layer 2 1000000000000000", "0.5 0.5"]
+    (tmp_path / "huge.ckpt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as info:
+        read_checkpoint(tmp_path / "huge.ckpt")
+    assert str(info.value) == f"{tmp_path / 'huge.ckpt'}:4: malformed checkpoint: list index out of range"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     hidden=st.lists(st.integers(1, 6), min_size=0, max_size=3),

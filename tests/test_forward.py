@@ -14,6 +14,7 @@ from lapdsm.forward import (
     MIN_CELLS_PER_WAVELENGTH,
     _hankel1,
     _interaction_matrix,
+    _offset_table,
     _self_term,
     contrast_grid,
     far_field,
@@ -21,10 +22,18 @@ from lapdsm.forward import (
     synthesize_far_field,
 )
 from lapdsm.numerics import green_far_prefactor
-from lapdsm.presets import preset_scene
+from lapdsm.presets import PRESET_NAMES, preset_scene
 from lapdsm.scene import Box, Disk, Rectangle, Scene, full_circle
 
-from reference import born_far_field, disk_far_field_series, hankel1, pairwise_interaction_matrix, total_field
+from reference import (
+    born_far_field,
+    dense_far_field,
+    disk_far_field_series,
+    hankel1,
+    pairwise_interaction_matrix,
+    total_field,
+)
+from strategies import apertures
 
 K = 8.0
 DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)
@@ -63,7 +72,7 @@ class TestSolver:
         g = contrast_grid(sc, 64)
         g = dataclasses.replace(g, q=np.zeros_like(g.q))
         sol = solve_scattering(sc, 0, g)
-        np.testing.assert_array_equal(far_field(sol, np.linspace(0, 6, 13), K), 0.0)
+        np.testing.assert_array_equal(far_field(g, sol.current[None], np.linspace(0, 6, 13)), 0.0)
 
     def test_total_field_equals_incident_off_contrast(self):
         sc = make_scene([Disk((0.3, 0.1), 0.15, 2.0)])
@@ -79,7 +88,7 @@ class TestSolver:
         g = contrast_grid(sc, 80)
         sol = solve_scattering(sc, 0, g)
         angles = np.linspace(0, 2 * np.pi, 17)
-        u = far_field(sol, angles, K)
+        u = far_field(g, sol.current[None], angles)[0]
         mask = sol.current != 0
         pts, cur = g.points[mask], sol.current[mask]
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -115,6 +124,38 @@ _shape = st.one_of(
 )
 
 
+class TestRadiation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        resolution=st.integers(8, 64),
+        k_share=st.floats(0.05, 1.0),
+        shapes=st.lists(_shape, min_size=1, max_size=3),
+        aperture=apertures(),
+        incidences=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_separable_far_field_matches_dense_radiation(self, resolution, k_share, shapes, aperture, incidences, seed):
+        # any currents on the contrast cells: the radiation is linear in them
+        k = k_share * np.pi * resolution / 10.0
+        g = contrast_grid(Scene(k, DOMAIN, tuple(shapes), ((1.0, 0.0),), aperture), resolution)
+        draw = np.random.default_rng(seed).normal(size=(2, incidences, resolution**2))
+        currents = (draw[0] + 1j * draw[1]) * (g.q != 0.0)
+        angles = aperture.receiver_angles()
+        oracle = dense_far_field(g, currents, angles)
+        got = far_field(g, currents, angles)
+        assert got.shape == oracle.shape == (incidences, angles.size)
+        assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    def test_presets_match_dense_radiation(self):
+        for name in PRESET_NAMES:
+            scene = preset_scene(name)
+            g = contrast_grid(scene, 120)
+            currents = np.array([solve_scattering(scene, j, g).current for j in range(len(scene.incidences))])
+            angles = scene.aperture.receiver_angles()
+            oracle = dense_far_field(g, currents, angles)
+            assert np.max(np.abs(far_field(g, currents, angles) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
 class TestOperator:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -140,6 +181,29 @@ class TestOperator:
         cells = np.sort(np.random.default_rng(5).choice(resolution**2, 200, replace=False))
         whole = _interaction_matrix(k, h, resolution, np.arange(resolution**2))
         np.testing.assert_array_equal(_interaction_matrix(k, h, resolution, cells), whole[np.ix_(cells, cells)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        resolution=st.integers(2, 160),
+        k_share=st.floats(0.05, 1.0),
+        height_share=st.floats(0.0, 1.0),
+        width_share=st.floats(0.0, 1.0),
+    )
+    def test_span_table_equals_the_whole_grid_table_bit_for_bit(self, resolution, k_share, height_share, width_share):
+        # no entry depends on the table's extent: not Miller's start, not the number of Hankel terms
+        k, h = k_share * np.pi * resolution / 10.0, 2.0 / resolution
+        height, width = round(height_share * resolution), round(width_share * resolution)
+        whole = _offset_table(k, h, resolution, resolution)
+        np.testing.assert_array_equal(_offset_table(k, h, height, width), whole[:height, :width])
+
+    def test_cells_in_a_box_gather_the_whole_grid_matrix(self):
+        # the 7 x 11 box of a 120-cell grid spans arguments below the Hankel crossover only
+        k, h, resolution = 8.0, 2.0 / 120, 120
+        cells = (np.arange(50, 57)[:, None] * resolution + np.arange(30, 41)[None, :]).ravel()
+        rows, cols = divmod(cells, resolution)
+        whole = _offset_table(k, h, resolution, resolution)
+        want = whole[np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :])]
+        np.testing.assert_array_equal(_interaction_matrix(k, h, resolution, cells), want)
 
     @pytest.mark.parametrize("name", ["ex1_1", "ex2_2"])
     def test_in_place_system_equals_eye_minus_k2_g_q_bit_for_bit(self, name):
@@ -173,7 +237,8 @@ class TestOperator:
         assert len(factored) == 1 and len(scene.incidences) == 3 and factored[0][1] == 3
         angles = scene.aperture.receiver_angles()
         for j in range(3):
-            alone = far_field(solve_scattering(scene, j, contrast_grid(scene, 120)), angles, scene.wavenumber)
+            g = contrast_grid(scene, 120)
+            alone = far_field(g, solve_scattering(scene, j, g).current[None], angles)[0]
             assert np.max(np.abs(data.samples[j] - alone)) <= 1e-14 * np.max(np.abs(alone))
         assert len(factored) == 4  # one per fresh grid
 
@@ -285,7 +350,7 @@ class TestBornOracle:
         g = contrast_grid(sc, 96)
         sol = solve_scattering(sc, 0, g)
         angles = sc.aperture.receiver_angles()
-        full = far_field(sol, angles, K)
+        full = far_field(g, sol.current[None], angles)[0]
         born = born_far_field(sc, 0, angles, g)
         assert rel_l2(full, born) < 0.02
 
