@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dpn, fileio, presets
 from .dsm import IndexField, averaged_index, kernel_gamma, relative_norm
-from .dpn import TrainConfig, probing_set_from_network
+from .dpn import TrainConfig, network_probe
 from .errors import NumericalError, ValidationError
 from .finite_space import finite_space_probings, reconstruct_finite_space, source_lattice
 from .forward import synthesize_far_field
@@ -105,7 +105,7 @@ def _reconstruct_fields(args, data, grid, k, sigma_exps) -> list[IndexField]:
         return reconstruct_finite_space(data, method, args.order, sigmas, grid, k, sources=sources)
     if method == "full" and not data.aperture.is_full_circle():
         raise ValidationError("method 'full' requires full-circle data")
-    probing = probing_set_from_network(_load_checkpoint(args, k), grid, data.aperture, k) if method == "dpn" else None
+    probing = network_probe(_load_checkpoint(args, k), grid, data.aperture, k) if method == "dpn" else None
     return [averaged_index(data, probing, grid, k)]
 
 
@@ -173,7 +173,7 @@ def cmd_rn(args) -> int:
     aperture, k, domain, _ = _source(args)
     grid = SamplingGrid(domain, args.grid)
     if args.method == "dpn":
-        probing = probing_set_from_network(_load_checkpoint(args, k), grid, aperture, k)
+        probing = network_probe(_load_checkpoint(args, k), grid, aperture, k)
     else:
         sigmas, sources = _finite_space_inputs(args, [args.sigma_exp], domain)
         (probing,) = finite_space_probings(args.method, aperture, grid, args.order, sigmas, k, sources)

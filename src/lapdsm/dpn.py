@@ -12,7 +12,9 @@ trapezoid rule of numerics.circle_angles.
 Gradients are exact hand-written reverse mode (the loss is a quadratic
 form in the network outputs), and the optimizer is Adam with the staircase
 learning-rate schedule.  Everything draws from the counter-based generator
-so training is bitwise reproducible for a fixed seed.
+so training is bitwise reproducible for a fixed seed.  On a sampling grid
+the trained probe is built one band of grid rows at a time, for dsm to pair
+or norm before it asks for the next, so no n * n x Q array is built.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsm import ProbingSet
+from .dsm import BandedProbe
 from .errors import NumericalError, ValidationError
-from .numerics import circle_angles, directions, fourier_modes, grid_row_blocks, plane_waves, reach
+from .numerics import circle_angles, directions, fourier_modes, grid_band_waves, plane_waves, reach
 from .scene import ApertureSet, Box, pollute
 from .rng import CounterRng
 
@@ -146,7 +148,7 @@ def _backward(params: NetworkParams, acts, dout: np.ndarray) -> list[np.ndarray]
 def _probe(coeffs: np.ndarray, z: np.ndarray, angles: np.ndarray, k: float) -> np.ndarray:
     """Fourier sum of the coefficients plus the plane-wave initial guess, shape (n_points, n_angles).
 
-    Training evaluates the probe here; probing_set_from_network is the same probe on a grid.
+    Training evaluates the probe here; network_probe is the same probe on a grid.
     """
     order = (coeffs.shape[1] - 1) // 2
     probe = plane_waves(z, directions(angles), k)
@@ -268,17 +270,24 @@ def train(
     return params, trace
 
 
-def probing_set_from_network(params: NetworkParams, grid, aperture: ApertureSet, k: float):
-    """ProbingSet over a sampling grid from a trained network: _probe, written band by band of grid rows.
+def network_probe(params: NetworkParams, grid, aperture: ApertureSet, k: float) -> BandedProbe:
+    """_probe over a sampling grid from a trained network, one band of grid rows per call.
 
-    Each band adds its network coefficients times the Fourier modes to its
-    plane waves in the probe's one buffer, so the activations and the
-    coefficients are built for one band of points at a time.
+    A band is its network coefficients times the Fourier modes plus its
+    plane waves, so the activations, the coefficients and the probe exist
+    for one band of points at a time, and the plane waves only once the
+    activations are gone.
     """
     angles = aperture.receiver_angles()
     modes = fourier_modes(params.order, angles)
     points = grid.points
-    samples = np.empty((points.shape[0], angles.shape[0]), dtype=np.complex128)
-    for rows, waves in grid_row_blocks(grid, directions(angles), k):
-        np.add(waves, network_forward(params, points[rows]) @ modes, out=samples[rows])
-    return ProbingSet(samples, aperture)
+    waves = grid_band_waves(grid, directions(angles), k)
+
+    def band(rows: slice) -> np.ndarray:
+        samples = network_forward(params, points[rows]) @ modes
+        samples += waves(rows)
+        if not np.all(np.isfinite(samples)):
+            raise ValidationError("probing samples must be finite")
+        return samples
+
+    return BandedProbe(band, aperture)

@@ -3,12 +3,14 @@
 The index function pairs a probing function with measured far-field data
 through the aperture inner product <f, g> = int f conj(g); its modulus is
 large near the scatterers.  The probing function is either the far-field
-Green function itself (classical choice) or any ProbingSet produced by the
-finite-space framework or the trained network.
+Green function itself (classical choice), a ProbingSet produced by the
+finite-space framework, or the trained network's BandedProbe, which is
+paired or normed one band of grid rows at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,26 @@ class ProbingSet:
         object.__setattr__(self, "samples", s)
 
 
+@dataclass(frozen=True)
+class BandedProbe:
+    """A grid probe built one band of grid rows at a time and never held whole.
+
+    band(rows) returns the probe at a band of numerics.grid_bands, shape
+    (band points, n_receivers); its consumer reduces it before asking for
+    the next.
+    """
+
+    band: Callable[[slice], np.ndarray]
+    aperture: ApertureSet
+
+
+def _check_receivers(data: FarFieldData, aperture: ApertureSet) -> None:
+    """A probe sampled at aperture's receivers pairs only with data measured at the same angles."""
+    angles, probe_angles = data.aperture.receiver_angles(), aperture.receiver_angles()
+    if probe_angles.shape != angles.shape or not np.allclose(probe_angles, angles):
+        raise ValidationError("data and probing apertures disagree on receiver angles")
+
+
 def index_classical(
     data: FarFieldData,
     probing: ProbingSet | None,
@@ -77,9 +99,7 @@ def index_classical(
     angles = data.aperture.receiver_angles()
     v = np.conj(data.samples[incidence]) * data.aperture.quadrature_weights()
     if probing is not None:
-        probe_angles = probing.aperture.receiver_angles()
-        if probe_angles.shape != angles.shape or not np.allclose(probe_angles, angles):
-            raise ValidationError("data and probing apertures disagree on receiver angles")
+        _check_receivers(data, probing.aperture)
         vals = np.abs(probing.samples @ v)
     elif k is None:
         raise ValidationError("k is required when probing defaults to G_inf")
@@ -109,21 +129,39 @@ def green_norm_on_aperture(aperture: ApertureSet, k: float) -> float:
     return float(np.sqrt(aperture.measure / (8.0 * k * np.pi)))
 
 
-def relative_norm(probing: ProbingSet, k: float, grid: SamplingGrid) -> IndexField:
+def relative_norm(probing: ProbingSet | BandedProbe, k: float, grid: SamplingGrid) -> IndexField:
     """RN(z) = ||G_Gamma(z, .)||_{L2(Gamma)} / ||G_inf(z, .)||_{L2(Gamma)}.
 
     The probe is reduced to norms band by band of grid rows, so no float copy
-    of the whole probe is made beside it.
+    of the whole probe is made beside it, and a BandedProbe is never whole.
     """
-    num = np.empty(probing.samples.shape[0])
+    band = probing.band if isinstance(probing, BandedProbe) else probing.samples.__getitem__
+    num = np.empty(grid.resolution**2)
     for rows in grid_bands(grid.resolution):
-        num[rows] = arc_norm(probing.samples[rows], probing.aperture)
+        num[rows] = arc_norm(band(rows), probing.aperture)
     return IndexField(grid=grid, values=num / green_norm_on_aperture(probing.aperture, k))
 
 
-def averaged_index(data: FarFieldData, probing: ProbingSet | None, grid: SamplingGrid, k=None) -> IndexField:
-    """index_classical for every incidence, averaged pointwise, then divided by the global maximum."""
-    mean = np.mean([index_classical(data, probing, grid, k, j).values for j in range(data.n_incidences)], axis=0)
+def averaged_index(
+    data: FarFieldData, probing: ProbingSet | BandedProbe | None, grid: SamplingGrid, k=None
+) -> IndexField:
+    """index_classical for every incidence, averaged pointwise, then divided by the global maximum.
+
+    A BandedProbe is paired with every incidence band by band, by
+    index_classical's product on the band's rows.
+    """
+    if isinstance(probing, BandedProbe):
+        _check_receivers(data, probing.aperture)
+        vs = np.conj(data.samples) * data.aperture.quadrature_weights()
+        values = np.empty((len(vs), grid.resolution**2))
+        for rows in grid_bands(grid.resolution):
+            samples = probing.band(rows)
+            for j, v in enumerate(vs):
+                values[j, rows] = np.abs(samples @ v)
+            del samples  # so the next band is not built beside this one
+    else:
+        values = [index_classical(data, probing, grid, k, j).values for j in range(data.n_incidences)]
+    mean = np.mean(values, axis=0)
     peak = mean.max()
     if peak == 0.0:
         raise ValidationError("all-zero index field cannot be normalized")

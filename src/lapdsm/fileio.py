@@ -135,10 +135,11 @@ def write_checkpoint(path, params: NetworkParams, k: float) -> None:
 def read_checkpoint(path) -> tuple[NetworkParams, float]:
     """Network and wavenumber from a checkpoint; malformed content raises ValidationError naming its line.
 
-    The file must have the lines the header's layer sizes need before any
-    layer is allocated.  Each row is split only to convert it: checked for its
-    length, assigned into its layer's array (numpy parses each token as
-    Python's float does), then checked for finiteness.
+    The file must have the lines the header's layer sizes need, and a layer's
+    first row the width its tag names, before that layer is allocated.  Each
+    row is split only to convert it: checked for its length, assigned into its
+    layer's array (numpy parses each token as Python's float does), then
+    checked for finiteness.
     """
     with text_input(path) as f:
         lines = f.readlines()
@@ -157,14 +158,15 @@ def read_checkpoint(path) -> tuple[NetworkParams, float]:
             i += 1
             if lines[i].split() != ["layer", str(fan_in), str(fan_out)]:
                 raise ValueError(f"expected 'layer {fan_in} {fan_out}'")
-            w = np.empty((fan_in + 1, fan_out))
-            for row in w:
+            for r in range(fan_in + 1):
                 i += 1
                 tokens = lines[i].split()
                 if len(tokens) != fan_out:
                     raise ValueError(f"expected {fan_out} values, got {len(tokens)}")
-                row[:] = tokens
-                if not np.isfinite(row).all():
+                if r == 0:  # a row of the header's width must exist before a layer that wide is allocated
+                    w = np.empty((fan_in + 1, fan_out))
+                w[r] = tokens
+                if not np.isfinite(w[r]).all():
                     raise ValueError("values must be finite")
             layers.append(w)
     except (ValueError, IndexError) as e:

@@ -10,7 +10,7 @@ right-hand sides are full-circle inner products by the trapezoid rule of
 numerics.circle_angles, kept as B(z) = P(z) M: the plane waves P(z) at the
 rule's T directions times a T x rows matrix M.  The Tikhonov SVD filter of
 A F(z) ~ B(z) acts on M once per sigma, so every probe is P(z) K_sigma,
-written band by band of grid rows into its one buffer (numerics.grid_row_blocks).
+written band by band of grid rows into its one buffer (numerics.grid_band_waves).
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ import numpy as np
 
 from .dsm import IndexField, ProbingSet, averaged_index
 from .errors import NumericalError, ValidationError
-from .numerics import circle_angles, circle_modes, directions, fourier_modes, grid_row_blocks, plane_waves, reach
+from .numerics import (
+    circle_angles, circle_modes, directions, fourier_modes, grid_band_waves, grid_bands, plane_waves, reach
+)
 from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
 
 
@@ -122,8 +124,9 @@ def probing_from_coefficients(
     basis = fourier_modes(order, aperture.receiver_angles()) / np.sqrt(2.0 * np.pi)  # (2P+1, Q)
     weights = kernel @ basis  # (T, Q)
     samples = np.empty((grid.resolution**2, weights.shape[1]), dtype=np.complex128)
-    for rows, waves in grid_row_blocks(grid, xhat, k):
-        np.matmul(waves, weights, out=samples[rows])
+    waves = grid_band_waves(grid, xhat, k)
+    for rows in grid_bands(grid.resolution):
+        np.matmul(waves(rows), weights, out=samples[rows])
     return ProbingSet(samples, aperture)
 
 

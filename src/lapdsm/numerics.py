@@ -9,22 +9,22 @@ loss uses, so that reconstruction and learning agree on the meaning of an
 inner product on the aperture.  Inner products over the full circle S^1 use
 the trapezoid rule of circle_angles, which replaces every Bessel closed form
 outside the forward solver.  On a sampling grid the plane wave splits into
-one factor per axis, and grid_row_blocks yields it band by band of whole grid
-rows, so a grid probe is filled in its one n * n x Q buffer and no other array
-of that size is built.
+one factor per axis, and grid_band_waves multiplies it out for one band of
+whole grid rows at a time, so a finite-space probe is filled in its one
+n * n x Q buffer and the network probe is never built for the whole grid.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
 
-# grid rows per band of grid_row_blocks: 2,048 points at grid 128
+# grid rows per band of grid_bands: 2,048 points at grid 128
 GRID_BLOCK_ROWS = 16
 
 
@@ -73,18 +73,21 @@ def grid_bands(resolution: int) -> list[slice]:
     return [slice(start * n, stop * n) for start, stop in zip(edges[:-1], edges[1:])]
 
 
-def grid_row_blocks(grid, xhat, k: float) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield, per band of whole grid rows, the band's slice of grid.points and its plane waves
-    ey x ex, shape (band points, Q): plane_waves of those points to rounding.
+def grid_band_waves(grid, xhat, k: float) -> Callable[[slice], np.ndarray]:
+    """The plane waves ey x ex of one band of grid_bands, as a function of the band's slice of grid.points.
 
-    A grid probe is written band by band (grid_bands) into its one n * n x Q
-    buffer, so no other array of that size is built.
+    Each call returns shape (band points, Q): plane_waves of those points to
+    rounding.  Only the axis factors are held between calls, so a grid probe
+    is built band by band and no array of the whole grid's waves exists.
     """
     ex, ey = grid_plane_waves(grid, xhat, k)
     n = grid.resolution
-    for rows in grid_bands(n):
+
+    def waves(rows: slice) -> np.ndarray:
         band = ey[rows.start // n : rows.stop // n]
-        yield rows, (band[:, None, :] * ex[None, :, :]).reshape(-1, ex.shape[1])
+        return (band[:, None, :] * ex[None, :, :]).reshape(-1, ex.shape[1])
+
+    return waves
 
 
 def green_far_prefactor(k: float) -> complex:

@@ -7,17 +7,18 @@ B(z) = P(z) M and solves on M alone.  These helpers build the dense arrays
 the program avoids, so the tests can check the factored paths against the
 plain ones: G_inf as a probing set of its own, B on every point, the
 finite-space pipeline B -> tikhonov_solve -> coefficients @ basis, and the
-network probe at arbitrary points.  The grid probes themselves are written
+network probe at arbitrary points.  The grid probes themselves are built
 band by band of grid rows; the whole-grid products below are the one-shot
-evaluations they must reproduce bit for bit.
+evaluations they must reproduce bit for bit, and gathered_bands stacks the
+network's bands into the array the program never holds.
 """
 
 import numpy as np
 
 from lapdsm.dpn import NetworkParams, _probe, network_forward
-from lapdsm.dsm import ProbingSet
+from lapdsm.dsm import BandedProbe, ProbingSet
 from lapdsm.finite_space import ffsm_matrix, ffsm_rhs_field, fssm_matrix, fssm_rhs_field, tikhonov_solve
-from lapdsm.numerics import directions, fourier_modes, green_far_prefactor, grid_plane_waves, plane_waves
+from lapdsm.numerics import directions, fourier_modes, green_far_prefactor, grid_bands, grid_plane_waves, plane_waves
 from lapdsm.scene import ApertureSet, SamplingGrid
 
 
@@ -65,7 +66,7 @@ def whole_grid_waves(grid: SamplingGrid, xhat, k: float) -> np.ndarray:
 
 
 def whole_grid_network_probe(params: NetworkParams, grid: SamplingGrid, aperture: ApertureSet, k: float) -> np.ndarray:
-    """probing_set_from_network's samples in one evaluation: plane waves plus coefficients @ modes."""
+    """network_probe's bands in one evaluation: plane waves plus coefficients @ modes."""
     angles = aperture.receiver_angles()
     modes = fourier_modes(params.order, angles)
     return whole_grid_waves(grid, directions(angles), k) + network_forward(params, grid.points) @ modes
@@ -76,3 +77,8 @@ def whole_grid_coefficient_probe(kernel: np.ndarray, aperture: ApertureSet, grid
     order = (kernel.shape[1] - 1) // 2
     basis = fourier_modes(order, aperture.receiver_angles()) / np.sqrt(2.0 * np.pi)
     return whole_grid_waves(grid, xhat, k) @ (kernel @ basis)
+
+
+def gathered_bands(probe: BandedProbe, grid: SamplingGrid) -> np.ndarray:
+    """A banded probe's bands stacked into the whole-grid array the program never builds, (n * n, Q)."""
+    return np.concatenate([probe.band(rows) for rows in grid_bands(grid.resolution)])

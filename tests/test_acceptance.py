@@ -331,7 +331,7 @@ def test_criterion_09_trained_networks_localize(trained_networks):
     noisy = add_noise(synthesize_far_field(preset_scene("ex1_1"), 120), 0.01, 7)
 
     def localizes(params):
-        return _localizes(averaged_index(noisy, dpn.probing_set_from_network(params, grid, ap, K), grid), centers)
+        return _localizes(averaged_index(noisy, dpn.network_probe(params, grid, ap, K), grid), centers)
 
     trained = [localizes(params) for _, _, params, _ in networks]
     zero_fails = not localizes(zero_network(networks[0][1]))
@@ -401,7 +401,7 @@ def test_longrun_trained_network_localization():
     scene = preset_scene("ex1_1")
     noisy = add_noise(synthesize_far_field(scene, 120), 0.01, 7)
     grid = SamplingGrid(DOMAIN, 128)
-    probing = dpn.probing_set_from_network(params, grid, ap, K)
+    probing = dpn.network_probe(params, grid, ap, K)
     field = averaged_index(noisy, probing, grid)
     ok = _localizes(field, true_centers("ex1_1"))
     assert report("L", "trained-network-localization", ok)

@@ -514,6 +514,15 @@ class TestTrainAndDpnReconstruct:
         assert code == 2
         assert err == f"error: {tmp_path / 'huge.ckpt'}:4: malformed checkpoint: list index out of range\n"
 
+    def test_checkpoint_naming_a_wider_layer_than_its_rows_is_one_line_error(self, tmp_path, capsys):
+        header = "DPN v1 P=1000000000000000 layers=2,4000000000000002 k=8"  # five lines, as the header needs
+        (tmp_path / "hugep.ckpt").write_text(f"{header}\nlayer 2 4000000000000002\n" + "0.5 0.5 0.5\n" * 3)
+        code = main(["rn", "--method", "dpn", "--config", "1", "--checkpoint", str(tmp_path / "hugep.ckpt"),
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {tmp_path / 'hugep.ckpt'}:3: malformed checkpoint: expected 4000000000000002 values, got 3\n"
+
     def test_dpn_reconstruct_requires_checkpoint(self, sim_dir, tmp_path):
         code = main(
             ["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"), "--method", "dpn",

@@ -218,6 +218,15 @@ def test_header_naming_more_lines_than_the_file_has_is_malformed_before_allocati
     assert str(info.value) == f"{tmp_path / 'huge.ckpt'}:4: malformed checkpoint: list index out of range"
 
 
+def test_header_naming_a_wider_layer_than_its_first_row_is_malformed_before_allocation(tmp_path):
+    # the line count is right; allocating the layer the header names would take 85 PiB
+    lines = ["DPN v1 P=1000000000000000 layers=2,4000000000000002 k=8", "layer 2 4000000000000002", *["0.5 0.5 0.5"] * 3]
+    (tmp_path / "hugep.ckpt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as info:
+        read_checkpoint(tmp_path / "hugep.ckpt")
+    assert str(info.value) == f"{tmp_path / 'hugep.ckpt'}:3: malformed checkpoint: expected 4000000000000002 values, got 3"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     hidden=st.lists(st.integers(1, 6), min_size=0, max_size=3),

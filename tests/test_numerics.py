@@ -15,8 +15,9 @@ from lapdsm.numerics import (
     fourier_modes,
     gauss_arc_nodes,
     GRID_BLOCK_ROWS,
+    grid_band_waves,
+    grid_bands,
     grid_plane_waves,
-    grid_row_blocks,
     plane_waves,
     reach,
 )
@@ -159,16 +160,17 @@ class TestGridPlaneWaves:
     def test_product_is_plane_waves_of_the_points(self, resolution, corner, size, directions_count, k):
         grid = SamplingGrid(Box(corner[0], corner[0] + size, corner[1], corner[1] + size), resolution)
         xhat = directions(np.linspace(-np.pi, np.pi, directions_count, endpoint=False))
-        # the bands of grid_row_blocks tile the grid in row-major order, whole rows at a time:
+        # the bands of grid_bands tile the grid in row-major order, whole rows at a time:
         # GRID_BLOCK_ROWS rows each, the last one with the remainder, or one band for a smaller grid
-        blocks = list(grid_row_blocks(grid, xhat, k))
-        bounds = [0] + [rows.stop for rows, _ in blocks]
-        assert [rows.start for rows, _ in blocks] == bounds[:-1] and bounds[-1] == resolution**2
+        bands = grid_bands(resolution)
+        bounds = [0] + [rows.stop for rows in bands]
+        assert [rows.start for rows in bands] == bounds[:-1] and bounds[-1] == resolution**2
         band_rows = np.diff(bounds) // resolution
         assert np.all(np.diff(bounds) % resolution == 0)
         assert np.all(band_rows[:-1] == GRID_BLOCK_ROWS)
         assert min(GRID_BLOCK_ROWS, resolution) <= band_rows[-1] < 2 * GRID_BLOCK_ROWS
-        got = np.concatenate([waves for _, waves in blocks])
+        waves = grid_band_waves(grid, xhat, k)
+        got = np.concatenate([waves(rows) for rows in bands])
         assert got.shape == (resolution**2, directions_count)
         np.testing.assert_allclose(got, plane_waves(grid.points, xhat, k), rtol=0, atol=1e-13)
 
