@@ -51,11 +51,12 @@ def _meta_base(args, command: str) -> dict:
     return {"command": command, "args": echo}
 
 
-def _derive_meta_path(data_path: str) -> str:
-    for suffix in (".noisy.csv", ".noiseless.csv", ".csv"):
-        if data_path.endswith(suffix):
-            return data_path[: -len(suffix)] + ".meta.json"
-    raise ValidationError(f"cannot derive metadata path from {data_path!r}; pass --meta")
+def _derive_meta_path(path: str, advice: str = "") -> str:
+    """The .meta.json sidecar that simulate or train-dpn wrote beside a data file or checkpoint."""
+    for suffix in (".noisy.csv", ".noiseless.csv", ".csv", ".ckpt"):
+        if path.endswith(suffix):
+            return path[: -len(suffix)] + ".meta.json"
+    raise ValidationError(f"cannot derive metadata path from {path!r}{advice}")
 
 
 def cmd_simulate(args) -> int:
@@ -87,14 +88,19 @@ def _finite_space_inputs(args, sigma_exps, domain: Box):
         return [np.float64(0.1) ** m for m in sigma_exps], sources
 
 
-def _load_checkpoint(args, k: float):
-    """The network of --checkpoint, which must have been trained at wavenumber k."""
+def _checkpoint_probe(args, grid: SamplingGrid, aperture: ApertureSet, k: float):
+    """The probe of the --checkpoint network, which must have been trained at wavenumber k for this
+    aperture: the one train-dpn recorded in the checkpoint's .meta.json sidecar."""
     if not args.checkpoint:
         raise ValidationError("method 'dpn' needs --checkpoint")
     params, ck = fileio.read_checkpoint(args.checkpoint)
     if abs(ck - k) > 1e-9:
         raise ValidationError(f"checkpoint wavenumber {ck} != wavenumber {k} in use")
-    return params
+    meta_path = _derive_meta_path(args.checkpoint)
+    meta = fileio.read_metadata(meta_path)
+    if not isinstance(meta, dict) or meta.get("aperture") != aperture_to_dict(aperture):
+        raise ValidationError(f"{meta_path}: the checkpoint was not trained for the aperture in use")
+    return network_probe(params, grid, aperture, k)
 
 
 def _reconstruct_fields(args, data, grid, k, sigma_exps) -> list[IndexField]:
@@ -105,12 +111,12 @@ def _reconstruct_fields(args, data, grid, k, sigma_exps) -> list[IndexField]:
         return reconstruct_finite_space(data, method, args.order, sigmas, grid, k, sources=sources)
     if method == "full" and not data.aperture.is_full_circle():
         raise ValidationError("method 'full' requires full-circle data")
-    probing = network_probe(_load_checkpoint(args, k), grid, data.aperture, k) if method == "dpn" else None
+    probing = _checkpoint_probe(args, grid, data.aperture, k) if method == "dpn" else None
     return [averaged_index(data, probing, grid, k)]
 
 
 def cmd_reconstruct(args) -> int:
-    meta_path = args.meta or _derive_meta_path(args.data)
+    meta_path = args.meta or _derive_meta_path(args.data, "; pass --meta")
     meta = fileio.read_metadata(meta_path)
     if not isinstance(meta, dict) or "scene" not in meta:
         raise ValidationError(f"{meta_path}: no \"scene\" entry; pass the .meta.json that simulate wrote")
@@ -173,7 +179,7 @@ def cmd_rn(args) -> int:
     aperture, k, domain, _ = _source(args)
     grid = SamplingGrid(domain, args.grid)
     if args.method == "dpn":
-        probing = network_probe(_load_checkpoint(args, k), grid, aperture, k)
+        probing = _checkpoint_probe(args, grid, aperture, k)
     else:
         sigmas, sources = _finite_space_inputs(args, [args.sigma_exp], domain)
         (probing,) = finite_space_probings(args.method, aperture, grid, args.order, sigmas, k, sources)

@@ -3,9 +3,9 @@
 The index function pairs a probing function with measured far-field data
 through the aperture inner product <f, g> = int f conj(g); its modulus is
 large near the scatterers.  The probing function is either the far-field
-Green function itself (classical choice), a ProbingSet produced by the
-finite-space framework, or the trained network's BandedProbe, which is
-paired or normed one band of grid rows at a time.
+Green function, paired by a separable product on the grid, or a probe given
+one band of grid rows at a time (a finite-space ProbingSet or the trained
+network's BandedProbe), which one band loop pairs and another norms.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ class ProbingSet:
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
+    def band(self, rows: slice) -> np.ndarray:
+        """The samples at a band of grid rows, a view."""
+        return self.samples[rows]
+
 
 @dataclass(frozen=True)
 class BandedProbe:
@@ -75,38 +79,34 @@ class BandedProbe:
     aperture: ApertureSet
 
 
-def _check_receivers(data: FarFieldData, aperture: ApertureSet) -> None:
-    """A probe sampled at aperture's receivers pairs only with data measured at the same angles."""
-    angles, probe_angles = data.aperture.receiver_angles(), aperture.receiver_angles()
-    if probe_angles.shape != angles.shape or not np.allclose(probe_angles, angles):
-        raise ValidationError("data and probing apertures disagree on receiver angles")
-
-
 def index_classical(
-    data: FarFieldData,
-    probing: ProbingSet | None,
-    grid: SamplingGrid,
-    k: float | None = None,
-    incidence: int = 0,
-) -> IndexField:
-    """|<G_probe(z, .), u_inf>_Gamma| per sampling point, one incidence.
+    data: FarFieldData, probing: ProbingSet | BandedProbe | None, grid: SamplingGrid, k: float | None = None
+) -> np.ndarray:
+    """|<G_probe(z, .), u_j>_Gamma| per incidence j and sampling point z, shape (n_incidences, n_points).
 
     With probing=None the probe is G_inf for the wavenumber k.  On the grid it
-    splits as c e^{-ik x cos t} e^{-ik y sin t}, so the pairing is one
-    (n x Q) @ (Q x n) product and no n_points x Q array is built.  The
-    receivers themselves serve as quadrature nodes.
+    splits as c e^{-ik x cos t} e^{-ik y sin t}, so each pairing is one
+    (n x Q) @ (Q x n) product and no n_points x Q array is built.  Any other
+    probe is paired band by band of grid rows, each band with every incidence
+    before the next is built.  The receivers serve as quadrature nodes.
     """
     angles = data.aperture.receiver_angles()
-    v = np.conj(data.samples[incidence]) * data.aperture.quadrature_weights()
-    if probing is not None:
-        _check_receivers(data, probing.aperture)
-        vals = np.abs(probing.samples @ v)
-    elif k is None:
-        raise ValidationError("k is required when probing defaults to G_inf")
-    else:
+    vs = np.conj(data.samples) * data.aperture.quadrature_weights()
+    if probing is None:
+        if k is None:
+            raise ValidationError("k is required when probing defaults to G_inf")
         ex, ey = grid_plane_waves(grid, directions(angles), k)
-        vals = np.abs(green_far_prefactor(k) * ((ey * v) @ ex.T)).ravel()
-    return IndexField(grid=grid, values=vals)
+        return np.array([np.abs(green_far_prefactor(k) * ((ey * v) @ ex.T)).ravel() for v in vs])
+    probe_angles = probing.aperture.receiver_angles()
+    if probe_angles.shape != angles.shape or not np.allclose(probe_angles, angles):
+        raise ValidationError("data and probing apertures disagree on receiver angles")
+    values = np.empty((len(vs), grid.resolution**2))
+    for rows in grid_bands(grid.resolution):
+        samples = probing.band(rows)
+        for j, v in enumerate(vs):
+            values[j, rows] = np.abs(samples @ v)
+        del samples  # so the next band is not built beside this one
+    return values
 
 
 def kernel_gamma(z, y, aperture: ApertureSet, k: float, quadrature_points: int = 256):
@@ -135,35 +135,18 @@ def relative_norm(probing: ProbingSet | BandedProbe, k: float, grid: SamplingGri
     The probe is reduced to norms band by band of grid rows, so no float copy
     of the whole probe is made beside it, and a BandedProbe is never whole.
     """
-    band = probing.band if isinstance(probing, BandedProbe) else probing.samples.__getitem__
     num = np.empty(grid.resolution**2)
     for rows in grid_bands(grid.resolution):
-        num[rows] = arc_norm(band(rows), probing.aperture)
+        num[rows] = arc_norm(probing.band(rows), probing.aperture)
     return IndexField(grid=grid, values=num / green_norm_on_aperture(probing.aperture, k))
 
 
 def averaged_index(
     data: FarFieldData, probing: ProbingSet | BandedProbe | None, grid: SamplingGrid, k=None
 ) -> IndexField:
-    """index_classical for every incidence, averaged pointwise, then divided by the global maximum.
-
-    A BandedProbe is paired with every incidence band by band, by
-    index_classical's product on the band's rows.
-    """
-    if isinstance(probing, BandedProbe):
-        _check_receivers(data, probing.aperture)
-        vs = np.conj(data.samples) * data.aperture.quadrature_weights()
-        values = np.empty((len(vs), grid.resolution**2))
-        for rows in grid_bands(grid.resolution):
-            samples = probing.band(rows)
-            for j, v in enumerate(vs):
-                values[j, rows] = np.abs(samples @ v)
-            del samples  # so the next band is not built beside this one
-    else:
-        values = [index_classical(data, probing, grid, k, j).values for j in range(data.n_incidences)]
-    mean = np.mean(values, axis=0)
+    """index_classical for every incidence, averaged pointwise, then divided by the global maximum."""
+    mean = np.mean(index_classical(data, probing, grid, k), axis=0)
     peak = mean.max()
     if peak == 0.0:
         raise ValidationError("all-zero index field cannot be normalized")
     return IndexField(grid=grid, values=mean / peak)
-

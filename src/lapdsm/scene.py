@@ -303,10 +303,6 @@ class FarFieldData:
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
-    @property
-    def n_incidences(self) -> int:
-        return self.samples.shape[0]
-
 
 def pollute(u: np.ndarray, delta: float, aperture: ApertureSet, rng: CounterRng) -> np.ndarray:
     """The pointwise Gaussian noise model, row by row over the last axis of u.

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -20,9 +21,12 @@ from lapdsm import cli, fileio
 from lapdsm.cli import build_parser, main
 from lapdsm.dpn import NetworkParams, TrainConfig
 from lapdsm.fileio import write_checkpoint
-from lapdsm.presets import preset_scene
+from lapdsm.presets import config1_aperture, preset_scene
 from lapdsm.rng import CounterRng
-from lapdsm.scene import scene_to_dict
+from lapdsm.scene import aperture_to_dict, scene_to_dict
+
+# the .meta.json sidecar of a checkpoint trained for configuration I: reconstruct and rn read its aperture
+CONFIG1_SIDECAR = json.dumps({"aperture": aperture_to_dict(config1_aperture())})
 
 
 @pytest.mark.parametrize(
@@ -496,6 +500,7 @@ class TestTrainAndDpnReconstruct:
     def test_malformed_checkpoint_is_one_line_error(self, tmp_path, capsys, edit, message):
         params = NetworkParams.initialize(TrainConfig(order=3, hidden=(12,)), CounterRng(0))
         write_checkpoint(tmp_path / "net.ckpt", params, 8.0)
+        (tmp_path / "net.meta.json").write_text(CONFIG1_SIDECAR)
         lines = (tmp_path / "net.ckpt").read_text().splitlines()
         (tmp_path / "bad.ckpt").write_text("\n".join(edit(lines)) + "\n")
         args = ["rn", "--method", "dpn", "--config", "1", "--grid", "8", "--out", str(tmp_path / "x")]
@@ -531,12 +536,54 @@ class TestTrainAndDpnReconstruct:
         assert code == 2
 
 
+class TestCheckpointProvenance:
+    @pytest.fixture(scope="class")
+    def config2_net(self, tmp_path_factory):
+        """An untrained configuration-II network and its train-dpn sidecar."""
+        out = str(tmp_path_factory.mktemp("net2") / "net")
+        assert main(["train-dpn", "--config", "2", "--iterations", "0", "--order", "2", "--out", out]) == 0
+        return out
+
+    @staticmethod
+    def _apply(sim_dir, tmp_path, checkpoint):
+        out = ["--checkpoint", checkpoint, "--grid", "8", "--out", str(tmp_path / "x")]
+        return [
+            ["reconstruct", "--data", str(sim_dir / "ex1_1.noisy.csv"), "--method", "dpn", *out],
+            ["rn", "--method", "dpn", "--config", "1", *out],
+        ]
+
+    def test_checkpoint_for_another_aperture_is_one_line_error(self, sim_dir, config2_net, tmp_path, capsys):
+        # a configuration-II network applied to configuration-I data, or to rn's configuration I
+        for argv in self._apply(sim_dir, tmp_path, f"{config2_net}.ckpt"):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == f"error: {config2_net}.meta.json: the checkpoint was not trained for the aperture in use\n"
+        assert not list(tmp_path.iterdir())
+        assert main(["rn", "--method", "dpn", "--config", "2", "--checkpoint", f"{config2_net}.ckpt", "--grid", "8",
+                     "--out", str(tmp_path / "x")]) == 0
+
+    def test_checkpoint_without_its_sidecar_is_one_line_error(self, sim_dir, config2_net, tmp_path, capsys):
+        shutil.copy(f"{config2_net}.ckpt", tmp_path / "lone.ckpt")
+        shutil.copy(f"{config2_net}.ckpt", tmp_path / "lone.bin")
+        # the message names the sidecar it looked for, or the checkpoint whose sidecar it cannot name
+        for name, named in (("lone.ckpt", "lone.meta.json"), ("lone.bin", "lone.bin")):
+            for argv in self._apply(sim_dir, tmp_path, str(tmp_path / name)):
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code == 2
+                assert err.count("\n") == 1 and "--meta" not in err  # rn has no --meta to pass
+                assert str(tmp_path / named) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lone.bin", "lone.ckpt"]
+
+
 # each corruptible input file and the command that reads it; the other files stay valid
 CORRUPTIBLE = {
     "scene.json": ["simulate", "--scene", "scene.json", "--forward-grid", "40"],
     "ex1_1.noisy.csv": ["reconstruct", "--data", "ex1_1.noisy.csv", "--method", "partial", "--grid", "8"],
     "ex1_1.meta.json": ["reconstruct", "--data", "ex1_1.noisy.csv", "--method", "partial", "--grid", "8"],
     "net.ckpt": ["rn", "--method", "dpn", "--config", "1", "--grid", "8", "--checkpoint", "net.ckpt"],
+    "net.meta.json": ["rn", "--method", "dpn", "--config", "1", "--grid", "8", "--checkpoint", "net.ckpt"],
 }
 
 
@@ -550,6 +597,7 @@ def valid_inputs(sim_dir, tmp_path_factory):
         "ex1_1.noisy.csv": read_bytes(sim_dir / "ex1_1.noisy.csv"),
         "ex1_1.meta.json": read_bytes(sim_dir / "ex1_1.meta.json"),
         "net.ckpt": read_bytes(d / "net.ckpt"),
+        "net.meta.json": CONFIG1_SIDECAR.encode(),
     }
 
 
@@ -640,7 +688,8 @@ NUMPY_ALONE = [
     ["reconstruct", "--data", "sim.noisy.csv", "--method", "fssm", "--sigma-exp", "4", "--sources", "4",
      "--grid", "8", "--out", "fssm"],
     ["train-dpn", "--config", "1", "--iterations", "2", "--batch-functions", "4", "--points", "4", "--out", "net"],
-    ["reconstruct", "--data", "sim.noisy.csv", "--method", "dpn", "--checkpoint", "net.ckpt", "--grid", "8",
+    ["simulate", "--preset", "ex1_1", "--forward-grid", "30", "--out", "sim1"],  # the aperture net was trained for
+    ["reconstruct", "--data", "sim1.noisy.csv", "--method", "dpn", "--checkpoint", "net.ckpt", "--grid", "8",
      "--out", "dpn"],
     ["rn", "--method", "fssm", "--config", "1", "--sigma-exp", "4", "--sources", "4", "--grid", "8", "--out", "rn"],
     ["kernel", "--r-steps", "3", "--quad-points", "64", "--out", "kernel"],

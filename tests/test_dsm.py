@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dense_probing import green_probing_set
 from lapdsm.dsm import (
+    BandedProbe,
     IndexField,
     ProbingSet,
     averaged_index,
@@ -123,8 +124,9 @@ class TestIndexClassical:
         data = FarFieldData(rng.normal(size=(incidences, q)) + 1j * rng.normal(size=(incidences, q)), ap)
         grid = SamplingGrid(Box(-1.0, 1.5, -0.5, 1.0), resolution)
         probing = green_probing_set(grid, ap, k)
+        indices = index_classical(data, None, grid, k=k)
         for j in range(incidences):
-            got = index_classical(data, None, grid, k=k, incidence=j).values
+            got = indices[j]
             dense = np.abs(probing.samples @ (np.conj(data.samples[j]) * ap.quadrature_weights()))
             assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(dense)
 
@@ -136,8 +138,8 @@ class TestIndexClassical:
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
         data = FarFieldData(np.exp(-1j * K * xhat @ y0)[None, :], ap)
         grid = SamplingGrid(DOMAIN, 64)
-        field = index_classical(data, None, grid, k=K)
-        best = grid.points[np.argmax(field.values)]
+        values = index_classical(data, None, grid, k=K)[0]
+        best = grid.points[np.argmax(values)]
         assert np.hypot(*(best - y0)) < 0.1
 
     def test_full_circle_index_is_bessel_kernel(self):
@@ -149,18 +151,18 @@ class TestIndexClassical:
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
         data = FarFieldData(pre * np.exp(-1j * K * xhat @ y0)[None, :], ap)
         grid = SamplingGrid(DOMAIN, 32)
-        field = index_classical(data, None, grid, k=K)
+        values = index_classical(data, None, grid, k=K)[0]
         dist = np.hypot(grid.points[:, 0] - y0[0], grid.points[:, 1] - y0[1])
         expect = np.abs(bessel_j(0, K * dist)) / (4 * K)
-        np.testing.assert_allclose(field.values, expect, atol=1e-6)
+        np.testing.assert_allclose(values, expect, atol=1e-6)
 
     def test_phase_invariance(self):
         ap = config1_aperture()
         u = np.exp(1j * np.linspace(0, 3, 100))
         grid = SamplingGrid(DOMAIN, 16)
-        a = index_classical(FarFieldData(u[None, :], ap), None, grid, k=K)
-        b = index_classical(FarFieldData((1j * u)[None, :], ap), None, grid, k=K)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
+        a = index_classical(FarFieldData(u[None, :], ap), None, grid, k=K)[0]
+        b = index_classical(FarFieldData((1j * u)[None, :], ap), None, grid, k=K)[0]
+        np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_stability_bound_is_cauchy_schwarz(self):
         # |I(z) - I_delta(z)| <= ||G_inf(z,.)||_Gamma * ||u - u_delta||_Gamma pointwise
@@ -169,10 +171,10 @@ class TestIndexClassical:
         rng = CounterRng(55)
         u = rng.normals(128) + 1j * rng.normals(128)
         pert = u + 0.1 * (rng.normals(128) + 1j * rng.normals(128))
-        fa = index_classical(FarFieldData(u[None, :], ap), None, grid, k=K)
-        fb = index_classical(FarFieldData(pert[None, :], ap), None, grid, k=K)
+        fa = index_classical(FarFieldData(u[None, :], ap), None, grid, k=K)[0]
+        fb = index_classical(FarFieldData(pert[None, :], ap), None, grid, k=K)[0]
         bound = green_norm_on_aperture(ap, K) * arc_norm(u - pert, ap)
-        assert np.max(np.abs(fa.values - fb.values)) <= bound + 1e-13
+        assert np.max(np.abs(fa - fb)) <= bound + 1e-13
 
     def test_probing_on_another_aperture_is_rejected(self):
         grid = SamplingGrid(DOMAIN, 4)
@@ -180,8 +182,31 @@ class TestIndexClassical:
         samples = np.ones((16, 90), dtype=complex)
         with pytest.raises(ValidationError, match="disagree on receiver angles"):
             index_classical(data, ProbingSet(samples, config1_aperture(receivers=90)), grid)
-        same = index_classical(data, ProbingSet(samples, config2_aperture()), grid)
-        np.testing.assert_allclose(same.values, 3 * np.pi / 4)  # the measure of config II
+        same = index_classical(data, ProbingSet(samples, config2_aperture()), grid)[0]
+        np.testing.assert_allclose(same, 3 * np.pi / 4)  # the measure of config II
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config=st.sampled_from([config1_aperture, config2_aperture]),  # Q = 100 and 90
+        resolution=st.integers(1, 20) | st.sampled_from([128, 130]),
+        seed=st.integers(0, 2**32 - 1),
+        incidences=st.integers(1, 3),
+    )
+    def test_band_pairing_is_the_whole_grid_product(self, config, resolution, seed, incidences):
+        # a ProbingSet and a BandedProbe of the same samples pair, band by band, to the bits of one whole-grid
+        # gemv per incidence, and norm to the same bits
+        ap, grid = config(), SamplingGrid(DOMAIN, resolution)
+        rng = np.random.default_rng(seed)
+        q = ap.total_receivers
+        draw = rng.normal(size=(2, resolution**2 + incidences, q))
+        samples, u = np.split(draw[0] + 1j * draw[1], [resolution**2])
+        data = FarFieldData(u, ap)
+        whole = ProbingSet(samples, ap)
+        banded = BandedProbe(lambda rows: samples[rows].copy(), ap)
+        want = np.array([np.abs(samples @ v) for v in np.conj(u) * ap.quadrature_weights()])
+        np.testing.assert_array_equal(index_classical(data, whole, grid), want)
+        np.testing.assert_array_equal(index_classical(data, banded, grid), want)
+        np.testing.assert_array_equal(relative_norm(banded, K, grid).values, relative_norm(whole, K, grid).values)
 
     def test_green_norm_value(self):
         assert green_norm_on_aperture(full_circle(8), K) == pytest.approx(1.0 / (2 * np.sqrt(K)))
@@ -233,7 +258,7 @@ class TestAverageAndPeaks:
         grid = SamplingGrid(DOMAIN, 4)
         rng = np.random.default_rng(0)
         data = FarFieldData(rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20)), ap)
-        first, second = (index_classical(data, None, grid, K, j).values for j in range(2))
+        first, second = index_classical(data, None, grid, K)
         mean = (first + second) / 2
         out = averaged_index(data, None, grid, K)
         np.testing.assert_array_equal(out.values, mean / mean.max())

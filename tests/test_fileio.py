@@ -103,7 +103,7 @@ def per_row_farfield_csv(path, data):
     angles = data.aperture.receiver_angles()
     with open(path, "w") as f:
         f.write("incidence_index,theta_radians,re,im\n")
-        for j in range(data.n_incidences):
+        for j in range(len(data.samples)):
             for theta, u in zip(angles, data.samples[j]):
                 f.write(f"{j},{'%.17g' % theta},{'%.17g' % u.real},{'%.17g' % u.imag}\n")
 
