@@ -4,13 +4,19 @@ Every command echoes its full parameter set into a metadata sidecar and is
 reproducible: identical arguments and seed give byte-identical files.
 Exit codes: 0 success, 2 validation error (an input that asks for more
 memory than the process may have among them), 3 numerical failure.
+
+On glibc, `main` first fixes malloc's mmap and trim thresholds at 32 and 64 MiB, their dynamic
+ceilings, so the temporaries each DPN iteration and probe band frees are reused, not faulted in
+again; larger blocks are still returned when freed, and no result depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -160,6 +166,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    if not np.isfinite(args.k * args.r_max):  # the largest plane-wave phase
+        raise ValidationError(f"--k times --r-max must be finite, got {args.k!r} * {args.r_max!r}")
     aperture = ApertureSet((Arc(alpha=args.alpha, beta=0.0, receivers=64),))
     try:
         betas = [float(b) for b in args.beta_list.split(",")]
@@ -206,17 +214,18 @@ def _count(minimum: int):
     return count
 
 
-def _real(positive: bool = False):
-    """argparse type of a real flag that must be finite (and > 0 if positive), so nan and inf name the flag."""
+def _real(sign: str = ""):
+    """argparse type of a real flag that must be finite (and "positive" or "non-negative" if sign says so), so
+    nan and inf name the flag."""
 
     def real(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = float("nan")
-        if np.isfinite(value) and (value > 0 or not positive):
+        if np.isfinite(value) and {"": True, "positive": value > 0, "non-negative": value >= 0}[sign]:
             return value
-        want = "finite and positive" if positive else "a finite number"
+        want = f"finite and {sign}" if sign else "a finite number"
         raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
 
     return real
@@ -340,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     ker = sub.add_parser("kernel", parents=[out], help="tabulate the aperture kernel decay")
     ker.add_argument("--alpha", type=_finite, default=np.pi / 3.0)
     ker.add_argument("--beta-list", default="0,0.7853981633974483,1.5707963267948966")
-    ker.add_argument("--k", type=_real(positive=True), default=8.0)
-    ker.add_argument("--r-max", type=_finite, default=2.0)
+    ker.add_argument("--k", type=_real("positive"), default=8.0)
+    ker.add_argument("--r-max", type=_real("non-negative"), default=2.0)
     ker.add_argument("--r-steps", type=_count(1), default=201)
     ker.add_argument("--quad-points", type=_count(64), default=512)
     ker.set_defaults(func=cmd_kernel)
@@ -355,7 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _keep_freed_heap() -> None:
+    """On glibc, fix malloc's mmap and trim thresholds at their dynamic ceilings (see the module docstring)."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or a C library that does not know the name
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args) or 0

@@ -96,7 +96,7 @@ def exit_code(argv) -> int:
         (["kernel", "--k", "0"], "argument --k: must be finite and positive, got '0'"),
         (["kernel", "--k", "-1"], "argument --k: must be finite and positive, got '-1'"),
         (["kernel", "--k", "nan"], "argument --k: must be finite and positive, got 'nan'"),
-        (["kernel", "--r-max", "nan"], "argument --r-max: must be a finite number, got 'nan'"),
+        (["kernel", "--r-max", "nan"], "argument --r-max: must be finite and non-negative, got 'nan'"),
     ],
     ids=["reconstruct-nan", "reconstruct-list-nan", "reconstruct-overflow", "reconstruct-order-0", "rn-nan",
          "rn-overflow", "rn-underflow", "rn-order-0", "kernel-k-0", "kernel-k-negative", "kernel-k-nan",
@@ -228,8 +228,8 @@ NAMESPACES = {
     "kernel": (["kernel", "--out", "x"],
                dict(alpha=np.pi / 3.0, beta_list="0,0.7853981633974483,1.5707963267948966", k=8.0, r_max=2.0,
                     r_steps=201, quad_points=512)),
-    "kernel-set": (["kernel", "--alpha", "1", "--k", "5", "--r-max", "-1", "--out", "x"],
-                   dict(alpha=1.0, beta_list="0,0.7853981633974483,1.5707963267948966", k=5.0, r_max=-1.0,
+    "kernel-set": (["kernel", "--alpha", "1", "--k", "5", "--r-max", "0", "--out", "x"],
+                   dict(alpha=1.0, beta_list="0,0.7853981633974483,1.5707963267948966", k=5.0, r_max=0.0,
                         r_steps=201, quad_points=512)),
     "rn": (["rn", "--method", "ffsm", "--config", "2", "--out", "x"],
            dict(method="ffsm", config=2, scene=None, preset=None, order=20, sigma_exp=None, sources=20,
@@ -662,6 +662,21 @@ class TestKernelAndRn:
         assert "--beta-list" in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--r-max", "-2"], "lapdsm kernel: error: argument --r-max: must be finite and non-negative, got '-2'\n"),
+            (["--k", "1e308"], "error: --k times --r-max must be finite, got 1e+308 * 2.0\n"),
+            (["--r-max", "1e308"], "error: --k times --r-max must be finite, got 8.0 * 1e+308\n"),
+        ],
+        ids=["r-max-negative", "k-overflow", "r-max-overflow"],
+    )
+    def test_out_of_range_radius_or_phase_is_one_line_error(self, tmp_path, capsys, argv, message):
+        # a negative radius, or a largest phase k * r_max beyond the float range (NaN rows before)
+        code = exit_code(["kernel", *argv, "--r-steps", "3", "--out", str(tmp_path / "ker")])
+        assert code == 2 and capsys.readouterr().err == message
+        assert not list(tmp_path.iterdir())
+
     def test_rn_artifacts(self, tmp_path):
         out = str(tmp_path / "rn")
         code = main(
@@ -733,3 +748,63 @@ def test_input_too_big_for_memory_is_one_line_error(tmp_path, argv):
     assert run.stderr.startswith(f"error: {argv[0]}: not enough memory for this input (")
     assert run.stderr.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# the minor page faults of each of 20 rounds that allocate two 4 MiB arrays, write them and free them; with one
+# array glibc's dynamic thresholds already keep it, with two the freed 8 MiB reach its dynamic trim threshold
+HEAP_ROUNDS = """
+import resource
+import numpy as np
+from lapdsm import cli
+cli._keep_freed_heap()
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pair = [np.ones(1 << 19), np.ones(1 << 19)]
+    del pair
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+# a short paper-size training and both commands that apply its network, in one process; argv[1] == "off"
+# replaces the heap policy with a no-op
+DPN_COMMANDS = """
+import sys
+from lapdsm import cli
+if sys.argv[1] == "off":
+    cli._keep_freed_heap = lambda: None
+for argv in [
+    ["simulate", "--preset", "ex1_1", "--forward-grid", "30", "--out", "sim"],
+    ["train-dpn", "--config", "1", "--iterations", "3", "--out", "net"],
+    ["reconstruct", "--data", "sim.noisy.csv", "--method", "dpn", "--checkpoint", "net.ckpt", "--out", "dpn"],
+    ["rn", "--method", "dpn", "--config", "1", "--checkpoint", "net.ckpt", "--out", "rn"],
+]:
+    assert cli.main(argv) == 0, argv
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap policy acts on glibc's malloc alone")
+class TestHeapPolicy:
+    def test_freed_temporaries_are_not_faulted_in_again(self, tmp_path):
+        run = _python(tmp_path, HEAP_ROUNDS)
+        assert run.returncode == 0, run.stderr
+        faults = [int(n) for n in run.stdout.split()]
+        # each round writes 2,048 pages: returned to the kernel, they fault in again (about 1,000 per round)
+        assert max(faults[1:]) < 64, faults
+
+    def test_artifacts_do_not_depend_on_the_allocator(self, tmp_path):
+        files = {}
+        for mode in ("on", "off"):
+            (tmp_path / mode).mkdir()
+            run = _python(tmp_path / mode, DPN_COMMANDS, mode)
+            assert run.returncode == 0, run.stderr
+            files[mode] = {p.name: p.read_bytes() for p in sorted((tmp_path / mode).iterdir())}
+        assert {"net.ckpt", "net.loss.csv", "dpn.csv", "dpn.pgm", "rn.csv", "rn.pgm"} <= set(files["on"])
+        assert files["on"] == files["off"]
