@@ -168,6 +168,8 @@ def cmd_train(args) -> int:
 def cmd_kernel(args) -> int:
     if not np.isfinite(args.k * args.r_max):  # the largest plane-wave phase
         raise ValidationError(f"--k times --r-max must be finite, got {args.k!r} * {args.r_max!r}")
+    if not np.isfinite(8.0 * args.k * np.pi):  # the kernel's scale 1 / (8 k pi)
+        raise ValidationError(f"--k must keep 8 k pi finite, got {args.k!r}")
     aperture = ApertureSet((Arc(alpha=args.alpha, beta=0.0, receivers=64),))
     try:
         betas = [float(b) for b in args.beta_list.split(",")]

@@ -3,15 +3,17 @@ r"""Far-field synthesis by a Lippmann-Schwinger volume-integral solver.
 The total field obeys u = u^i + k^2 \int_D G(y, .) (n(y) - 1) u(y) dy; we
 discretize with piecewise-constant collocation on the cells of a uniform
 grid, solve the dense system restricted to contrast-carrying cells, and
-radiate the induced current to the far field.  The kernel is gathered band
-by band from one table of integer cell offsets over the contrast cells' span,
-evaluated by the numpy Hankel function below, and turned into I - k^2 G Q in
-place, so the system and LAPACK's copy of it are the only N x N arrays.  The
-system is solved once per grid with every incidence as one right-hand-side
-column, and one product per grid radiates every incidence's current through
-the lattice's separable plane waves.  Two independent oracles in the test
-suite (Born approximation and the penetrable-disk separation-of-variables
-series) validate the solver.
+radiate the induced current to the far field.  The one path is
+`contrast_grid` -> the grid's `currents` -> `far_field`.  The kernel is
+gathered band by band from one table of integer cell offsets over the
+contrast cells' span, evaluated by the numpy Hankel function below, and turned
+into I - k^2 G Q in place, so the system and LAPACK's copy of it are the only
+N x N arrays, and neither outlives the solve.  The system is solved once per
+grid with every incidence as one right-hand-side column, every column's
+residual is checked from one product, and one product per grid radiates every
+incidence's current through the lattice's separable plane waves.  Two
+independent oracles in the test suite (Born approximation and the
+penetrable-disk separation-of-variables series) validate the solver.
 """
 
 from __future__ import annotations
@@ -46,36 +48,35 @@ class ContrastGrid:
         return self.h * self.h
 
     @cached_property
-    def incident(self) -> np.ndarray:
-        """u^i = e^{ik d . x} at every cell for every incidence d, shape (n_cells, n_incidences)."""
-        waves = plane_waves(self.points, -np.asarray(self.incidences), self.wavenumber)
-        waves.setflags(write=False)
-        return waves
+    def currents(self) -> np.ndarray:
+        """Induced currents I = q k^2 u on every cell for every incidence, shape (n_incidences, n_cells).
 
-    @cached_property
-    def system(self) -> tuple[np.ndarray, np.ndarray]:
-        """I - k^2 G Q on the contrast cells and the total field u it gives for every incidence.
-
-        Every incidence solves with the same operator, so it is assembled once
-        per grid and one LAPACK solve takes all incident fields as columns;
-        u has shape (contrast cells, n_incidences).
+        Every incidence solves with the same operator, so one LAPACK solve
+        takes all incident fields u^i = e^{ik d . x} on the contrast cells as
+        columns.  A column that is not finite or whose relative residual
+        |A u - u^i| / |u^i| exceeds 1e-8 raises NumericalError.  The currents
+        vanish off the contrast cells.
         """
         k = self.wavenumber
         cells = np.flatnonzero(self.q != 0.0)
-        # I - k^2 G Q assembled in place on the gathered G, entry for entry the
-        # rounding of eye - k^2 * g * q: 0 - x, then 1 + (0 - x) = 1 - x on the diagonal
-        a = _interaction_matrix(k, self.h, self.resolution, cells)
-        a *= k**2
-        a *= self.q[cells]
-        np.subtract(0.0, a, out=a)
-        a.reshape(-1)[:: cells.size + 1] += 1.0
+        a = _system_matrix(self, cells)
+        b = plane_waves(self.points, -np.asarray(self.incidences), k)[cells]
         try:
-            u = np.linalg.solve(a, self.incident[cells])
+            u = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as e:
             raise NumericalError(f"forward system solve failed: {e}") from e
-        for arr in (a, u):
-            arr.setflags(write=False)
-        return a, u
+        resid = np.linalg.norm(a @ u - b, axis=0) / np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+        bad = np.flatnonzero(~(np.isfinite(u).all(axis=0) & (resid <= 1e-8)))
+        if bad.size:
+            j = bad[0]
+            raise NumericalError(
+                f"forward system ill-conditioned for incidence {j} "
+                f"(relative residual {resid[j]:.2e}, cond ~ {np.linalg.cond(a):.2e})"
+            )
+        currents = np.zeros((len(self.incidences), self.q.size), dtype=np.complex128)
+        currents[:, cells] = self.q[cells] * k**2 * u.T
+        currents.setflags(write=False)
+        return currents
 
 
 def contrast_grid(scene: Scene, resolution: int) -> ContrastGrid:
@@ -99,14 +100,6 @@ def contrast_grid(scene: Scene, resolution: int) -> ContrastGrid:
     return ContrastGrid(
         points=pts, q=q, h=hx, resolution=resolution, wavenumber=scene.wavenumber, incidences=scene.incidences
     )
-
-
-@dataclass(frozen=True)
-class ForwardSolution:
-    """Induced current I = (n - 1) k^2 u on the contrast grid, zero off the scatterers."""
-
-    grid: ContrastGrid
-    current: np.ndarray
 
 
 # Below this argument H^(1)_n comes from the Bessel series, above it from Hankel's
@@ -214,6 +207,21 @@ def _offset_table(k: float, h: float, height: int, width: int) -> np.ndarray:
     return table
 
 
+def _system_matrix(grid: ContrastGrid, cells: np.ndarray) -> np.ndarray:
+    """I - k^2 G Q on the given contrast cells, assembled in place on the gathered G.
+
+    Entry for entry the rounding of eye - k^2 * g * q: 0 - x, then
+    1 + (0 - x) = 1 - x on the diagonal.
+    """
+    k = grid.wavenumber
+    a = _interaction_matrix(k, grid.h, grid.resolution, cells)
+    a *= k**2
+    a *= grid.q[cells]
+    np.subtract(0.0, a, out=a)
+    a.reshape(-1)[:: cells.size + 1] += 1.0
+    return a
+
+
 def _interaction_matrix(k: float, h: float, resolution: int, cells: np.ndarray) -> np.ndarray:
     """Integrated Green kernel between the given cells (self cell regularized).
 
@@ -233,31 +241,6 @@ def _interaction_matrix(k: float, h: float, resolution: int, cells: np.ndarray) 
         index += np.abs(cols[band, None] - cols[None, :])
         flat.take(index, out=g[band])
     return g
-
-
-def solve_scattering(scene: Scene, incidence_index: int, grid: ContrastGrid) -> ForwardSolution:
-    """The induced current of one incidence, read from the grid's one solve for all incidences."""
-    k = scene.wavenumber
-    if grid.wavenumber != k:
-        raise ValidationError(f"contrast grid was built for k = {grid.wavenumber:g}, not the scene's k = {k:g}")
-    if grid.incidences != scene.incidences:
-        raise ValidationError("contrast grid was built for other incidence directions than the scene's")
-    mask = grid.q != 0.0
-    u = grid.incident[:, incidence_index].copy()  # then u on the contrast cells
-    a, solved = grid.system
-    u[mask] = _checked(a, u[mask], solved[:, incidence_index])
-    return ForwardSolution(grid=grid, current=grid.q * k**2 * u)
-
-
-def _checked(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x, once its relative residual |Ax - b| / |b| shows it solves A x = b."""
-    resid = np.linalg.norm(a @ x - b) / max(np.linalg.norm(b), 1e-300)
-    if not np.all(np.isfinite(x)) or resid > 1e-8:
-        cond = np.linalg.cond(a)
-        raise NumericalError(
-            f"forward system ill-conditioned (relative residual {resid:.2e}, cond ~ {cond:.2e})"
-        )
-    return x
 
 
 def far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndarray:
@@ -282,5 +265,4 @@ def far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndarray:
 def synthesize_far_field(scene: Scene, resolution: int = 120) -> FarFieldData:
     """Noiseless far-field data for every incidence at the scene's receivers."""
     grid = contrast_grid(scene, resolution)
-    currents = np.array([solve_scattering(scene, j, grid).current for j in range(len(scene.incidences))])
-    return FarFieldData(far_field(grid, currents, scene.aperture.receiver_angles()), scene.aperture)
+    return FarFieldData(far_field(grid, grid.currents, scene.aperture.receiver_angles()), scene.aperture)

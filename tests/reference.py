@@ -19,7 +19,7 @@ from scipy import special as sp
 from dense_probing import ffsm_rhs_dense, fssm_rhs_dense
 from lapdsm.errors import ValidationError
 from lapdsm.dsm import IndexField
-from lapdsm.forward import ContrastGrid, ForwardSolution, _self_term
+from lapdsm.forward import ContrastGrid, _self_term
 from lapdsm.numerics import directions, fourier_modes, green_far_prefactor, plane_waves
 from lapdsm.presets import preset_scene
 from lapdsm.scene import ApertureSet, Scene
@@ -256,23 +256,23 @@ def dense_far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndar
     return green_far_prefactor(k) * grid.cell_area * (np.asarray(currents)[:, mask] @ waves.T)
 
 
-def total_field(scene: Scene, incidence_index: int, solution: ForwardSolution) -> np.ndarray:
-    """u at every forward cell: u^i plus the field the contrast cells radiate.
+def total_field(grid: ContrastGrid, incidence_index: int) -> np.ndarray:
+    """u at every forward cell for one incidence: u^i plus the field the contrast cells radiate.
 
     On the contrast cells u = I / (k^2 q); the passive cells get u^i plus the
     scattered field of the induced current, summed over every cell pair.
     """
-    k = scene.wavenumber
-    grid = solution.grid
-    d = np.asarray(scene.incidences[incidence_index])
+    k = grid.wavenumber
+    current = grid.currents[incidence_index]
+    d = np.asarray(grid.incidences[incidence_index])
     mask = grid.q != 0.0
     u = plane_waves(grid.points, -d[None, :], k)[:, 0]  # u^i = e^{ik d . x}
     if np.any(mask):
         diff = grid.points[~mask][:, None, :] - grid.points[mask][None, :, :]
         r = np.hypot(diff[..., 0], diff[..., 1])
         g_out = (1j / 4.0) * sp.hankel1(0, k * np.maximum(r, 1e-300)) * grid.h**2
-        u[~mask] += g_out @ solution.current[mask]  # k^2 G (q u) = G I
-        u[mask] = solution.current[mask] / (k**2 * grid.q[mask])
+        u[~mask] += g_out @ current[mask]  # k^2 G (q u) = G I
+        u[mask] = current[mask] / (k**2 * grid.q[mask])
     return u
 
 

@@ -668,11 +668,13 @@ class TestKernelAndRn:
             (["--r-max", "-2"], "lapdsm kernel: error: argument --r-max: must be finite and non-negative, got '-2'\n"),
             (["--k", "1e308"], "error: --k times --r-max must be finite, got 1e+308 * 2.0\n"),
             (["--r-max", "1e308"], "error: --k times --r-max must be finite, got 8.0 * 1e+308\n"),
+            (["--k", "1e308", "--r-max", "0"], "error: --k must keep 8 k pi finite, got 1e+308\n"),
         ],
-        ids=["r-max-negative", "k-overflow", "r-max-overflow"],
+        ids=["r-max-negative", "k-overflow", "r-max-overflow", "k-scale-overflow"],
     )
     def test_out_of_range_radius_or_phase_is_one_line_error(self, tmp_path, capsys, argv, message):
-        # a negative radius, or a largest phase k * r_max beyond the float range (NaN rows before)
+        # a negative radius, a largest phase k * r_max beyond the float range (NaN rows before), or a
+        # kernel scale 1 / (8 k pi) that overflows to 0 (rows of 0 before)
         code = exit_code(["kernel", *argv, "--r-steps", "3", "--out", str(tmp_path / "ker")])
         assert code == 2 and capsys.readouterr().err == message
         assert not list(tmp_path.iterdir())

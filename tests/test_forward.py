@@ -16,9 +16,9 @@ from lapdsm.forward import (
     _interaction_matrix,
     _offset_table,
     _self_term,
+    _system_matrix,
     contrast_grid,
     far_field,
-    solve_scattering,
     synthesize_far_field,
 )
 from lapdsm.numerics import green_far_prefactor
@@ -71,40 +71,26 @@ class TestSolver:
         sc = make_scene([Disk((0, 0), 0.2, 2.0)])
         g = contrast_grid(sc, 64)
         g = dataclasses.replace(g, q=np.zeros_like(g.q))
-        sol = solve_scattering(sc, 0, g)
-        np.testing.assert_array_equal(far_field(g, sol.current[None], np.linspace(0, 6, 13)), 0.0)
+        np.testing.assert_array_equal(far_field(g, g.currents, np.linspace(0, 6, 13)), 0.0)
 
     def test_total_field_equals_incident_off_contrast(self):
         sc = make_scene([Disk((0.3, 0.1), 0.15, 2.0)])
         g = contrast_grid(sc, 64)
-        sol = solve_scattering(sc, 0, g)
         # far from the scatterer, |u| stays close to |u_inc| = 1
         far_mask = np.hypot(g.points[:, 0] + 0.8, g.points[:, 1] + 0.8) < 0.1
-        assert np.all(np.abs(np.abs(total_field(sc, 0, sol)[far_mask]) - 1.0) < 0.5)
+        assert np.all(np.abs(np.abs(total_field(g, 0)[far_mask]) - 1.0) < 0.5)
 
     def test_single_cell_current_radiates_green_far_field(self):
         # one contrast cell at y acts as a point source: u_inf = pre * h^2 * I * e^{-ik xhat.y}
         sc = make_scene([Disk((0.25, -0.25), 0.02, 1.5)])
         g = contrast_grid(sc, 80)
-        sol = solve_scattering(sc, 0, g)
         angles = np.linspace(0, 2 * np.pi, 17)
-        u = far_field(g, sol.current[None], angles)[0]
-        mask = sol.current != 0
-        pts, cur = g.points[mask], sol.current[mask]
+        u = far_field(g, g.currents, angles)[0]
+        mask = g.currents[0] != 0
+        pts, cur = g.points[mask], g.currents[0, mask]
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
         expect = green_far_prefactor(K) * g.cell_area * np.exp(-1j * K * xhat @ pts.T) @ cur
         np.testing.assert_allclose(u, expect, rtol=1e-12)
-
-
-    def test_grid_for_another_wavenumber_is_rejected(self):
-        g = contrast_grid(make_scene([Disk((0, 0), 0.2, 2.0)], k=4.0), 64)
-        with pytest.raises(ValidationError, match="k = 4"):
-            solve_scattering(make_scene([Disk((0, 0), 0.2, 2.0)]), 0, g)
-
-    def test_grid_for_other_incidences_is_rejected(self):
-        g = contrast_grid(make_scene([Disk((0, 0), 0.2, 2.0)]), 64)
-        with pytest.raises(ValidationError, match="incidence directions"):
-            solve_scattering(make_scene([Disk((0, 0), 0.2, 2.0)], incidences=((0.0, 1.0),)), 0, g)
 
 
 _shape = st.one_of(
@@ -150,10 +136,9 @@ class TestRadiation:
         for name in PRESET_NAMES:
             scene = preset_scene(name)
             g = contrast_grid(scene, 120)
-            currents = np.array([solve_scattering(scene, j, g).current for j in range(len(scene.incidences))])
             angles = scene.aperture.receiver_angles()
-            oracle = dense_far_field(g, currents, angles)
-            assert np.max(np.abs(far_field(g, currents, angles) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            oracle = dense_far_field(g, g.currents, angles)
+            assert np.max(np.abs(far_field(g, g.currents, angles) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 class TestOperator:
@@ -212,34 +197,49 @@ class TestOperator:
         cells = np.flatnonzero(g.q != 0.0)
         k = scene.wavenumber
         want = np.eye(cells.size, dtype=np.complex128) - k**2 * _interaction_matrix(k, g.h, 120, cells) * g.q[cells]
-        np.testing.assert_array_equal(g.system[0], want)
+        np.testing.assert_array_equal(_system_matrix(g, cells), want)
 
     def test_system_is_assembled_in_place(self):
         # ex2_2 at grid 120 has N = 1,080 contrast cells; measured peaks in N^2 complex: 4.01 with the
-        # identity, k^2 g and k^2 g q as copies and two N^2 index arrays, 1.11 in place
+        # identity, k^2 g and k^2 g q as copies and two N^2 index arrays, 1.10 in place (solve and check included)
         g = contrast_grid(preset_scene("ex2_2"), 120)
         n = int(np.count_nonzero(g.q))
         tracemalloc.start()
         try:
-            g.system
+            g.currents
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 16 * n * n
 
-    def test_one_factorization_serves_every_incidence(self, monkeypatch):
+    def test_grid_keeps_read_only_currents_and_no_operator(self):
+        g = contrast_grid(preset_scene("ex1_2"), 120)
+        n = int(np.count_nonzero(g.q))
+        currents = g.currents
+        assert currents.shape == (2, 120**2) and not currents.flags.writeable
+        assert np.all(currents[:, g.q == 0.0] == 0.0) and np.all(currents[:, g.q != 0.0] != 0.0)
+        # the N x N system goes with the solve: nothing the grid holds is that large
+        assert max(np.asarray(v).nbytes for v in vars(g).values()) < 16 * n * n
+
+    def test_one_factorization_serves_every_incidence(self, monkeypatch, tmp_path):
         # one LAPACK solve per grid, with every incidence as a right-hand-side column
-        scene = preset_scene("ex2_2")
         factored = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: factored.append(b.shape) or solve(a, b))
+        # (contrast cells, incidences) of each preset at the default forward grid 120
+        shapes = {"ex1_1": (768, 1), "ex1_2": (784, 2), "ex2_1": (512, 1), "ex2_2": (1080, 3)}
+        assert sorted(shapes) == list(PRESET_NAMES)
+        for name in PRESET_NAMES:
+            factored.clear()
+            assert main(["simulate", "--preset", name, "--out", str(tmp_path / name)]) == 0
+            assert factored == [shapes[name]], name
+        scene = preset_scene("ex2_2")
+        factored.clear()
         data = synthesize_far_field(scene, 120)
-        assert len(factored) == 1 and len(scene.incidences) == 3 and factored[0][1] == 3
-        angles = scene.aperture.receiver_angles()
+        assert factored == [(1080, 3)]
         for j in range(3):
-            g = contrast_grid(scene, 120)
-            alone = far_field(g, solve_scattering(scene, j, g).current[None], angles)[0]
-            assert np.max(np.abs(data.samples[j] - alone)) <= 1e-14 * np.max(np.abs(alone))
+            alone = synthesize_far_field(dataclasses.replace(scene, incidences=(scene.incidences[j],)), 120)
+            assert np.max(np.abs(data.samples[j] - alone.samples[0])) <= 1e-14 * np.max(np.abs(alone.samples[0]))
         assert len(factored) == 4  # one per fresh grid
 
     @staticmethod
@@ -255,7 +255,7 @@ class TestOperator:
 
     def test_bad_solve_for_one_incidence_is_numerical_error(self, monkeypatch):
         self._spoil_second_solve(monkeypatch)
-        with pytest.raises(NumericalError, match="relative residual"):
+        with pytest.raises(NumericalError, match="incidence 1 \\(relative residual"):
             synthesize_far_field(preset_scene("ex2_2"), 40)
 
     def test_bad_solve_for_one_incidence_exits_3(self, monkeypatch, tmp_path, capsys):
@@ -348,9 +348,8 @@ class TestBornOracle:
     def test_weak_contrast_agreement(self):
         sc = make_scene([Disk((0.1, 0.2), 0.2, 1.01)], receivers=64)
         g = contrast_grid(sc, 96)
-        sol = solve_scattering(sc, 0, g)
         angles = sc.aperture.receiver_angles()
-        full = far_field(g, sol.current[None], angles)[0]
+        full = far_field(g, g.currents, angles)[0]
         born = born_far_field(sc, 0, angles, g)
         assert rel_l2(full, born) < 0.02
 
