@@ -134,14 +134,21 @@ def network_forward(params: NetworkParams, z) -> np.ndarray:
 
 
 def _backward(params: NetworkParams, acts, dout: np.ndarray) -> list[np.ndarray]:
-    """Gradient of a scalar loss per layer given d(loss)/d(output), matching _forward_cached."""
+    """Gradient of a scalar loss per layer given d(loss)/d(output), matching _forward_cached.
+
+    acts[i].T @ delta and delta's column sums go straight into the weight and
+    bias rows of each (fan_in + 1) x fan_out gradient.
+    """
     grads = [None] * len(params.layers)
     delta = dout
     for i in range(len(params.layers) - 1, -1, -1):
-        grads[i] = np.vstack([acts[i].T @ delta, delta.sum(axis=0)])
+        grads[i] = g = np.empty_like(params.layers[i])
+        np.matmul(acts[i].T, delta, out=g[:-1])
+        delta.sum(axis=0, out=g[-1])
         if i > 0:
+            delta = delta @ params.layers[i][:-1].T
             # a rectified activation is positive exactly where its pre-activation is
-            delta = (delta @ params.layers[i][:-1].T) * (acts[i] > 0.0)
+            delta *= acts[i] > 0.0
     return grads
 
 
@@ -196,17 +203,23 @@ def _batch_target(batch: TrainingBatch, k: float) -> np.ndarray:
     """
     t = circle_angles(k, reach(batch.eval_points) + reach(batch.source_points))
     v = _test_functions(batch.source_coeffs, batch.source_points, t, k)  # (M, T)
-    return plane_waves(batch.eval_points, directions(t), k) @ np.conj(v).T * (2.0 * np.pi / t.size)
+    target = plane_waves(batch.eval_points, directions(t), k) @ np.conj(v).T
+    target *= 2.0 * np.pi / t.size
+    return target
 
 
 def _residual(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float):
-    """Residual matrix of the discrete loss plus the caches reverse mode needs."""
+    """Residual matrix of the discrete loss plus the caches reverse mode needs.
+
+    The target is subtracted in the inner products' buffer, so no more than
+    two L x M arrays exist at once.
+    """
     angles = aperture.receiver_angles()
     acts = _forward_cached(params, batch.eval_points)
     g = _probe(_coefficients(acts[-1], params.order), batch.eval_points, angles, k)  # (L, Q)
     w = aperture.quadrature_weights()
-    inner = g @ (w * np.conj(batch.v_noisy)).T  # (L, M)
-    r = inner - _batch_target(batch, k)
+    r = g @ (w * np.conj(batch.v_noisy)).T  # (L, M) inner products
+    r -= _batch_target(batch, k)
     return r, acts, w
 
 
@@ -218,22 +231,35 @@ def loss_gradient(
     basis = fourier_modes(params.order, aperture.receiver_angles())
     l_pts, m_fns = r.shape
     # Wirtinger: d loss / d conj(G_{lq}) = (w_q/(ML)) (R V)_{lq}
-    d_conj_g = (r @ batch.v_noisy) * (w / (l_pts * m_fns))  # (L, Q)
-    m_mat = np.conj(d_conj_g) @ basis.T  # (L, 2P+1): sum_q conj(D_lq) e^{i n theta_q}
+    d_conj_g = r @ batch.v_noisy  # (L, Q)
+    d_conj_g *= w / (l_pts * m_fns)
+    m_mat = np.conj(d_conj_g, out=d_conj_g) @ basis.T  # (L, 2P+1): sum_q conj(D_lq) e^{i n theta_q}
     dout = np.concatenate([2.0 * np.real(m_mat), -2.0 * np.imag(m_mat)], axis=1)
-    return float(np.mean(np.abs(r) ** 2)), _backward(params, acts, dout)
+    squares = np.abs(r)
+    squares **= 2
+    value = float(np.mean(squares))
+    del r, squares, d_conj_g, m_mat  # the backward pass needs none of them
+    return value, _backward(params, acts, dout)
 
 
 def _adam_step(params: NetworkParams, m: list, v: list, grads: list, t: int, lr: float) -> None:
-    """Adam update of step t >= 1; the moment lists m and v are updated in place."""
+    """Adam update of step t >= 1; the moment lists m and v are updated in place.
+
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and w -= lr (m / c1) /
+    (sqrt(v / c2) + eps), one operation at a time in that order, each into the
+    moments, one scratch array per layer or the gradient, which the step uses up.
+    """
     c1 = 1.0 - BETA1**t
     c2 = 1.0 - BETA2**t
     for w, m_i, v_i, g in zip(params.layers, m, v, grads):
+        s = np.multiply(1 - BETA1, g)
         m_i *= BETA1
-        m_i += (1 - BETA1) * g
+        m_i += s
         v_i *= BETA2
-        v_i += (1 - BETA2) * g**2
-        w -= lr * (m_i / c1) / (np.sqrt(v_i / c2) + ADAM_EPS)
+        v_i += np.multiply(1 - BETA2, np.square(g, out=g), out=g)
+        np.multiply(lr, np.divide(m_i, c1, out=s), out=s)
+        s /= np.add(np.sqrt(np.divide(v_i, c2, out=g), out=g), ADAM_EPS, out=g)
+        w -= s
 
 
 def train(

@@ -70,10 +70,11 @@ def read_farfield_csv(path, aperture: ApertureSet) -> FarFieldData:
 
 def write_index_csv(path, field: IndexField) -> None:
     """Rows: x,y,value over the sampling grid (row-major); the n x and n y
-    coordinates are formatted once, into one template of every row's prefix."""
+    coordinates are formatted once, and each grid row's template is its y
+    and value fields joined after every one of the x prefixes."""
     xs = ["%.17g," % x for x in field.grid.xs.tolist()]
-    ys = ["%.17g," % y for y in field.grid.ys.tolist()]
-    template = "".join([x + y + "%.17g\n" for y in ys for x in xs])
+    rows = ["%.17g,%%.17g\n" % y for y in field.grid.ys.tolist()]
+    template = "".join([row.join(xs) + row for row in rows])
     with open(path, "w") as f:
         f.write("x,y,value\n")
         f.write(template % tuple(field.values.tolist()))
@@ -122,14 +123,16 @@ def write_loss_trace(path, trace: np.ndarray) -> None:
 # Network checkpoints: versioned text format for portability
 # --------------------------------------------------------------------------
 def write_checkpoint(path, params: NetworkParams, k: float) -> None:
+    """Header, then per layer a tag and its rows; each row is formatted on its own,
+    so no more than one row of Python floats exists at a time."""
     dims = params.layer_dims
     with open(path, "w") as f:
         f.write(f"DPN v1 P={params.order} layers={','.join(str(d) for d in dims)} k={k:.17g}\n")
         for w in params.layers:
             f.write(f"layer {w.shape[0] - 1} {w.shape[1]}\n")
             row = " ".join(["%.17g"] * w.shape[1]) + "\n"
-            for values in w.tolist():
-                f.write(row % tuple(values))
+            for values in w:
+                f.write(row % tuple(values.tolist()))
 
 
 def read_checkpoint(path) -> tuple[NetworkParams, float]:
