@@ -179,7 +179,7 @@ def cmd_kernel(args) -> int:
         raise ValidationError(f"--beta-list angles must be finite, got {args.beta_list!r}")
     radii = np.linspace(0.0, args.r_max, args.r_steps)
     points = radii[:, None, None] * directions(betas)  # (radius, beta, 2)
-    values = np.abs(kernel_gamma((0.0, 0.0), points, aperture, args.k, args.quad_points))
+    values = np.abs(kernel_gamma((0.0, 0.0), points, aperture, args.k))
     fileio.write_kernel_csv(f"{args.out}.csv", betas, radii, values)
     fileio.write_metadata(f"{args.out}.meta.json", _meta_base(args, "kernel"))
     return 0
@@ -354,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     ker.add_argument("--k", type=_real("positive"), default=8.0)
     ker.add_argument("--r-max", type=_real("non-negative"), default=2.0)
     ker.add_argument("--r-steps", type=_count(1), default=201)
-    ker.add_argument("--quad-points", type=_count(64), default=512)
     ker.set_defaults(func=cmd_kernel)
 
     rn = sub.add_parser("rn", parents=[out, probe], help="relative norm of a constructed probing function")

@@ -5,7 +5,9 @@ through the aperture inner product <f, g> = int f conj(g); its modulus is
 large near the scatterers.  The probing function is either the far-field
 Green function, paired by a separable product on the grid, or a probe given
 one band of grid rows at a time (a finite-space ProbingSet or the trained
-network's BandedProbe), which one band loop pairs and another norms.
+network's BandedProbe), which one band loop pairs and another norms.  The
+aperture kernel K_Gamma of the diagnostics is evaluated in closed form, as
+the full-circle trapezoid rule weighted by the arc-mode table.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import (
+    arc_mode_table,
     arc_norm,
+    circle_angles,
     directions,
-    gauss_arc_nodes,
     green_far_prefactor,
     grid_bands,
     grid_plane_waves,
     plane_waves,
+    reach,
 )
 from .scene import ApertureSet, FarFieldData, SamplingGrid
 
@@ -109,19 +113,26 @@ def index_classical(
     return values
 
 
-def kernel_gamma(z, y, aperture: ApertureSet, k: float, quadrature_points: int = 256):
-    """K_Gamma(z, y) = <G_inf(z, .), G_inf(y, .)>_Gamma by Gauss quadrature, for points y (..., 2).
+def kernel_gamma(z, y, aperture: ApertureSet, k: float):
+    """K_Gamma(z, y) = <G_inf(z, .), G_inf(y, .)>_Gamma for points y (..., 2), in closed form; shape (...).
 
-    Analysis-only; quadrature_points Gauss-Legendre nodes per arc, so the
-    value is accurate far beyond the receiver sampling.  Returns shape (...).
+    K_Gamma = (1/8k pi) int_Gamma e^{-ik xhat . (z - y)}.  By Jacobi-Anger the
+    integrand's Fourier coefficients fall below 1e-16 beyond the nu of
+    circle_angles at the points' reach, and int_Gamma e^{int} = 2 I[n]
+    (arc_mode_table).  So the integral is a circle rule of T angles with
+    weights w_t = (2/T) sum_{|n| <= nu} I[n] e^{-int_t}, one FFT of the table
+    placed mod T.  Any T > 2 nu keeps every aliased term below 1e-16; T = 8 nu
+    also averages the ~1e-16 k |z - y| rounding of each plane wave's phase
+    over enough angles on a short arc.
     """
-    if quadrature_points < 64:
-        raise ValidationError("kernel_gamma needs at least 64 quadrature points per arc")
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    angles, weights = gauss_arc_nodes(aperture, quadrature_points)
-    integrand = plane_waves(z - y, directions(angles), k) / (8.0 * k * np.pi)
-    return integrand @ weights
+    p = np.asarray(z, dtype=float) - np.asarray(y, dtype=float)
+    nu = circle_angles(k, reach(p)).size
+    angles = circle_angles(k, reach(p), 7 * nu)
+    table = arc_mode_table(aperture, nu)  # I[n] for n = -nu..nu
+    folded = np.zeros(angles.size, dtype=np.complex128)
+    folded[: nu + 1], folded[-nu:] = table[nu:], table[:nu]  # I[n] at n mod T
+    weights = np.fft.fft(folded) * (2.0 / angles.size)
+    return plane_waves(p, directions(angles), k) @ weights / (8.0 * k * np.pi)
 
 
 def green_norm_on_aperture(aperture: ApertureSet, k: float) -> float:

@@ -22,7 +22,8 @@ import numpy as np
 from .dsm import IndexField, ProbingSet, averaged_index
 from .errors import NumericalError, ValidationError
 from .numerics import (
-    circle_angles, circle_modes, directions, fourier_modes, grid_band_waves, grid_bands, plane_waves, reach
+    arc_mode_table, circle_angles, circle_modes, directions, fourier_modes, grid_band_waves, grid_bands, plane_waves,
+    reach,
 )
 from .scene import ApertureSet, Box, FarFieldData, SamplingGrid
 
@@ -35,17 +36,12 @@ def source_lattice(domain: Box, per_side: int) -> np.ndarray:
 def _mode_gram(aperture: ApertureSet, rows: int, order: int) -> np.ndarray:
     """G_qm = (1/2pi) <e^{imt}, e^{iqt}>_Gamma = I[m - q]/pi for q = -rows..rows, m = -order..order.
 
-    I[d] = sum_l e^{i d beta_l} * (alpha_l if d == 0 else sin(alpha_l d)/d) is half the
-    aperture integral of e^{i d t}; both Gram matrices gather from one table of it.
+    I[d] is half the aperture integral of e^{i d t} (numerics.arc_mode_table); both Gram
+    matrices gather from one table of it.
     """
     if order < 1:
         raise ValidationError("Fourier space order must be >= 1")
-    d = np.arange(-(order + rows), order + rows + 1)
-    table = np.zeros(d.shape, dtype=np.complex128)
-    for arc in aperture.arcs:
-        c = np.where(d == 0, arc.alpha, np.sin(arc.alpha * d) / np.where(d == 0, 1, d))
-        table += np.exp(1j * d * arc.beta) * c
-    table /= np.pi
+    table = arc_mode_table(aperture, order + rows) / np.pi
     qs, ms = np.arange(2 * rows + 1), np.arange(2 * order + 1)
     return table[ms[None, :] - qs[:, None] + 2 * rows]
 

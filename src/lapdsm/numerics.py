@@ -1,4 +1,4 @@
-"""Plane waves, Fourier modes and the quadrature rules used throughout the package.
+"""Plane waves, Fourier modes, the arc-mode table and the quadrature rules used throughout the package.
 
 Every probe in the package is built from two arrays: the plane wave
 e^{-ik xhat . z} and the Fourier modes e^{in theta} on the aperture.  Both,
@@ -8,7 +8,9 @@ is a per-arc uniform-weight Riemann sum, the same discrete rule the training
 loss uses, so that reconstruction and learning agree on the meaning of an
 inner product on the aperture.  Inner products over the full circle S^1 use
 the trapezoid rule of circle_angles, which replaces every Bessel closed form
-outside the forward solver.  On a sampling grid the plane wave splits into
+outside the forward solver.  Integrals of Fourier modes over the aperture
+come in closed form from one table, arc_mode_table, so no quadrature rule of
+the arcs is needed.  On a sampling grid the plane wave splits into
 one factor per axis, and grid_band_waves multiplies it out for one band of
 whole grid rows at a time, so a finite-space probe is filled in its one
 n * n x Q buffer and the network probe is never built for the whole grid.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .errors import ValidationError
 
 # grid rows per band of grid_bands: 2,048 points at grid 128
 GRID_BLOCK_ROWS = 16
+
+# the most float64 values one array can address: a larger circle rule is an input error
+_MAX_ANGLES = np.iinfo(np.intp).max // 8
 
 
 def directions(angles) -> np.ndarray:
@@ -113,16 +117,56 @@ def circle_angles(k: float, reach: float, order: int = 0) -> np.ndarray:
     T is order plus the first nu with (k reach / 2)^nu / nu! < 1e-16, a bound on
     |J_nu(k reach)| (DLMF 10.14.4).  The Fourier coefficients of a plane wave of
     a point within reach are J_nu (Jacobi-Anger), so against modes up to order
-    every aliased term of the rule is below 1e-16.
+    every aliased term of the rule is below 1e-16.  A rule of more angles than
+    one float64 array can address is an input error.
     """
     half = 0.5 * k * reach
     if not math.isfinite(half):
         raise ValidationError(f"circle rule needs a finite k * reach, got {k} * {reach}")
-    nu = 1  # compared in logs: the bound itself overflows for large k reach
-    while half > 0.0 and nu * math.log(half) - math.lgamma(nu + 1) >= math.log(1e-16):
-        nu += 1
-    t = order + nu
+    t = order + _tail_order(half)
+    if t > _MAX_ANGLES:
+        raise ValidationError(f"k * reach = {k * reach:.6g} needs a circle rule of more than {_MAX_ANGLES} angles")
     return 2.0 * np.pi * np.arange(t) / t
+
+
+def _tail_order(half: float) -> int:
+    """The first nu >= 1 with half^nu / nu! < 1e-16: 1 for half <= 0, and _MAX_ANGLES + 1 for half beyond it.
+
+    Compared in logs, where the bound does not overflow.  The log rises up to
+    nu = half and falls after it, so nu is doubled from there, then bisected:
+    O(log nu) evaluations of the expression that counting nu up would compare.
+    """
+    if half <= 0.0:
+        return 1
+    if half > _MAX_ANGLES:  # the first nu lies beyond half
+        return _MAX_ANGLES + 1
+    log_half, log_floor = math.log(half), math.log(1e-16)
+
+    def above(nu: int) -> bool:
+        return nu * log_half - math.lgamma(nu + 1) >= log_floor
+
+    below, nu = 0, max(1, int(half))
+    while above(nu):  # the first nu lies beyond
+        below, nu = nu, 2 * nu
+    while nu - below > 1:  # the first nu lies in (below, nu]
+        mid = (below + nu) // 2
+        below, nu = (mid, nu) if above(mid) else (below, mid)
+    return nu
+
+
+def arc_mode_table(aperture, order: int) -> np.ndarray:
+    """I[d] = sum_l e^{i d beta_l} * (alpha_l if d == 0 else sin(alpha_l d)/d) for d = -order..order.
+
+    I[d] is half the aperture integral of e^{i d t}: the finite-space Gram
+    matrices gather from this table, and the aperture kernel's circle-rule
+    weights are folded from it.
+    """
+    d = np.arange(-order, order + 1)
+    table = np.zeros(d.shape, dtype=np.complex128)
+    for arc in aperture.arcs:
+        c = np.where(d == 0, arc.alpha, np.sin(arc.alpha * d) / np.where(d == 0, 1, d))
+        table += np.exp(1j * d * arc.beta) * c
+    return table
 
 
 def circle_modes(order: int, size: int) -> np.ndarray:
@@ -157,56 +201,3 @@ def arc_norm(values, aperture) -> np.ndarray:
     squares = np.abs(values)
     np.square(squares, out=squares)  # in place: no second array of the values' size
     return np.sqrt(np.real(arc_quadrature(squares, aperture)))
-
-
-@lru_cache(maxsize=16)
-def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only and cached per count.
-
-    Newton's method on P_n, evaluated by the three-term recurrence, from
-    Tricomi's asymptotic guesses (cf. Hale & Townsend 2013) converges in about
-    three steps, so the rule costs O(n^2) where a companion-matrix eigensolve
-    costs O(n^3).  The nodes are symmetric, so only those in [0, 1) are solved for.
-    """
-    n = points
-    theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
-    x = np.cos(theta) * (1.0 - (n - 1.0) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4))
-    for _ in range(10):
-        p, dp = _legendre(n, x)
-        step = p / dp
-        x -= step
-        if np.max(np.abs(step)) < 1e-14:  # quadratic convergence: the next step is rounding
-            break
-    odd = n % 2
-    if odd:
-        x[-1] = 0.0
-    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
-    x = np.concatenate([-x, x[::-1][odd:]])
-    w = np.concatenate([w, w[::-1][odd:]])
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
-    p_below, p = np.ones_like(x), x.copy()
-    for k in range(1, n):
-        p_below, p = p, ((2 * k + 1) * x * p - k * p_below) / (k + 1)
-    return p, n * (x * p - p_below) / (x * x - 1.0)
-
-
-def gauss_arc_nodes(aperture, points_per_arc: int):
-    """Gauss-Legendre nodes/weights over every arc, for analysis-grade integrals.
-
-    Returns (angles, weights) concatenated over arcs.  Used by the kernel
-    diagnostics and by test oracles; measurement-data pairings stick to the
-    receiver Riemann rule above.
-    """
-    x, w = _leggauss(points_per_arc)
-    angles, weights = [], []
-    for arc in aperture.arcs:
-        half = arc.alpha
-        angles.append(arc.beta + half * x)
-        weights.append(half * w)
-    return np.concatenate(angles), np.concatenate(weights)

@@ -7,11 +7,16 @@ kernel between every pair of contrast cells, the radiation of the contrast
 cells' currents through one plane wave per receiver and cell, the total field
 on every forward cell -- the Born and penetrable-disk far fields the forward solver is
 checked against, the Bessel closed forms of the full-circle inner products the package
-evaluates by the trapezoid rule, range-checked wrappers of scipy's Bessel and
+evaluates by the trapezoid rule, the Gauss-Legendre rule on the arcs with the
+aperture kernel by that rule, the circle rule's size counted up one by one,
+range-checked wrappers of scipy's Bessel and
 Hankel functions, a QR least-squares Tikhonov solve, and the peak finder and
 preset centres of the localization checks.  No program code calls them; the tests pin the vectorized program
 paths and scipy against them.
 """
+
+import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
@@ -108,6 +113,81 @@ def batch_target_bessel(batch, k: float) -> np.ndarray:
     diff = batch.eval_points[:, None, None, :] - batch.source_points[None, :, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])  # (L, M, N)
     return 2.0 * np.pi * np.einsum("mn,lmn->lm", np.conj(batch.source_coeffs), bessel_j(0, k * dist))
+
+
+@lru_cache(maxsize=16)
+def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only and cached per count.
+
+    Newton's method on P_n, evaluated by the three-term recurrence, from
+    Tricomi's asymptotic guesses (cf. Hale & Townsend 2013) converges in about
+    three steps, so the rule costs O(n^2) where a companion-matrix eigensolve
+    costs O(n^3).  The nodes are symmetric, so only those in [0, 1) are solved for.
+    """
+    n = points
+    theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    x = np.cos(theta) * (1.0 - (n - 1.0) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4))
+    for _ in range(10):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) < 1e-14:  # quadratic convergence: the next step is rounding
+            break
+    odd = n % 2
+    if odd:
+        x[-1] = 0.0
+    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
+    x = np.concatenate([-x, x[::-1][odd:]])
+    w = np.concatenate([w, w[::-1][odd:]])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
+    p_below, p = np.ones_like(x), x.copy()
+    for k in range(1, n):
+        p_below, p = p, ((2 * k + 1) * x * p - k * p_below) / (k + 1)
+    return p, n * (x * p - p_below) / (x * x - 1.0)
+
+
+def gauss_arc_nodes(aperture, points_per_arc: int):
+    """Gauss-Legendre nodes/weights over every arc, for analysis-grade integrals.
+
+    Returns (angles, weights) concatenated over arcs.  The independent oracle
+    of every aperture integral the package evaluates in closed form or by the
+    receiver Riemann rule.
+    """
+    x, w = _leggauss(points_per_arc)
+    angles, weights = [], []
+    for arc in aperture.arcs:
+        half = arc.alpha
+        angles.append(arc.beta + half * x)
+        weights.append(half * w)
+    return np.concatenate(angles), np.concatenate(weights)
+
+
+def kernel_gamma_gauss(z, y, aperture: ApertureSet, k: float, quadrature_points: int = 256):
+    """K_Gamma(z, y) = <G_inf(z, .), G_inf(y, .)>_Gamma by Gauss quadrature, for points y (..., 2).
+
+    quadrature_points Gauss-Legendre nodes per arc: the quadrature form that the
+    closed-form dsm.kernel_gamma replaced, kept as its oracle.  Returns shape (...).
+    """
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    angles, weights = gauss_arc_nodes(aperture, quadrature_points)
+    integrand = plane_waves(z - y, directions(angles), k) / (8.0 * k * np.pi)
+    return integrand @ weights
+
+
+def circle_rule_order_by_counting(k: float, reach: float) -> int:
+    """The nu of numerics.circle_angles counted up one by one: the loop its doubling and bisection replaced."""
+    half = 0.5 * k * reach
+    nu = 1  # compared in logs: the bound itself overflows for large k reach
+    while half > 0.0 and nu * math.log(half) - math.lgamma(nu + 1) >= math.log(1e-16):
+        nu += 1
+    return nu
 
 
 def arc_mode_integral(aperture: ApertureSet, d: int) -> complex:

@@ -14,6 +14,7 @@ def apertures(draw):
     arcs = []
     for i in range(n):
         alpha = draw(st.floats(0.05, 0.95)) * np.pi / n
-        beta = np.pi - (np.pi - offset - 2.0 * np.pi * i / n) % (2.0 * np.pi)  # in (-pi, pi]
+        beta = np.pi - (np.pi - offset - 2.0 * np.pi * i / n) % (2.0 * np.pi)  # in [-pi, pi]: % may round up to 2 pi
+        beta = beta if beta > -np.pi else np.pi  # the same direction, in the (-pi, pi] an Arc takes
         arcs.append(Arc(alpha=alpha, beta=beta, receivers=draw(st.integers(1, 40))))
     return ApertureSet(tuple(arcs))

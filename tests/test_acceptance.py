@@ -24,11 +24,19 @@ from lapdsm.dsm import (
 )
 from lapdsm.finite_space import ffsm_matrix, fssm_matrix, reconstruct_finite_space, source_lattice
 from lapdsm.forward import contrast_grid, far_field, synthesize_far_field
-from lapdsm.numerics import arc_norm, gauss_arc_nodes
+from lapdsm.numerics import arc_norm
 from lapdsm.presets import DOMAIN, WAVENUMBER, config1_aperture, config2_aperture, preset_scene
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, FarFieldData, SamplingGrid, add_noise, full_circle
-from reference import bessel_j0_kernel, born_far_field, disk_far_field_series, dominant_peaks, green_far_field, true_centers
+from reference import (
+    bessel_j0_kernel,
+    born_far_field,
+    disk_far_field_series,
+    dominant_peaks,
+    gauss_arc_nodes,
+    green_far_field,
+    true_centers,
+)
 
 K = WAVENUMBER
 
@@ -76,8 +84,7 @@ def test_criterion_03_decay_curves(tmp_path):
     out = str(tmp_path / "decay")
     code = cli_main(
         ["kernel", "--alpha", str(np.pi / 3), "--k", "8",
-         "--beta-list", f"0,{np.pi/4},{np.pi/2}", "--r-max", "2.0", "--r-steps", "101",
-         "--quad-points", "256", "--out", out]
+         "--beta-list", f"0,{np.pi/4},{np.pi/2}", "--r-max", "2.0", "--r-steps", "101", "--out", out]
     )
     assert code == 0
     rows = np.loadtxt(tmp_path / "decay.csv", delimiter=",", skiprows=1)
@@ -377,7 +384,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             ("net", [".ckpt", ".loss.csv"]),
         ),
         run_twice(
-            ["kernel", "--r-steps", "21", "--quad-points", "128"],
+            ["kernel", "--r-steps", "21"],
             ("ker", [".csv"]),
         ),
         run_twice(

@@ -5,10 +5,12 @@ import functools
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,7 @@ CONFIG1_SIDECAR = json.dumps({"aperture": aperture_to_dict(config1_aperture())})
         (["train-dpn", "--config", "1", "--iterations", "-1"], "--iterations"),
         (["kernel", "--r-steps", "-1"], "argument --r-steps: must be an integer >= 1, got '-1'"),
         (["kernel", "--r-steps", "0"], "argument --r-steps: must be an integer >= 1, got '0'"),
-        (["kernel", "--quad-points", "10"], "argument --quad-points: must be an integer >= 64, got '10'"),
+        (["kernel", "--quad-points", "10"], "unrecognized arguments: --quad-points 10"),
         (["simulate", "--preset", "ex1_1", "--forward-grid", "0"], "argument --forward-grid: must be an integer >= 1, got '0'"),
         (["simulate", "--preset", "ex1_1", "--forward-grid", "-3"], "argument --forward-grid: must be an integer >= 1, got '-3'"),
         (["simulate", "--preset", "ex1_1", "--full-aperture", "0"], "argument --full-aperture: must be an integer >= 1, got '0'"),
@@ -227,10 +229,10 @@ NAMESPACES = {
                            sources_per_function=3, points=400, max_noise=0.0, seed=-3)),
     "kernel": (["kernel", "--out", "x"],
                dict(alpha=np.pi / 3.0, beta_list="0,0.7853981633974483,1.5707963267948966", k=8.0, r_max=2.0,
-                    r_steps=201, quad_points=512)),
+                    r_steps=201)),
     "kernel-set": (["kernel", "--alpha", "1", "--k", "5", "--r-max", "0", "--out", "x"],
                    dict(alpha=1.0, beta_list="0,0.7853981633974483,1.5707963267948966", k=5.0, r_max=0.0,
-                        r_steps=201, quad_points=512)),
+                        r_steps=201)),
     "rn": (["rn", "--method", "ffsm", "--config", "2", "--out", "x"],
            dict(method="ffsm", config=2, scene=None, preset=None, order=20, sigma_exp=None, sources=20,
                 checkpoint=None, grid=128)),
@@ -641,7 +643,7 @@ class TestKernelAndRn:
         out = str(tmp_path / "ker")
         code = main(
             ["kernel", "--beta-list", "0,1.5707963267948966", "--r-max", "1.0",
-             "--r-steps", "11", "--quad-points", "128", "--out", out]
+             "--r-steps", "11", "--out", out]
         )
         assert code == 0
         lines = (tmp_path / "ker.csv").read_text().splitlines()
@@ -709,7 +711,7 @@ NUMPY_ALONE = [
     ["reconstruct", "--data", "sim1.noisy.csv", "--method", "dpn", "--checkpoint", "net.ckpt", "--grid", "8",
      "--out", "dpn"],
     ["rn", "--method", "fssm", "--config", "1", "--sigma-exp", "4", "--sources", "4", "--grid", "8", "--out", "rn"],
-    ["kernel", "--r-steps", "3", "--quad-points", "64", "--out", "kernel"],
+    ["kernel", "--r-steps", "3", "--out", "kernel"],
 ]
 
 
@@ -750,6 +752,23 @@ def test_input_too_big_for_memory_is_one_line_error(tmp_path, argv):
     assert run.stderr.startswith(f"error: {argv[0]}: not enough memory for this input (")
     assert run.stderr.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["kernel", "rn"])
+def test_circle_rule_beyond_any_array_is_one_line_error(tmp_path, command):
+    # k * reach = 1e100 asks for a circle rule of ~1e100 angles: found in a few steps, refused before any allocation
+    scene = {**scene_to_dict(preset_scene("ex1_1")), "wavenumber": 1e100}
+    (tmp_path / "s.json").write_text(json.dumps(scene))
+    argv = {"kernel": ["kernel", "--k", "1e100", "--r-max", "1"],
+            "rn": ["rn", "--method", "ffsm", "--scene", "s.json", "--sigma-exp", "4", "--grid", "8"]}[command]
+    prelude = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "from lapdsm.cli import main; sys.exit(main(sys.argv[1:]))")
+    start = time.perf_counter()
+    run = _python(tmp_path, prelude, *argv, "--out", "huge", OPENBLAS_NUM_THREADS="1")
+    assert time.perf_counter() - start < 5.0
+    assert run.returncode == 2, run.stderr
+    assert re.fullmatch(r"error: k \* reach = 1\.?\d*e\+100 needs a circle rule of more than \d+ angles\n", run.stderr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
 def _glibc() -> bool:

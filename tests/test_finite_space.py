@@ -23,7 +23,7 @@ from lapdsm.finite_space import (
     source_lattice,
     tikhonov_solve,
 )
-from lapdsm.numerics import circle_angles, directions, gauss_arc_nodes, reach
+from lapdsm.numerics import circle_angles, directions, reach
 from lapdsm.presets import config1_aperture, config2_aperture
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, Box, FarFieldData, SamplingGrid, full_circle
@@ -35,6 +35,7 @@ from reference import (
     fssm_matrix_entrywise,
     fssm_rhs,
     fssm_rhs_bessel,
+    gauss_arc_nodes,
     green_far_field,
     tikhonov_qr,
 )
@@ -200,7 +201,7 @@ class TestFssm:
         for z in rng.uniform_box(10, -1, 1, -1, 1):
             b = fssm_rhs(z, sources, K)
             for i, y in enumerate(sources):
-                val = kernel_gamma(z, y, full_circle(8), K, quadrature_points=1024)
+                val = kernel_gamma(z, y, full_circle(8), K)
                 assert abs(b[i] - val) < 1e-9
 
 

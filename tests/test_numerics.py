@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lapdsm.errors import ValidationError
@@ -13,7 +13,6 @@ from lapdsm.numerics import (
     circle_modes,
     directions,
     fourier_modes,
-    gauss_arc_nodes,
     GRID_BLOCK_ROWS,
     grid_band_waves,
     grid_bands,
@@ -22,7 +21,7 @@ from lapdsm.numerics import (
     reach,
 )
 from lapdsm.scene import ApertureSet, Arc, Box, SamplingGrid, full_circle
-from reference import bessel_j, bessel_j_signed, hankel1
+from reference import bessel_j, bessel_j_signed, circle_rule_order_by_counting, gauss_arc_nodes, hankel1
 
 
 def bessel_series(n, x, terms=60):
@@ -202,6 +201,25 @@ class TestCircleAngles:
     def test_aliased_bessel_term_below_1e16(self, k, r, order):
         t = circle_angles(k, r, order).size
         assert bessel_j(t - order, k * r) < 1e-16
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.one_of(st.floats(0.0, 1e4), st.integers(0, 2000).map(float)),
+        r=st.one_of(st.floats(0.0, 4.0), st.just(1.0), st.just(2.0)),
+    )
+    @example(k=1e-300, r=1e-300)
+    @example(k=4e5, r=1.0)
+    def test_size_is_the_counted_tail_order(self, k, r):
+        # doubling and bisection find the very nu that counting up one by one finds, so no rule moves;
+        # integer k with r = 1 or 2 puts k r / 2 on the integers, where the bound turns
+        assert circle_angles(k, r).size == circle_rule_order_by_counting(k, r)
+
+    def test_size_beyond_any_array_is_one_validation_error(self):
+        for k in (1e100, 1e300):
+            with pytest.raises(ValidationError, match=r"needs a circle rule of more than \d+ angles"):
+                circle_angles(k, 1.0)
+        with pytest.raises(ValidationError, match="more than"):
+            circle_angles(1.0, 1.0, np.iinfo(np.intp).max // 8)
 
     def test_equispaced_from_zero(self):
         t = circle_angles(8.0, 1.5, 20)
