@@ -2,18 +2,19 @@ r"""Far-field synthesis by a Lippmann-Schwinger volume-integral solver.
 
 The total field obeys u = u^i + k^2 \int_D G(y, .) (n(y) - 1) u(y) dy; we
 discretize with piecewise-constant collocation on the cells of a uniform
-grid, solve the dense system restricted to contrast-carrying cells, and
-radiate the induced current to the far field.  The one path is
-`contrast_grid` -> the grid's `currents` -> `far_field`.  The kernel is
-gathered band by band from one table of integer cell offsets over the
-contrast cells' span, evaluated by the numpy Hankel function below, and turned
-into I - k^2 G Q in place, so the system and LAPACK's copy of it are the only
-N x N arrays, and neither outlives the solve.  The system is solved once per
-grid with every incidence as one right-hand-side column, every column's
-residual is checked from one product, and one product per grid radiates every
-incidence's current through the lattice's separable plane waves.  Two
-independent oracles in the test suite (Born approximation and the
-penetrable-disk separation-of-variables series) validate the solver.
+grid, solve for u on the contrast-carrying cells, and radiate the induced
+current to the far field.  The one path is `contrast_grid` -> the grid's
+`currents` -> `far_field`.  On the lattice the kernel depends on the integer
+cell offset alone, so the operator is block-Toeplitz (Vainikko 2000): one
+table of offsets over the contrast cells' span, evaluated by the numpy Hankel
+function below and mirrored into a circulant, is transformed once per grid,
+and each product u - G * (k^2 q u) is one FFT pair of the cells' box.  No
+N x N array is formed.  Each incidence is solved by unrestarted GMRES (Saad &
+Schultz 1986) whose basis is capped by KRYLOV_BYTES, and every solution's
+residual is checked; one product per grid radiates every incidence's current
+through the lattice's separable plane waves.  Two independent oracles in the
+test suite (Born approximation and the penetrable-disk separation-of-variables
+series) validate the solver, and the dense solve it replaced is a third.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .numerics import directions, green_far_prefactor, plane_waves
 from .scene import FarFieldData, Scene, SamplingGrid, refractive_index_grid
 
 MIN_CELLS_PER_WAVELENGTH = 10.0
-# rows of the interaction matrix gathered per band from the offset table
-_GATHER_ROWS = 64
+# bytes the forward solve's Krylov basis may hold: min(N, KRYLOV_BYTES / 16 N) GMRES steps on N contrast cells
+KRYLOV_BYTES = 256 << 20
+# GMRES stops at this relative residual, as near the rounding of one product as it converges to
+_GMRES_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -49,32 +52,8 @@ class ContrastGrid:
 
     @cached_property
     def currents(self) -> np.ndarray:
-        """Induced currents I = q k^2 u on every cell for every incidence, shape (n_incidences, n_cells).
-
-        Every incidence solves with the same operator, so one LAPACK solve
-        takes all incident fields u^i = e^{ik d . x} on the contrast cells as
-        columns.  A column that is not finite or whose relative residual
-        |A u - u^i| / |u^i| exceeds 1e-8 raises NumericalError.  The currents
-        vanish off the contrast cells.
-        """
-        k = self.wavenumber
-        cells = np.flatnonzero(self.q != 0.0)
-        a = _system_matrix(self, cells)
-        b = plane_waves(self.points, -np.asarray(self.incidences), k)[cells]
-        try:
-            u = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as e:
-            raise NumericalError(f"forward system solve failed: {e}") from e
-        resid = np.linalg.norm(a @ u - b, axis=0) / np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-        bad = np.flatnonzero(~(np.isfinite(u).all(axis=0) & (resid <= 1e-8)))
-        if bad.size:
-            j = bad[0]
-            raise NumericalError(
-                f"forward system ill-conditioned for incidence {j} "
-                f"(relative residual {resid[j]:.2e}, cond ~ {np.linalg.cond(a):.2e})"
-            )
-        currents = np.zeros((len(self.incidences), self.q.size), dtype=np.complex128)
-        currents[:, cells] = self.q[cells] * k**2 * u.T
+        """Induced currents I = q k^2 u on every cell for every incidence, read-only; see solve_currents."""
+        currents = solve_currents(self)
         currents.setflags(write=False)
         return currents
 
@@ -207,40 +186,118 @@ def _offset_table(k: float, h: float, height: int, width: int) -> np.ndarray:
     return table
 
 
-def _system_matrix(grid: ContrastGrid, cells: np.ndarray) -> np.ndarray:
-    """I - k^2 G Q on the given contrast cells, assembled in place on the gathered G.
+def _circulant(table: np.ndarray) -> np.ndarray:
+    """The H x W offset table mirrored into a 2H x 2W circulant: entry (i, j) is the kernel at (i, j) mod (2H, 2W).
 
-    Entry for entry the rounding of eye - k^2 * g * q: 0 - x, then
-    1 + (0 - x) = 1 - x on the diagonal.
+    Row H and column W hold no offset within the span and stay 0.
+    """
+    height, width = table.shape
+    c = np.zeros((2 * height, 2 * width), dtype=np.complex128)
+    c[:height, :width] = table
+    c[height + 1 :, :width] = table[:0:-1]
+    c[:, width + 1 :] = c[:, width - 1 : 0 : -1]
+    return c
+
+
+def solve_currents(grid: ContrastGrid) -> np.ndarray:
+    """Induced currents I = q k^2 u on every cell for every incidence, shape (n_incidences, n_cells).
+
+    The operator u -> u - G * (k^2 q u) on the N contrast cells is applied
+    matrix-free: the offset table over the cells' span H x W, mirrored into a
+    2H x 2W circulant, is transformed once, and each product is one fft2 and
+    one ifft2 of the zero-padded box.  Each incident field u^i = e^{ik d . x}
+    is solved by _gmres with a basis of at most min(N, KRYLOV_BYTES / 16 N)
+    vectors.  An incidence that reaches that cap, or whose solution is not
+    finite or misses a relative residual |A u - u^i| / |u^i| of 1e-8, raises
+    NumericalError.  The currents vanish off the contrast cells.
     """
     k = grid.wavenumber
-    a = _interaction_matrix(k, grid.h, grid.resolution, cells)
-    a *= k**2
-    a *= grid.q[cells]
-    np.subtract(0.0, a, out=a)
-    a.reshape(-1)[:: cells.size + 1] += 1.0
-    return a
+    cells = np.flatnonzero(grid.q != 0.0)
+    currents = np.zeros((len(grid.incidences), grid.q.size), dtype=np.complex128)
+    if not cells.size:
+        return currents
+    rows, cols = divmod(cells, grid.resolution)
+    rows, cols = rows - rows.min(), cols - cols.min()
+    symbol = np.fft.fft2(_circulant(_offset_table(k, grid.h, rows.max() + 1, cols.max() + 1)))
+    box = rows * symbol.shape[1] + cols  # each cell's flat index in the 2H x 2W box
+    kq = k**2 * grid.q[cells]
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        padded = np.zeros(symbol.size, dtype=np.complex128)
+        padded[box] = kq * u
+        spectrum = np.fft.fft2(padded.reshape(symbol.shape))
+        spectrum *= symbol
+        return u - np.fft.ifft2(spectrum).ravel()[box]
+
+    cap = min(cells.size, KRYLOV_BYTES // (16 * cells.size))
+    b = plane_waves(grid.points[cells], -np.asarray(grid.incidences), k)
+    for j in range(b.shape[1]):
+        u = _gmres(apply, b[:, j], cap)
+        if u is None:
+            raise NumericalError(
+                f"forward solve for incidence {j} did not converge within {cap} GMRES steps "
+                f"(the Krylov basis is capped at {KRYLOV_BYTES >> 20} MiB)"
+            )
+        resid = _norm(apply(u) - b[:, j]) / _norm(b[:, j])
+        if not (np.isfinite(u).all() and resid <= 1e-8):
+            raise NumericalError(f"forward system ill-conditioned for incidence {j} (relative residual {resid:.2e})")
+        currents[j, cells] = grid.q[cells] * k**2 * u
+    return currents
 
 
-def _interaction_matrix(k: float, h: float, resolution: int, cells: np.ndarray) -> np.ndarray:
-    """Integrated Green kernel between the given cells (self cell regularized).
+def _dot(a: np.ndarray, b: np.ndarray) -> complex:
+    """sum conj(a) b by numpy's pairwise sum: np.vdot's BLAS splits sums over 10,000 terms by thread count."""
+    return complex(np.sum(a.conj() * b))
 
-    On the uniform lattice the kernel depends only on the integer offset
-    (|di|, |dj|) of two cells, so H_0^(1) is evaluated once on the offsets
-    the cells span and gathered; `cells` are row-major flat indices, as in
-    SamplingGrid.points.
+
+def _norm(a: np.ndarray) -> float:
+    return float(np.sqrt(_dot(a, a).real))
+
+
+def _gmres(apply, b: np.ndarray, cap: int) -> np.ndarray | None:
+    """x with |apply(x) - b| <= _GMRES_TOL |b| by unrestarted GMRES from 0, or None if `cap` steps do not reach it.
+
+    Arnoldi by modified Gram-Schmidt, the Hessenberg least-squares problem
+    reduced by complex Givens rotations as it grows (Saad & Schultz 1986).
+    The basis and the triangular factor grow by one vector a step, so
+    nothing is held for steps not taken.
     """
-    rows, cols = divmod(cells, resolution)
-    height, width = (s.stop - s.start for s in (_span(rows), _span(cols)))
-    flat = _offset_table(k, h, height, width).ravel()
-    g = np.empty((cells.size, cells.size), dtype=np.complex128)
-    for start in range(0, cells.size, _GATHER_ROWS):  # band by band, so no index array is N x N
-        band = slice(start, start + _GATHER_ROWS)
-        index = np.abs(rows[band, None] - rows[None, :])  # the flat index |di| * width + |dj| of the table
-        index *= width
-        index += np.abs(cols[band, None] - cols[None, :])
-        flat.take(index, out=g[band])
-    return g
+    beta = _norm(b)
+    basis = [b / beta]
+    columns: list[np.ndarray] = []  # the triangular factor R, column by column
+    cs: list[float] = []
+    sn: list[complex] = []
+    g = [complex(beta)]  # Q^H beta e_1
+    for j in range(cap):
+        w = apply(basis[j])
+        h = []
+        for v in basis:
+            h.append(_dot(v, w))
+            w -= h[-1] * v
+        below = _norm(w)
+        for i in range(j):
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i].conjugate() * h[i]
+        r = float(np.hypot(abs(h[j]), below))
+        if r == 0.0:  # the operator is singular on the Krylov space
+            return None
+        phase = h[j] / abs(h[j]) if h[j] != 0.0 else 1.0
+        cs.append(abs(h[j]) / r)
+        sn.append(phase * below / r)
+        h[j] = phase * r
+        columns.append(np.array(h))
+        g.append(-sn[j].conjugate() * g[j])
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= _GMRES_TOL * beta:
+            y = np.array(g[: j + 1])
+            for i in range(j, -1, -1):  # back substitution by columns: no reductions
+                y[i] /= columns[i][i]
+                y[:i] -= y[i] * columns[i][:i]
+            x = y[0] * basis[0]
+            for yi, v in zip(y[1:], basis[1:]):
+                x += yi * v
+            return x
+        basis.append(w / below)
+    return None
 
 
 def far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndarray:

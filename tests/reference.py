@@ -5,7 +5,8 @@ far-field Green function, the FFSM and FSSM right-hand sides, the FFSM and
 FSSM matrices entry by entry, the refractive index at one point, the forward
 kernel between every pair of contrast cells, the radiation of the contrast
 cells' currents through one plane wave per receiver and cell, the total field
-on every forward cell -- the Born and penetrable-disk far fields the forward solver is
+on every forward cell, the dense interaction matrix and system with their LAPACK
+solve -- the Born and penetrable-disk far fields the forward solver is
 checked against, the Bessel closed forms of the full-circle inner products the package
 evaluates by the trapezoid rule, the Gauss-Legendre rule on the arcs with the
 aperture kernel by that rule, the circle rule's size counted up one by one,
@@ -24,7 +25,7 @@ from scipy import special as sp
 from dense_probing import ffsm_rhs_dense, fssm_rhs_dense
 from lapdsm.errors import ValidationError
 from lapdsm.dsm import IndexField
-from lapdsm.forward import ContrastGrid, _self_term
+from lapdsm.forward import ContrastGrid, _offset_table, _self_term, _span
 from lapdsm.numerics import directions, fourier_modes, green_far_prefactor, plane_waves
 from lapdsm.presets import preset_scene
 from lapdsm.scene import ApertureSet, Scene
@@ -322,6 +323,60 @@ def pairwise_interaction_matrix(k: float, pts: np.ndarray, h: float) -> np.ndarr
     g = (1j / 4.0) * sp.hankel1(0, k * r) * h * h
     np.fill_diagonal(g, _self_term(k, h))
     return g
+
+
+# rows of the interaction matrix gathered per band from the offset table
+GATHER_ROWS = 64
+
+
+def interaction_matrix(k: float, h: float, resolution: int, cells: np.ndarray) -> np.ndarray:
+    """Integrated Green kernel between the given cells (self cell regularized), gathered from the offset table.
+
+    On the uniform lattice the kernel depends only on the integer offset
+    (|di|, |dj|) of two cells, so H_0^(1) is evaluated once on the offsets
+    the cells span and gathered band by band; `cells` are row-major flat
+    indices, as in SamplingGrid.points.  The dense assembly that the
+    matrix-free solve replaced, kept as its oracle.
+    """
+    rows, cols = divmod(cells, resolution)
+    height, width = (s.stop - s.start for s in (_span(rows), _span(cols)))
+    flat = _offset_table(k, h, height, width).ravel()
+    g = np.empty((cells.size, cells.size), dtype=np.complex128)
+    for start in range(0, cells.size, GATHER_ROWS):  # band by band, so no index array is N x N
+        band = slice(start, start + GATHER_ROWS)
+        index = np.abs(rows[band, None] - rows[None, :])  # the flat index |di| * width + |dj| of the table
+        index *= width
+        index += np.abs(cols[band, None] - cols[None, :])
+        flat.take(index, out=g[band])
+    return g
+
+
+def system_matrix(grid: ContrastGrid, cells: np.ndarray) -> np.ndarray:
+    """I - k^2 G Q on the given contrast cells, assembled in place on the gathered G.
+
+    Entry for entry the rounding of eye - k^2 * g * q: 0 - x, then
+    1 + (0 - x) = 1 - x on the diagonal.
+    """
+    k = grid.wavenumber
+    a = interaction_matrix(k, grid.h, grid.resolution, cells)
+    a *= k**2
+    a *= grid.q[cells]
+    np.subtract(0.0, a, out=a)
+    a.reshape(-1)[:: cells.size + 1] += 1.0
+    return a
+
+
+def dense_currents(grid: ContrastGrid) -> np.ndarray:
+    """The currents q k^2 u by one LAPACK solve of the dense system, shape (n_incidences, n_cells).
+
+    The forward solve that GMRES on the FFT-applied operator replaced, kept as its oracle.
+    """
+    k = grid.wavenumber
+    cells = np.flatnonzero(grid.q != 0.0)
+    u = np.linalg.solve(system_matrix(grid, cells), plane_waves(grid.points, -np.asarray(grid.incidences), k)[cells])
+    currents = np.zeros((len(grid.incidences), grid.q.size), dtype=np.complex128)
+    currents[:, cells] = grid.q[cells] * k**2 * u.T
+    return currents
 
 
 def dense_far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndarray:

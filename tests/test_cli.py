@@ -734,10 +734,11 @@ class TestNumpyAlone:
             assert run.returncode == 0, (argv, run.stderr)
 
 
-# inputs whose arrays outgrow any machine: a 1200-cell forward grid's 76,344 x 76,344 system (87 GiB)
+# inputs whose arrays outgrow any machine: a 20000-cell forward grid's cell centres (3 GiB per coordinate,
+# 6 GiB as points; the matrix-free solve holds no N x N array, so grid 1200 now runs in ~0.2 GiB)
 # and a 20000-point sampling grid's coordinates (3 GiB per array)
 TOO_BIG = [
-    ["simulate", "--preset", "ex1_1", "--forward-grid", "1200"],
+    ["simulate", "--preset", "ex1_1", "--forward-grid", "20000"],
     ["rn", "--method", "ffsm", "--config", "1", "--sigma-exp", "4", "--grid", "20000"],
 ]
 

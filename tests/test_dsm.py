@@ -82,6 +82,21 @@ class TestKernel:
                 v = abs(kernel_gamma((0.0, 0.0), y, ap, K))
                 assert v <= 5.0 * K ** (-1.5) * radius ** (-0.5)
 
+    @pytest.mark.parametrize("k", [8.0, 200.0])
+    def test_bands_of_points_equal_the_whole_product_bit_for_bit(self, monkeypatch, k):
+        # 603 points as in the kernel command, in bands of 16 or 40 rows and a last band of 11 or 3
+        # (a band of one 2-D row rounds as the whole product too; a 1-D row, a dot product, need not)
+        from lapdsm import dsm
+
+        ap = ApertureSet((Arc(alpha=np.pi / 3, beta=0.0, receivers=8),))
+        r = np.linspace(0.0, 2.0, 201)
+        y = np.concatenate([r[:, None] * [np.cos(b), np.sin(b)] for b in (0.0, 0.7853981633974483, 1.5707963267948966)])
+        whole = kernel_gamma((0.0, 0.0), y, ap, k)
+        nu = dsm.circle_angles(k, 2.0).size
+        for rows in (16, 40):
+            monkeypatch.setattr(dsm, "_KERNEL_BAND_BYTES", rows * 24 * 8 * nu)
+            np.testing.assert_array_equal(kernel_gamma((0.0, 0.0), y, ap, k), whole)
+
     def test_maximum_at_coincidence(self):
         ap = ApertureSet((Arc(alpha=np.pi / 3, beta=0.0, receivers=8),))
         peak = abs(kernel_gamma((0, 0), (0, 0), ap, K))
