@@ -170,6 +170,8 @@ def cmd_kernel(args) -> int:
         raise ValidationError(f"--k times --r-max must be finite, got {args.k!r} * {args.r_max!r}")
     if not np.isfinite(8.0 * args.k * np.pi):  # the kernel's scale 1 / (8 k pi)
         raise ValidationError(f"--k must keep 8 k pi finite, got {args.k!r}")
+    if not np.isfinite(1.0 / (8.0 * args.k * np.pi)):
+        raise ValidationError(f"--k must keep 1 / (8 k pi) finite, got {args.k!r}")
     aperture = ApertureSet((Arc(alpha=args.alpha, beta=0.0, receivers=64),))
     try:
         betas = [float(b) for b in args.beta_list.split(",")]

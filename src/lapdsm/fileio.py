@@ -16,15 +16,20 @@ from .errors import ValidationError, text_input
 from .scene import ApertureSet, FarFieldData
 
 
+def _write_table(path, header: str, row_format: str, rows: np.ndarray) -> None:
+    """The header, then row_format filled from each row of the 2-D rows, all rows in one % operation."""
+    with open(path, "w") as f:
+        f.write(header)
+        f.write((row_format * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
 def write_farfield_csv(path, data: FarFieldData) -> None:
     """Rows: incidence_index,theta_radians,re,im in receiver order."""
     angles = data.aperture.receiver_angles()
     n_inc, q = data.samples.shape
     u = data.samples.ravel()
     rows = np.column_stack([np.repeat(np.arange(n_inc), q), np.tile(angles, n_inc), u.real, u.imag])
-    with open(path, "w") as f:
-        f.write("incidence_index,theta_radians,re,im\n")
-        f.write(("%d,%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist()))
+    _write_table(path, "incidence_index,theta_radians,re,im\n", "%d,%.17g,%.17g,%.17g\n", rows)
 
 
 def read_farfield_csv(path, aperture: ApertureSet) -> FarFieldData:
@@ -83,9 +88,8 @@ def write_index_csv(path, field: IndexField) -> None:
 def write_kernel_csv(path, betas, radii: np.ndarray, values: np.ndarray) -> None:
     """Header R,beta=...; one row per radius: the radius, then |K_Gamma| for each direction."""
     rows = np.column_stack([radii, values])
-    with open(path, "w") as f:
-        f.write("R," + ",".join(f"beta={b:g}" for b in betas) + "\n")
-        f.write(((",".join(["%.17g"] * rows.shape[1]) + "\n") * rows.shape[0]) % tuple(rows.ravel().tolist()))
+    header = "R," + ",".join(f"beta={b:g}" for b in betas) + "\n"
+    _write_table(path, header, ",".join(["%.17g"] * rows.shape[1]) + "\n", rows)
 
 
 def write_pgm(path, field: IndexField) -> None:
@@ -95,9 +99,7 @@ def write_pgm(path, field: IndexField) -> None:
     if peak <= 0:
         raise ValidationError("cannot rasterize an all-zero field")
     pix = np.rint(255.0 * field.values / peak).astype(int).reshape(n, n)
-    with open(path, "w") as f:
-        f.write(f"P2\n{n} {n}\n255\n")
-        f.write(((" ".join(["%d"] * n) + "\n") * n) % tuple(pix.ravel().tolist()))
+    _write_table(path, f"P2\n{n} {n}\n255\n", " ".join(["%d"] * n) + "\n", pix)
 
 
 def write_metadata(path, meta: dict) -> None:
@@ -114,9 +116,7 @@ def read_metadata(path) -> dict:
 def write_loss_trace(path, trace: np.ndarray) -> None:
     """Rows: iteration,loss for iterations 1..n."""
     rows = np.column_stack([np.arange(1, trace.size + 1), trace])
-    with open(path, "w") as f:
-        f.write("iteration,loss\n")
-        f.write(("%d,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist()))
+    _write_table(path, "iteration,loss\n", "%d,%.17g\n", rows)
 
 
 # --------------------------------------------------------------------------

@@ -3,24 +3,23 @@ r"""Far-field synthesis by a Lippmann-Schwinger volume-integral solver.
 The total field obeys u = u^i + k^2 \int_D G(y, .) (n(y) - 1) u(y) dy; we
 discretize with piecewise-constant collocation on the cells of a uniform
 grid, solve for u on the contrast-carrying cells, and radiate the induced
-current to the far field.  The one path is `contrast_grid` -> the grid's
-`currents` -> `far_field`.  On the lattice the kernel depends on the integer
-cell offset alone, so the operator is block-Toeplitz (Vainikko 2000): one
-table of offsets over the contrast cells' span, evaluated by the numpy Hankel
-function below and mirrored into a circulant, is transformed once per grid,
-and each product u - G * (k^2 q u) is one FFT pair of the cells' box.  No
-N x N array is formed.  Each incidence is solved by unrestarted GMRES (Saad &
-Schultz 1986) whose basis is capped by KRYLOV_BYTES, and every solution's
-residual is checked; one product per grid radiates every incidence's current
-through the lattice's separable plane waves.  Two independent oracles in the
-test suite (Born approximation and the penetrable-disk separation-of-variables
-series) validate the solver, and the dense solve it replaced is a third.
+current to the far field.  The one path is `contrast_grid`, which crops the
+lattice to the box of rows and columns the contrast spans, -> `solve_currents`
+on that box -> `far_field`.  On the lattice the kernel depends on the integer
+cell offset alone, so the operator is block-Toeplitz (Vainikko 2000): the
+offset table over the box, from the numpy Hankel function below and mirrored
+into a circulant, is transformed once per grid, and each product
+u - G * (k^2 q u) is one FFT pair of the box.  No N x N array is formed.
+Each incidence is solved by unrestarted GMRES (Saad & Schultz 1986) whose
+basis is capped by KRYLOV_BYTES, and every solution's residual is checked;
+one product per grid radiates every incidence's current through the box's
+separable plane waves.  The Born approximation, the penetrable-disk series
+and the dense solve this replaced validate the solver in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .numerics import directions, green_far_prefactor, plane_waves
 from .scene import FarFieldData, Scene, SamplingGrid, refractive_index_grid
 
 MIN_CELLS_PER_WAVELENGTH = 10.0
+# the smallest k h / sqrt(pi) at which _self_term is checked: below it its two 1/k^2 terms cancel to rounding
+MIN_SELF_TERM_ARGUMENT = 1e-6
 # bytes the forward solve's Krylov basis may hold: min(N, KRYLOV_BYTES / 16 N) GMRES steps on N contrast cells
 KRYLOV_BYTES = 256 << 20
 # GMRES stops at this relative residual, as near the rounding of one product as it converges to
@@ -37,12 +38,12 @@ _GMRES_TOL = 1e-14
 
 @dataclass(frozen=True)
 class ContrastGrid:
-    """Uniform cell-center lattice with contrast values q = n - 1 at wavenumber k."""
+    """The box of lattice cells the contrast spans: centres xs (W) and ys (H), q = n - 1 (H x W) at wavenumber k."""
 
-    points: np.ndarray  # (n_cells, 2), row-major as SamplingGrid.points
-    q: np.ndarray  # (n_cells,)
+    xs: np.ndarray  # (W,) the box's column centres
+    ys: np.ndarray  # (H,) its row centres
+    q: np.ndarray  # (H, W), row-major as SamplingGrid.points
     h: float  # cell side
-    resolution: int
     wavenumber: float
     incidences: tuple[tuple[float, float], ...]  # the scene's directions d
 
@@ -50,34 +51,33 @@ class ContrastGrid:
     def cell_area(self) -> float:
         return self.h * self.h
 
-    @cached_property
-    def currents(self) -> np.ndarray:
-        """Induced currents I = q k^2 u on every cell for every incidence, read-only; see solve_currents."""
-        currents = solve_currents(self)
-        currents.setflags(write=False)
-        return currents
-
 
 def contrast_grid(scene: Scene, resolution: int) -> ContrastGrid:
+    """The scene's contrast on the resolution x resolution lattice, cropped to the rows and columns it spans."""
     if resolution < 1:
         raise ValidationError(f"forward grid must have >= 1 cell per side, got {resolution}")
-    dom = scene.domain
+    dom, k = scene.domain, scene.wavenumber
     hx = (dom.xmax - dom.xmin) / resolution
     hy = (dom.ymax - dom.ymin) / resolution
     if abs(hx - hy) > 1e-12:
         raise ValidationError("contrast grid requires a square domain box")
-    wavelength = 2.0 * np.pi / scene.wavenumber
+    wavelength = 2.0 * np.pi / k
     # relative slack of 1e-12: a grid at exactly the minimum must not fail on the rounding of the quotient
     if wavelength / hx < MIN_CELLS_PER_WAVELENGTH * (1.0 - 1e-12):
         raise ValidationError(
             f"grid resolves only {wavelength / hx:.1f} cells per wavelength; "
             f"need >= {MIN_CELLS_PER_WAVELENGTH}"
         )
+    if (ka := k * hx / np.sqrt(np.pi)) < MIN_SELF_TERM_ARGUMENT:
+        raise ValidationError(
+            f"wavenumber {k!r} is too small for cells of side {hx:.6g}: "
+            f"k h / sqrt(pi) = {ka:.3g}, need >= {MIN_SELF_TERM_ARGUMENT:g}"
+        )
     grid = SamplingGrid(dom, resolution)
-    pts = grid.points
-    q = refractive_index_grid(scene, pts) - 1.0
+    q = refractive_index_grid(scene, grid.points).reshape(resolution, resolution) - 1.0
+    rows, cols = (_span(np.flatnonzero(q.any(axis=axis))) for axis in (1, 0))
     return ContrastGrid(
-        points=pts, q=q, h=hx, resolution=resolution, wavenumber=scene.wavenumber, incidences=scene.incidences
+        xs=grid.xs[cols], ys=grid.ys[rows], q=q[rows, cols].copy(), h=hx, wavenumber=k, incidences=scene.incidences
     )
 
 
@@ -200,37 +200,37 @@ def _circulant(table: np.ndarray) -> np.ndarray:
 
 
 def solve_currents(grid: ContrastGrid) -> np.ndarray:
-    """Induced currents I = q k^2 u on every cell for every incidence, shape (n_incidences, n_cells).
+    """Induced currents I = q k^2 u on the box for every incidence, shape (n_incidences, H, W).
 
     The operator u -> u - G * (k^2 q u) on the N contrast cells is applied
-    matrix-free: the offset table over the cells' span H x W, mirrored into a
-    2H x 2W circulant, is transformed once, and each product is one fft2 and
-    one ifft2 of the zero-padded box.  Each incident field u^i = e^{ik d . x}
-    is solved by _gmres with a basis of at most min(N, KRYLOV_BYTES / 16 N)
+    matrix-free: the offset table over the box, mirrored into a 2H x 2W
+    circulant, is transformed once; each product transforms the box padded to
+    2H x 2W and inverts only the H x W it reads, last axis first as ifft2
+    does, so with ifft2's bits.  Each incident field u^i = e^{ik d . x} is
+    solved by _gmres with a basis of at most min(N, KRYLOV_BYTES / 16 N)
     vectors.  An incidence that reaches that cap, or whose solution is not
     finite or misses a relative residual |A u - u^i| / |u^i| of 1e-8, raises
     NumericalError.  The currents vanish off the contrast cells.
     """
     k = grid.wavenumber
-    cells = np.flatnonzero(grid.q != 0.0)
-    currents = np.zeros((len(grid.incidences), grid.q.size), dtype=np.complex128)
+    height, width = grid.q.shape
+    cells = np.flatnonzero(grid.q)
+    currents = np.zeros((len(grid.incidences), height, width), dtype=np.complex128)
     if not cells.size:
         return currents
-    rows, cols = divmod(cells, grid.resolution)
-    rows, cols = rows - rows.min(), cols - cols.min()
-    symbol = np.fft.fft2(_circulant(_offset_table(k, grid.h, rows.max() + 1, cols.max() + 1)))
-    box = rows * symbol.shape[1] + cols  # each cell's flat index in the 2H x 2W box
-    kq = k**2 * grid.q[cells]
+    symbol = np.fft.fft2(_circulant(_offset_table(k, grid.h, height, width)))
+    kq = k**2 * grid.q.ravel()[cells]
 
     def apply(u: np.ndarray) -> np.ndarray:
-        padded = np.zeros(symbol.size, dtype=np.complex128)
-        padded[box] = kq * u
-        spectrum = np.fft.fft2(padded.reshape(symbol.shape))
+        box = np.zeros(grid.q.shape, dtype=np.complex128)
+        box.flat[cells] = kq * u
+        spectrum = np.fft.fft2(box, s=symbol.shape)
         spectrum *= symbol
-        return u - np.fft.ifft2(spectrum).ravel()[box]
+        return u - np.fft.ifft(np.fft.ifft(spectrum, axis=1)[:, :width], axis=0)[:height].ravel()[cells]
 
     cap = min(cells.size, KRYLOV_BYTES // (16 * cells.size))
-    b = plane_waves(grid.points[cells], -np.asarray(grid.incidences), k)
+    rows, cols = divmod(cells, width)
+    b = plane_waves(np.column_stack([grid.xs[cols], grid.ys[rows]]), -np.asarray(grid.incidences), k)
     for j in range(b.shape[1]):
         u = _gmres(apply, b[:, j], cap)
         if u is None:
@@ -241,7 +241,7 @@ def solve_currents(grid: ContrastGrid) -> np.ndarray:
         resid = _norm(apply(u) - b[:, j]) / _norm(b[:, j])
         if not (np.isfinite(u).all() and resid <= 1e-8):
             raise NumericalError(f"forward system ill-conditioned for incidence {j} (relative residual {resid:.2e})")
-        currents[j, cells] = grid.q[cells] * k**2 * u
+        currents[j].flat[cells] = kq * u  # q k^2 u: the product of two floats does not depend on their order
     return currents
 
 
@@ -301,25 +301,22 @@ def _gmres(apply, b: np.ndarray, cap: int) -> np.ndarray | None:
 
 
 def far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndarray:
-    """Radiate induced currents: u_inf(xhat) = sum_j h^2 G_inf(y_j, xhat) I_j over the contrast cells y_j.
+    """Radiate induced currents: u_inf(xhat) = sum_j h^2 G_inf(y_j, xhat) I_j over the box's cells y_j.
 
-    currents, shape (n_incidences, n_cells), vanish off the contrast cells,
-    so the sum runs over the box of lattice rows and columns those cells span.
-    There e^{-ik xhat . y} = ex ey, one factor per axis, and the sum is
-    pre h^2 sum_rows ey * (C ex) for the box currents C of each row: one
-    product for every incidence and no receivers x cells table.  Returns
-    shape (n_incidences, n_angles).
+    On the box e^{-ik xhat . y} = ex ey, one factor per axis, and the sum is
+    pre h^2 sum_rows ey * (C ex) for the currents C of each row: one product
+    for every incidence and no receivers x cells table.  currents have shape
+    (n_incidences, H, W); returns shape (n_incidences, n_angles).
     """
-    n, k = grid.resolution, grid.wavenumber
-    rows, cols = (_span(a) for a in divmod(np.flatnonzero(grid.q), n))
+    k = grid.wavenumber
     xhat = directions(np.atleast_1d(angles))
-    ex = plane_waves(grid.points[:n, 0][cols, None], xhat[:, :1], k)
-    ey = plane_waves(grid.points[::n, 1][rows, None], xhat[:, 1:], k)
-    by_row = np.tensordot(currents.reshape(-1, n, n)[:, rows, cols], ex, axes=1)  # C ex, (incidences, rows, Q)
+    ex = plane_waves(grid.xs[:, None], xhat[:, :1], k)
+    ey = plane_waves(grid.ys[:, None], xhat[:, 1:], k)
+    by_row = np.tensordot(currents, ex, axes=1)  # C ex, (incidences, rows, Q)
     return green_far_prefactor(k) * grid.cell_area * np.einsum("jrq,rq->jq", by_row, ey)
 
 
 def synthesize_far_field(scene: Scene, resolution: int = 120) -> FarFieldData:
     """Noiseless far-field data for every incidence at the scene's receivers."""
     grid = contrast_grid(scene, resolution)
-    return FarFieldData(far_field(grid, grid.currents, scene.aperture.receiver_angles()), scene.aperture)
+    return FarFieldData(far_field(grid, solve_currents(grid), scene.aperture.receiver_angles()), scene.aperture)

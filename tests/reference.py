@@ -4,9 +4,9 @@ Pointwise forms of what the package evaluates on whole grids -- the
 far-field Green function, the FFSM and FSSM right-hand sides, the FFSM and
 FSSM matrices entry by entry, the refractive index at one point, the forward
 kernel between every pair of contrast cells, the radiation of the contrast
-cells' currents through one plane wave per receiver and cell, the total field
-on every forward cell, the dense interaction matrix and system with their LAPACK
-solve -- the Born and penetrable-disk far fields the forward solver is
+cells' currents through one plane wave per receiver and cell, the cell
+centres and total field of every cell of the contrast box, the dense
+interaction matrix and system with their LAPACK solve -- the Born and penetrable-disk far fields the forward solver is
 checked against, the Bessel closed forms of the full-circle inner products the package
 evaluates by the trapezoid rule, the Gauss-Legendre rule on the arcs with the
 aperture kernel by that rule, the circle rule's size counted up one by one,
@@ -25,7 +25,7 @@ from scipy import special as sp
 from dense_probing import ffsm_rhs_dense, fssm_rhs_dense
 from lapdsm.errors import ValidationError
 from lapdsm.dsm import IndexField
-from lapdsm.forward import ContrastGrid, _offset_table, _self_term, _span
+from lapdsm.forward import ContrastGrid, _offset_table, _self_term, _span, solve_currents
 from lapdsm.numerics import directions, fourier_modes, green_far_prefactor, plane_waves
 from lapdsm.presets import preset_scene
 from lapdsm.scene import ApertureSet, Scene
@@ -252,7 +252,7 @@ def born_far_field(scene: Scene, incidence_index: int, angles, grid: ContrastGri
     mask = grid.q != 0.0
     if not np.any(mask):
         return np.zeros(angles.shape, dtype=np.complex128)
-    pts = grid.points[mask]
+    pts = box_points(grid)[mask.ravel()]
     src = grid.q[mask] * k**2 * np.exp(1j * k * pts @ d)
     xhat = np.column_stack([np.cos(angles), np.sin(angles)])
     phase = np.exp(-1j * k * (xhat @ pts.T))
@@ -329,16 +329,17 @@ def pairwise_interaction_matrix(k: float, pts: np.ndarray, h: float) -> np.ndarr
 GATHER_ROWS = 64
 
 
-def interaction_matrix(k: float, h: float, resolution: int, cells: np.ndarray) -> np.ndarray:
+def interaction_matrix(k: float, h: float, lattice_width: int, cells: np.ndarray) -> np.ndarray:
     """Integrated Green kernel between the given cells (self cell regularized), gathered from the offset table.
 
     On the uniform lattice the kernel depends only on the integer offset
     (|di|, |dj|) of two cells, so H_0^(1) is evaluated once on the offsets
     the cells span and gathered band by band; `cells` are row-major flat
-    indices, as in SamplingGrid.points.  The dense assembly that the
-    matrix-free solve replaced, kept as its oracle.
+    indices into a lattice `lattice_width` cells wide, as into
+    SamplingGrid.points or a ContrastGrid's box.  The dense assembly that the matrix-free solve
+    replaced, kept as its oracle.
     """
-    rows, cols = divmod(cells, resolution)
+    rows, cols = divmod(cells, lattice_width)
     height, width = (s.stop - s.start for s in (_span(rows), _span(cols)))
     flat = _offset_table(k, h, height, width).ravel()
     g = np.empty((cells.size, cells.size), dtype=np.complex128)
@@ -352,30 +353,37 @@ def interaction_matrix(k: float, h: float, resolution: int, cells: np.ndarray) -
 
 
 def system_matrix(grid: ContrastGrid, cells: np.ndarray) -> np.ndarray:
-    """I - k^2 G Q on the given contrast cells, assembled in place on the gathered G.
+    """I - k^2 G Q on the given contrast cells (flat indices into the box), assembled in place on the gathered G.
 
     Entry for entry the rounding of eye - k^2 * g * q: 0 - x, then
     1 + (0 - x) = 1 - x on the diagonal.
     """
     k = grid.wavenumber
-    a = interaction_matrix(k, grid.h, grid.resolution, cells)
+    a = interaction_matrix(k, grid.h, grid.q.shape[1], cells)
     a *= k**2
-    a *= grid.q[cells]
+    a *= grid.q.ravel()[cells]
     np.subtract(0.0, a, out=a)
     a.reshape(-1)[:: cells.size + 1] += 1.0
     return a
 
 
+def box_points(grid: ContrastGrid) -> np.ndarray:
+    """(H W, 2) cell centres of the contrast box, row-major as its q."""
+    xx, yy = np.meshgrid(grid.xs, grid.ys)
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
 def dense_currents(grid: ContrastGrid) -> np.ndarray:
-    """The currents q k^2 u by one LAPACK solve of the dense system, shape (n_incidences, n_cells).
+    """The currents q k^2 u by one LAPACK solve of the dense system, shape (n_incidences, H, W) as the box.
 
     The forward solve that GMRES on the FFT-applied operator replaced, kept as its oracle.
     """
-    k = grid.wavenumber
-    cells = np.flatnonzero(grid.q != 0.0)
-    u = np.linalg.solve(system_matrix(grid, cells), plane_waves(grid.points, -np.asarray(grid.incidences), k)[cells])
-    currents = np.zeros((len(grid.incidences), grid.q.size), dtype=np.complex128)
-    currents[:, cells] = grid.q[cells] * k**2 * u.T
+    k, n_inc = grid.wavenumber, len(grid.incidences)
+    cells = np.flatnonzero(grid.q)
+    b = plane_waves(box_points(grid)[cells], -np.asarray(grid.incidences), k)
+    u = np.linalg.solve(system_matrix(grid, cells), b)
+    currents = np.zeros((n_inc, *grid.q.shape), dtype=np.complex128)
+    currents.reshape(n_inc, -1)[:, cells] = grid.q.ravel()[cells] * k**2 * u.T
     return currents
 
 
@@ -384,30 +392,31 @@ def dense_far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndar
 
     The receivers x cells plane-wave product that the separable radiation of
     forward.far_field replaced, kept as its oracle; currents are
-    (n_incidences, n_cells) as there.
+    (n_incidences, H, W) on the box as there.
     """
     k, mask = grid.wavenumber, grid.q != 0.0
-    waves = plane_waves(directions(np.atleast_1d(angles)), grid.points[mask], k)
+    waves = plane_waves(directions(np.atleast_1d(angles)), box_points(grid)[mask.ravel()], k)
     return green_far_prefactor(k) * grid.cell_area * (np.asarray(currents)[:, mask] @ waves.T)
 
 
 def total_field(grid: ContrastGrid, incidence_index: int) -> np.ndarray:
-    """u at every forward cell for one incidence: u^i plus the field the contrast cells radiate.
+    """u at every cell of the box for one incidence, row-major as box_points: u^i plus the field the contrast radiates.
 
     On the contrast cells u = I / (k^2 q); the passive cells get u^i plus the
     scattered field of the induced current, summed over every cell pair.
     """
     k = grid.wavenumber
-    current = grid.currents[incidence_index]
+    current = solve_currents(grid)[incidence_index].ravel()
     d = np.asarray(grid.incidences[incidence_index])
-    mask = grid.q != 0.0
-    u = plane_waves(grid.points, -d[None, :], k)[:, 0]  # u^i = e^{ik d . x}
+    q, pts = grid.q.ravel(), box_points(grid)
+    mask = q != 0.0
+    u = plane_waves(pts, -d[None, :], k)[:, 0]  # u^i = e^{ik d . x}
     if np.any(mask):
-        diff = grid.points[~mask][:, None, :] - grid.points[mask][None, :, :]
+        diff = pts[~mask][:, None, :] - pts[mask][None, :, :]
         r = np.hypot(diff[..., 0], diff[..., 1])
         g_out = (1j / 4.0) * sp.hankel1(0, k * np.maximum(r, 1e-300)) * grid.h**2
         u[~mask] += g_out @ current[mask]  # k^2 G (q u) = G I
-        u[mask] = current[mask] / (k**2 * grid.q[mask])
+        u[mask] = current[mask] / (k**2 * q[mask])
     return u
 
 

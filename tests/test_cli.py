@@ -330,9 +330,20 @@ class TestSimulate:
             (lambda scene: scene["aperture"]["arcs"][0].update(receivers=1.0) or scene, "receiver count must be a positive int"),
             (lambda scene: scene["aperture"]["arcs"][0].update(receivers=2.5) or scene, "receiver count must be a positive int"),
             (lambda scene: scene.update(wavenumber=float("nan")) or scene, "wavenumber must be finite"),
+            # below the self term's floor k h / sqrt(pi) >= 1e-6 on the default 120-cell grid: these exited 0
+            # (1e-4, 1e-8), 3 with RuntimeWarnings (1e-130), or in a ZeroDivisionError traceback (1e-300)
+            (lambda scene: scene.update(wavenumber=1e-4) or scene,
+             "error: wavenumber 0.0001 is too small for cells of side 0.0166667: k h / sqrt(pi) = 9.4e-07, need >= 1e-06\n"),
+            (lambda scene: scene.update(wavenumber=1e-8) or scene,
+             "error: wavenumber 1e-08 is too small for cells of side 0.0166667: k h / sqrt(pi) = 9.4e-11, need >= 1e-06\n"),
+            (lambda scene: scene.update(wavenumber=1e-130) or scene,
+             "error: wavenumber 1e-130 is too small for cells of side 0.0166667: k h / sqrt(pi) = 9.4e-133, need >= 1e-06\n"),
+            (lambda scene: scene.update(wavenumber=1e-300) or scene,
+             "error: wavenumber 1e-300 is too small for cells of side 0.0166667: k h / sqrt(pi) = 9.4e-303, need >= 1e-06\n"),
         ],
         ids=["json-list", "string-radius", "nan-radius", "nan-center", "nan-incidence", "infinite-index",
-             "bool-receivers", "float-receivers", "fractional-receivers", "nan-wavenumber"],
+             "bool-receivers", "float-receivers", "fractional-receivers", "nan-wavenumber",
+             "tiny-wavenumber-1e-4", "tiny-wavenumber-1e-8", "tiny-wavenumber-1e-130", "tiny-wavenumber-1e-300"],
     )
     def test_malformed_scene_is_one_line_error(self, tmp_path, capsys, edit, message):
         scene = scene_to_dict(preset_scene("ex2_1"))
@@ -341,6 +352,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert message in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
 
 
 class TestReconstruct:
@@ -671,12 +683,14 @@ class TestKernelAndRn:
             (["--k", "1e308"], "error: --k times --r-max must be finite, got 1e+308 * 2.0\n"),
             (["--r-max", "1e308"], "error: --k times --r-max must be finite, got 8.0 * 1e+308\n"),
             (["--k", "1e308", "--r-max", "0"], "error: --k must keep 8 k pi finite, got 1e+308\n"),
+            (["--k", "1e-320"], "error: --k must keep 1 / (8 k pi) finite, got 1e-320\n"),
         ],
-        ids=["r-max-negative", "k-overflow", "r-max-overflow", "k-scale-overflow"],
+        ids=["r-max-negative", "k-overflow", "r-max-overflow", "k-scale-overflow", "k-scale-underflow"],
     )
     def test_out_of_range_radius_or_phase_is_one_line_error(self, tmp_path, capsys, argv, message):
-        # a negative radius, a largest phase k * r_max beyond the float range (NaN rows before), or a
-        # kernel scale 1 / (8 k pi) that overflows to 0 (rows of 0 before)
+        # a negative radius, a largest phase k * r_max beyond the float range (NaN rows before), a kernel
+        # scale 1 / (8 k pi) whose 8 k pi overflows (rows of 0 before), or one that overflows itself
+        # (rows of inf and two RuntimeWarnings before)
         code = exit_code(["kernel", *argv, "--r-steps", "3", "--out", str(tmp_path / "ker")])
         assert code == 2 and capsys.readouterr().err == message
         assert not list(tmp_path.iterdir())

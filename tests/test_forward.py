@@ -13,19 +13,22 @@ from lapdsm.cli import main
 from lapdsm.errors import NumericalError, ValidationError
 from lapdsm.forward import (
     MIN_CELLS_PER_WAVELENGTH,
+    MIN_SELF_TERM_ARGUMENT,
     _hankel1,
     _offset_table,
     _self_term,
     contrast_grid,
     far_field,
+    solve_currents,
     synthesize_far_field,
 )
 from lapdsm.numerics import green_far_prefactor
 from lapdsm.presets import PRESET_NAMES, preset_scene
-from lapdsm.scene import Box, Disk, Scene, full_circle
+from lapdsm.scene import Box, Disk, SamplingGrid, Scene, full_circle, refractive_index_grid
 
 from reference import (
     born_far_field,
+    box_points,
     dense_currents,
     dense_far_field,
     disk_far_field_series,
@@ -64,8 +67,36 @@ class TestContrastGrid:
         sc = make_scene([Disk((0, 0), 0.3, 2.0)])
         g = contrast_grid(sc, 64)
         assert set(np.unique(g.q)) == {0.0, 1.0}
-        # the disk covers ~ pi 0.3^2 / 4 of the box
-        assert np.mean(g.q != 0) == pytest.approx(np.pi * 0.09 / 4.0, rel=0.05)
+        # the disk covers ~ pi 0.3^2 / 4 of the domain's 64^2 cells
+        assert np.count_nonzero(g.q) == pytest.approx(np.pi * 0.09 / 4.0 * 64**2, rel=0.05)
+
+    @pytest.mark.parametrize("centers", [[(0.0, 0.0)], [(-0.6, 0.5), (0.45, -0.7)], [(0.8, 0.8)]])
+    def test_box_is_the_contrast_span_of_the_whole_lattice(self, centers):
+        sc = make_scene([Disk(c, 0.15, 2.0) for c in centers])
+        lattice = SamplingGrid(DOMAIN, 50)
+        whole = refractive_index_grid(sc, lattice.points).reshape(50, 50) - 1.0
+        g = contrast_grid(sc, 50)
+        rows, cols = np.flatnonzero(whole.any(axis=1)), np.flatnonzero(whole.any(axis=0))
+        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        np.testing.assert_array_equal(g.q, whole[box])
+        np.testing.assert_array_equal(g.xs, lattice.xs[box[1]])
+        np.testing.assert_array_equal(g.ys, lattice.ys[box[0]])
+        assert np.count_nonzero(g.q) == np.count_nonzero(whole)
+        # the box owns no lattice array: it is a copy of the span alone
+        assert g.q.base is None and g.q.flags.c_contiguous
+
+    def test_scene_without_contrast_is_an_empty_box(self):
+        # a disk that holds no cell centre of the 40-cell grid (centres at odd multiples of 0.025)
+        g = contrast_grid(make_scene([Disk((0.01, 0.01), 0.001, 2.0)]), 40)
+        assert g.q.shape == (0, 0) and g.xs.shape == g.ys.shape == (0,)
+        assert solve_currents(g).shape == (1, 0, 0)
+        np.testing.assert_array_equal(far_field(g, solve_currents(g), np.linspace(0, 6, 5)), 0.0)
+
+    def test_smallest_self_term_argument_is_accepted(self):
+        # k h / sqrt(pi) just above the floor on a 20-cell grid solves as any other scene
+        k = 1.0000001 * MIN_SELF_TERM_ARGUMENT * np.sqrt(np.pi) / 0.1
+        data = synthesize_far_field(make_scene([Disk((0, 0), 0.3, 2.0)], k=k), 20)
+        assert np.isfinite(data.samples).all()
 
 
 class TestSolver:
@@ -73,13 +104,16 @@ class TestSolver:
         sc = make_scene([Disk((0, 0), 0.2, 2.0)])
         g = contrast_grid(sc, 64)
         g = dataclasses.replace(g, q=np.zeros_like(g.q))
-        np.testing.assert_array_equal(far_field(g, g.currents, np.linspace(0, 6, 13)), 0.0)
+        np.testing.assert_array_equal(far_field(g, solve_currents(g), np.linspace(0, 6, 13)), 0.0)
 
     def test_total_field_equals_incident_off_contrast(self):
-        sc = make_scene([Disk((0.3, 0.1), 0.15, 2.0)])
+        # two disks span a box whose corner (-0.5, 0.5) lies 0.85 from either disk
+        sc = make_scene([Disk((0.5, 0.5), 0.15, 2.0), Disk((-0.5, -0.5), 0.15, 2.0)])
         g = contrast_grid(sc, 64)
-        # far from the scatterer, |u| stays close to |u_inc| = 1
-        far_mask = np.hypot(g.points[:, 0] + 0.8, g.points[:, 1] + 0.8) < 0.1
+        pts = box_points(g)
+        # far from the scatterers, |u| stays close to |u_inc| = 1
+        far_mask = np.hypot(pts[:, 0] + 0.5, pts[:, 1] - 0.5) < 0.1
+        assert np.count_nonzero(far_mask) > 20
         assert np.all(np.abs(np.abs(total_field(g, 0)[far_mask]) - 1.0) < 0.5)
 
     def test_single_cell_current_radiates_green_far_field(self):
@@ -87,9 +121,10 @@ class TestSolver:
         sc = make_scene([Disk((0.25, -0.25), 0.02, 1.5)])
         g = contrast_grid(sc, 80)
         angles = np.linspace(0, 2 * np.pi, 17)
-        u = far_field(g, g.currents, angles)[0]
-        mask = g.currents[0] != 0
-        pts, cur = g.points[mask], g.currents[0, mask]
+        currents = solve_currents(g)
+        u = far_field(g, currents, angles)[0]
+        mask = currents[0] != 0
+        pts, cur = box_points(g)[mask.ravel()], currents[0, mask]
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
         expect = green_far_prefactor(K) * g.cell_area * np.exp(-1j * K * xhat @ pts.T) @ cur
         np.testing.assert_allclose(u, expect, rtol=1e-12)
@@ -109,7 +144,7 @@ class TestRadiation:
         # any currents on the contrast cells: the radiation is linear in them
         k = k_share * np.pi * resolution / 10.0
         g = contrast_grid(Scene(k, DOMAIN, tuple(shapes), ((1.0, 0.0),), aperture), resolution)
-        draw = np.random.default_rng(seed).normal(size=(2, incidences, resolution**2))
+        draw = np.random.default_rng(seed).normal(size=(2, incidences, *g.q.shape))
         currents = (draw[0] + 1j * draw[1]) * (g.q != 0.0)
         angles = aperture.receiver_angles()
         oracle = dense_far_field(g, currents, angles)
@@ -122,8 +157,9 @@ class TestRadiation:
             scene = preset_scene(name)
             g = contrast_grid(scene, 120)
             angles = scene.aperture.receiver_angles()
-            oracle = dense_far_field(g, g.currents, angles)
-            assert np.max(np.abs(far_field(g, g.currents, angles) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            currents = solve_currents(g)
+            oracle = dense_far_field(g, currents, angles)
+            assert np.max(np.abs(far_field(g, currents, angles) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 class TestOperator:
@@ -139,8 +175,8 @@ class TestOperator:
         g = contrast_grid(make_scene(shapes, k=k), resolution)
         cells = np.flatnonzero(g.q != 0.0)
         assume(cells.size >= 2)
-        table = interaction_matrix(k, g.h, resolution, cells)
-        oracle = pairwise_interaction_matrix(k, g.points[cells], g.h)
+        table = interaction_matrix(k, g.h, g.q.shape[1], cells)
+        oracle = pairwise_interaction_matrix(k, box_points(g)[cells], g.h)
         off_diagonal = ~np.eye(cells.size, dtype=bool)
         np.testing.assert_array_equal(np.diag(table), np.diag(oracle))
         assert np.max(np.abs(table - oracle)) <= 1e-14 * np.max(np.abs(oracle[off_diagonal]))
@@ -181,7 +217,8 @@ class TestOperator:
         g = contrast_grid(scene, 120)
         cells = np.flatnonzero(g.q != 0.0)
         k = scene.wavenumber
-        want = np.eye(cells.size, dtype=np.complex128) - k**2 * interaction_matrix(k, g.h, 120, cells) * g.q[cells]
+        g_box = interaction_matrix(k, g.h, g.q.shape[1], cells)
+        want = np.eye(cells.size, dtype=np.complex128) - k**2 * g_box * g.q.ravel()[cells]
         np.testing.assert_array_equal(system_matrix(g, cells), want)
 
     def test_system_is_assembled_in_place(self):
@@ -192,43 +229,50 @@ class TestOperator:
         n = int(np.count_nonzero(g.q))
         tracemalloc.start()
         try:
-            g.currents
+            solve_currents(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 16 * n * n
 
-    def test_grid_keeps_read_only_currents_and_no_operator(self):
+    def test_currents_fill_the_box_and_the_grid_holds_no_operator(self):
         g = contrast_grid(preset_scene("ex1_2"), 120)
         n = int(np.count_nonzero(g.q))
-        currents = g.currents
-        assert currents.shape == (2, 120**2) and not currents.flags.writeable
+        currents = solve_currents(g)
+        # ex1_2's contrast spans 48 x 48 of the 120 x 120 lattice
+        assert g.q.shape == (48, 48) and currents.shape == (2, 48, 48)
         assert np.all(currents[:, g.q == 0.0] == 0.0) and np.all(currents[:, g.q != 0.0] != 0.0)
-        # the N x N system goes with the solve: nothing the grid holds is that large
-        assert max(np.asarray(v).nbytes for v in vars(g).values()) < 16 * n * n
+        # the N x N system goes with the solve, and no field is a lattice array or a cached solution:
+        # nothing the grid holds is larger than the box's H W floats
+        assert sorted(vars(g)) == ["h", "incidences", "q", "wavenumber", "xs", "ys"]
+        assert max(np.asarray(v).nbytes for v in vars(g).values()) <= 8 * g.q.size < 16 * n * n
 
     def test_one_operator_build_serves_every_incidence(self, monkeypatch, tmp_path):
         # one offset table and one fft2 of its circulant (the symbol) per grid, whatever the incidences;
-        # every other fft2 transforms a box of currents, which never holds the table
-        tables, symbols = [], []
+        # every other fft2 transforms an H x W box of currents, padded to the symbol's 2H x 2W by s=
+        tables, symbols, boxes = [], [], []
         offset_table, fft2 = forward._offset_table, np.fft.fft2
         monkeypatch.setattr(forward, "_offset_table", lambda *args: tables.append(offset_table(*args)) or tables[-1])
 
-        def counting_fft2(a, *args, **kwargs):
+        def counting_fft2(a, s=None, *args, **kwargs):
             t = tables[-1] if tables else np.empty((0, 0))
             if a.shape == (2 * t.shape[0], 2 * t.shape[1]) and np.array_equal(a[: t.shape[0], : t.shape[1]], t):
                 symbols.append(a.shape)
-            return fft2(a, *args, **kwargs)
+            else:
+                boxes.append((a.shape, s))
+            return fft2(a, s, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft2", counting_fft2)
         # the contrast cells' span (H, W) of each preset at the default forward grid 120
         spans = {"ex1_1": (18, 114), "ex1_2": (48, 48), "ex2_1": (42, 42), "ex2_2": (72, 84)}
         assert sorted(spans) == list(PRESET_NAMES)
         for name in PRESET_NAMES:
-            tables.clear(), symbols.clear()
+            tables.clear(), symbols.clear(), boxes.clear()
             assert main(["simulate", "--preset", name, "--out", str(tmp_path / name)]) == 0
-            assert [t.shape for t in tables] == [spans[name]], name
-            assert symbols == [(2 * spans[name][0], 2 * spans[name][1])], name
+            (height, width), = [t.shape for t in tables]
+            assert (height, width) == spans[name], name
+            assert symbols == [(2 * height, 2 * width)], name
+            assert boxes and set(boxes) == {((height, width), (2 * height, 2 * width))}, name
         scene = preset_scene("ex2_2")
         tables.clear(), symbols.clear()
         data = synthesize_far_field(scene, 120)
@@ -317,9 +361,25 @@ class TestMatrixFree:
         g = contrast_grid(Scene(k, DOMAIN, tuple(scatterers), incidences, aperture), resolution)
         angles = aperture.receiver_angles()
         currents = dense_currents(g)
-        scale = np.abs(green_far_prefactor(k)) * g.cell_area * np.max(np.sum(np.abs(currents), axis=1))
-        gap = np.max(np.abs(far_field(g, g.currents, angles) - far_field(g, currents, angles)))
+        scale = np.abs(green_far_prefactor(k)) * g.cell_area * np.max(np.sum(np.abs(currents), axis=(1, 2)))
+        gap = np.max(np.abs(far_field(g, solve_currents(g), angles) - far_field(g, currents, angles)))
         assert gap <= FAR_FIELD_BOUND * scale
+
+
+class TestBoxProducts:
+    @settings(max_examples=40, deadline=None)
+    @given(height=st.integers(1, 200), width=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_box_transforms_equal_the_padded_box_bit_for_bit(self, height, width, seed):
+        # solve_currents transforms the H x W box with fft2(box, s=...) and inverts only the rows and columns
+        # it reads, last axis first as ifft2 does: the same bits as the zero-padded 2H x 2W pair
+        draw = np.random.default_rng(seed).normal(size=(4, 2 * height, 2 * width))
+        box = draw[0, :height, :width] + 1j * draw[1, :height, :width]
+        padded = np.zeros((2 * height, 2 * width), dtype=np.complex128)
+        padded[:height, :width] = box
+        assert np.array_equal(np.fft.fft2(box, s=padded.shape), np.fft.fft2(padded))
+        spectrum = draw[2] + 1j * draw[3]
+        trimmed = np.fft.ifft(np.fft.ifft(spectrum, axis=1)[:, :width], axis=0)[:height]
+        assert np.array_equal(trimmed, np.fft.ifft2(spectrum)[:height, :width])
 
 
 # The offset table's largest argument k h (n - 1) sqrt(2) on an n-cell grid at
@@ -349,7 +409,7 @@ class TestHankel:
         assert _hankel1(0, np.ones((2, 3))).shape == (2, 3)
 
     @settings(max_examples=60, deadline=None)
-    @given(ka=st.floats(1e-6, 0.36), k=st.floats(0.5, 60.0))
+    @given(ka=st.floats(MIN_SELF_TERM_ARGUMENT, 0.36), k=st.floats(0.5, 60.0))
     def test_self_term_matches_scipy(self, ka, k):
         # ka <= 2 pi / (10 sqrt(pi)) < 0.36 at >= 10 cells per wavelength.  The formula
         # cancels two terms of size 1/k^2, so the error is measured on that scale
@@ -397,7 +457,7 @@ class TestBornOracle:
         sc = make_scene([Disk((0.1, 0.2), 0.2, 1.01)], receivers=64)
         g = contrast_grid(sc, 96)
         angles = sc.aperture.receiver_angles()
-        full = far_field(g, g.currents, angles)[0]
+        full = far_field(g, solve_currents(g), angles)[0]
         born = born_far_field(sc, 0, angles, g)
         assert rel_l2(full, born) < 0.02
 
