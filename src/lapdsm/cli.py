@@ -196,6 +196,7 @@ def cmd_rn(args) -> int:
         sigmas, sources = _finite_space_inputs(args, [args.sigma_exp], domain)
         (probing,) = finite_space_probings(args.method, aperture, grid, args.order, sigmas, k, sources)
     field = relative_norm(probing, k, grid)
+    del probing  # the writes below need the norms alone
     fileio.write_index_csv(f"{args.out}.csv", field)
     fileio.write_pgm(f"{args.out}.pgm", field)
     meta = _meta_base(args, "rn")

@@ -12,9 +12,13 @@ trapezoid rule of numerics.circle_angles.
 Gradients are exact hand-written reverse mode (the loss is a quadratic
 form in the network outputs), and the optimizer is Adam with the staircase
 learning-rate schedule.  Everything draws from the counter-based generator
-so training is bitwise reproducible for a fixed seed.  On a sampling grid
-the trained probe is built one band of grid rows at a time, for dsm to pair
-or norm before it asks for the next, so no n * n x Q array is built.
+so training is bitwise reproducible for a fixed seed.  A training step
+subtracts the target from the L x M residual one block of rows at a time.
+On a sampling grid the trained probe is built one band of grid rows at a
+time, for dsm to pair or norm before it asks for the next, so no n * n x Q
+array is built, and the network runs over a band one block of points at a
+time.  The blocks are near-equal and sized by _BLOCK_BYTES; every row has
+the bits of one pass over all the points.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ from .scene import ApertureSet, Box, pollute
 from .rng import CounterRng
 
 DIVERGENCE_FACTOR = 1e3
+
+# bytes of the widest array one block of points holds: network_forward runs its layers over blocks of points
+# whose widest activation (1,024 points of 200 values) fits, and a training step subtracts its target from the
+# residual in blocks of rows that fit.  Blocks are near-equal, never a few rows, as numerics.grid_bands explains
+_BLOCK_BYTES = 1600 << 10
 
 # Adam's published defaults (Kingma & Ba 2015) and the staircase schedule:
 # the learning rate falls by LR_DECAY every LR_DECAY_EVERY iterations.
@@ -111,6 +120,13 @@ def _layers(params: NetworkParams, a: np.ndarray):
         yield a
 
 
+def _blocks(count: int, row_bytes: int) -> list[slice]:
+    """The fewest near-equal slices of count rows that keep each within _BLOCK_BYTES at row_bytes a row."""
+    blocks = -(-count // max(1, _BLOCK_BYTES // row_bytes))
+    edges = [count * i // blocks for i in range(blocks + 1)]
+    return [slice(start, stop) for start, stop in zip(edges[:-1], edges[1:])]
+
+
 def _forward_cached(params: NetworkParams, z: np.ndarray) -> list[np.ndarray]:
     """Forward pass keeping the input and every activation for reverse mode."""
     z = np.asarray(z, dtype=float)
@@ -126,11 +142,18 @@ def _coefficients(y: np.ndarray, order: int) -> np.ndarray:
 def network_forward(params: NetworkParams, z) -> np.ndarray:
     """Complex Fourier coefficients f_{-P..P}(z) for points z of shape (n, 2).
 
-    Unlike _forward_cached it holds one activation at a time.
+    Unlike _forward_cached it holds the activations of one block of _blocks
+    at a time, the last beside the next, and writes each block's
+    coefficients into one n x (2P+1) array: every row has the bits of one
+    pass over all the points.
     """
-    for y in _layers(params, np.atleast_2d(np.asarray(z, dtype=float))):
-        pass
-    return _coefficients(y, params.order)
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    coeffs = np.empty((len(z), 2 * params.order + 1), dtype=np.complex128)
+    for rows in _blocks(len(z), 8 * max(params.layer_dims)):
+        for y in _layers(params, z[rows]):
+            pass
+        coeffs[rows] = _coefficients(y, params.order)
+    return coeffs
 
 
 def _backward(params: NetworkParams, acts, dout: np.ndarray) -> list[np.ndarray]:
@@ -195,31 +218,41 @@ def sample_batch(
     return TrainingBatch(source_points=y, source_coeffs=c, eval_points=z, v_noisy=v_noisy)
 
 
-def _batch_target(batch: TrainingBatch, k: float) -> np.ndarray:
-    """<e^{-ik xhat . z_l}, v_m>_{S^1} = 2 pi sum_n conj(c_nm) J_0(k |z_l - y_nm|), shape (L, M).
-
-    The trapezoid rule pairs the plane waves of z with the test functions
-    at the circle_angles directions.
-    """
+def _target_rule(batch: TrainingBatch, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's circle rule: its directions (T, 2) and the conjugate test functions at its angles, (T, M)."""
     t = circle_angles(k, reach(batch.eval_points) + reach(batch.source_points))
-    v = _test_functions(batch.source_coeffs, batch.source_points, t, k)  # (M, T)
-    target = plane_waves(batch.eval_points, directions(t), k) @ np.conj(v).T
-    target *= 2.0 * np.pi / t.size
+    return directions(t), np.conj(_test_functions(batch.source_coeffs, batch.source_points, t, k)).T
+
+
+def _batch_target(batch: TrainingBatch, k: float, rows: slice = slice(None), rule=None) -> np.ndarray:
+    """<e^{-ik xhat . z_l}, v_m>_{S^1} = 2 pi sum_n conj(c_nm) J_0(k |z_l - y_nm|) for the points z_l of rows.
+
+    Shape (rows, M).  The trapezoid rule pairs the plane waves of z with the
+    test functions at the circle_angles directions; rule is _target_rule's,
+    made here when not given.
+    """
+    xhat, conj_v = rule if rule is not None else _target_rule(batch, k)
+    target = plane_waves(batch.eval_points[rows], xhat, k) @ conj_v
+    target *= 2.0 * np.pi / len(xhat)
     return target
 
 
 def _residual(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet, k: float):
     """Residual matrix of the discrete loss plus the caches reverse mode needs.
 
-    The target is subtracted in the inner products' buffer, so no more than
-    two L x M arrays exist at once.
+    The target is subtracted from the inner products in their buffer, one
+    block of _blocks rows at a time with the batch's one circle rule, so
+    beside the L x M residual a step holds the target of one block only.
     """
     angles = aperture.receiver_angles()
     acts = _forward_cached(params, batch.eval_points)
     g = _probe(_coefficients(acts[-1], params.order), batch.eval_points, angles, k)  # (L, Q)
     w = aperture.quadrature_weights()
     r = g @ (w * np.conj(batch.v_noisy)).T  # (L, M) inner products
-    r -= _batch_target(batch, k)
+    del g
+    rule = _target_rule(batch, k)
+    for rows in _blocks(len(r), r.itemsize * r.shape[1]):
+        r[rows] -= _batch_target(batch, k, rows, rule)
     return r, acts, w
 
 
@@ -299,10 +332,11 @@ def train(
 def network_probe(params: NetworkParams, grid, aperture: ApertureSet, k: float) -> BandedProbe:
     """_probe over a sampling grid from a trained network, one band of grid rows per call.
 
-    A band is its network coefficients times the Fourier modes plus its
-    plane waves, so the activations, the coefficients and the probe exist
-    for one band of points at a time, and the plane waves only once the
-    activations are gone.
+    A band is its network coefficients times the Fourier modes, into which
+    its plane waves are added one grid row at a time.  So the coefficients
+    and the probe exist for one band of points at a time, the activations
+    for one block of network_forward, and the plane waves for one grid row,
+    once the activations are gone.
     """
     angles = aperture.receiver_angles()
     modes = fourier_modes(params.order, angles)
@@ -310,8 +344,7 @@ def network_probe(params: NetworkParams, grid, aperture: ApertureSet, k: float) 
     waves = grid_band_waves(grid, directions(angles), k)
 
     def band(rows: slice) -> np.ndarray:
-        samples = network_forward(params, points[rows]) @ modes
-        samples += waves(rows)
+        samples = waves(rows, add_to=network_forward(params, points[rows]) @ modes)
         if not np.all(np.isfinite(samples)):
             raise ValidationError("probing samples must be finite")
         return samples

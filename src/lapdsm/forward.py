@@ -3,8 +3,9 @@ r"""Far-field synthesis by a Lippmann-Schwinger volume-integral solver.
 The total field obeys u = u^i + k^2 \int_D G(y, .) (n(y) - 1) u(y) dy; we
 discretize with piecewise-constant collocation on the cells of a uniform
 grid, solve for u on the contrast-carrying cells, and radiate the induced
-current to the far field.  The one path is `contrast_grid`, which crops the
-lattice to the box of rows and columns the contrast spans, -> `solve_currents`
+current to the far field.  The one path is `contrast_grid`, which evaluates
+the refractive index near the scatterers' bounding boxes alone and crops it
+to the box of rows and columns the contrast spans, -> `solve_currents`
 on that box -> `far_field`.  On the lattice the kernel depends on the integer
 cell offset alone, so the operator is block-Toeplitz (Vainikko 2000): the
 offset table over the box, from the numpy Hankel function below and mirrored
@@ -12,8 +13,8 @@ into a circulant, is transformed once per grid, and each product
 u - G * (k^2 q u) is one FFT pair of the box.  No N x N array is formed.
 Each incidence is solved by unrestarted GMRES (Saad & Schultz 1986) whose
 basis is capped by KRYLOV_BYTES, and every solution's residual is checked;
-one product per grid radiates every incidence's current through the box's
-separable plane waves.  The Born approximation, the penetrable-disk series
+one product per incidence radiates its current through the box's separable
+plane waves.  The Born approximation, the penetrable-disk series
 and the dense solve this replaced validate the solver in the test suite.
 """
 
@@ -53,7 +54,12 @@ class ContrastGrid:
 
 
 def contrast_grid(scene: Scene, resolution: int) -> ContrastGrid:
-    """The scene's contrast on the resolution x resolution lattice, cropped to the rows and columns it spans."""
+    """The scene's contrast on the resolution x resolution lattice, cropped to the rows and columns it spans.
+
+    The index is evaluated only on the lattice lines within a cell of some
+    scatterer's bounding box, a cell of slack for the rounding of the box's
+    edges, so a small scatterer on a fine lattice costs its box alone.
+    """
     if resolution < 1:
         raise ValidationError(f"forward grid must have >= 1 cell per side, got {resolution}")
     dom, k = scene.domain, scene.wavenumber
@@ -74,11 +80,13 @@ def contrast_grid(scene: Scene, resolution: int) -> ContrastGrid:
             f"k h / sqrt(pi) = {ka:.3g}, need >= {MIN_SELF_TERM_ARGUMENT:g}"
         )
     grid = SamplingGrid(dom, resolution)
-    q = refractive_index_grid(scene, grid.points).reshape(resolution, resolution) - 1.0
+    boxes = np.array([s.bounding_box() for s in scene.scatterers]).reshape(-1, 4)
+    xs = grid.xs[_near(grid.xs, boxes[:, 0], boxes[:, 1], hx)]
+    ys = grid.ys[_near(grid.ys, boxes[:, 2], boxes[:, 3], hx)]
+    xx, yy = np.meshgrid(xs, ys)
+    q = refractive_index_grid(scene, np.column_stack([xx.ravel(), yy.ravel()])).reshape(len(ys), len(xs)) - 1.0
     rows, cols = (_span(np.flatnonzero(q.any(axis=axis))) for axis in (1, 0))
-    return ContrastGrid(
-        xs=grid.xs[cols], ys=grid.ys[rows], q=q[rows, cols].copy(), h=hx, wavenumber=k, incidences=scene.incidences
-    )
+    return ContrastGrid(xs=xs[cols], ys=ys[rows], q=q[rows, cols].copy(), h=hx, wavenumber=k, incidences=scene.incidences)
 
 
 # Below this argument H^(1)_n comes from the Bessel series, above it from Hankel's
@@ -171,6 +179,12 @@ def _self_term(k: float, h: float) -> complex:
 def _span(index: np.ndarray) -> slice:
     """The lattice lines from the smallest index to the largest, none for no index."""
     return slice(int(index.min()), int(index.max()) + 1) if index.size else slice(0, 0)
+
+
+def _near(centres: np.ndarray, lows: np.ndarray, highs: np.ndarray, h: float) -> slice:
+    """The lattice lines from the first to the last centre within h of some interval [low, high]."""
+    near = (centres[:, None] >= lows - h) & (centres[:, None] <= highs + h)
+    return _span(np.flatnonzero(near.any(axis=1)))
 
 
 def _offset_table(k: float, h: float, height: int, width: int) -> np.ndarray:
@@ -305,15 +319,18 @@ def far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndarray:
 
     On the box e^{-ik xhat . y} = ex ey, one factor per axis, and the sum is
     pre h^2 sum_rows ey * (C ex) for the currents C of each row: one product
-    for every incidence and no receivers x cells table.  currents have shape
-    (n_incidences, H, W); returns shape (n_incidences, n_angles).
+    per incidence, so neither a receivers x cells table nor an incidences x
+    rows x receivers one is held.  currents have shape (n_incidences, H, W);
+    returns shape (n_incidences, n_angles).
     """
     k = grid.wavenumber
     xhat = directions(np.atleast_1d(angles))
     ex = plane_waves(grid.xs[:, None], xhat[:, :1], k)
     ey = plane_waves(grid.ys[:, None], xhat[:, 1:], k)
-    by_row = np.tensordot(currents, ex, axes=1)  # C ex, (incidences, rows, Q)
-    return green_far_prefactor(k) * grid.cell_area * np.einsum("jrq,rq->jq", by_row, ey)
+    radiated = np.empty((len(currents), len(xhat)), dtype=np.complex128)
+    for j, c in enumerate(currents):
+        radiated[j] = np.einsum("rq,rq->q", c @ ex, ey)
+    return green_far_prefactor(k) * grid.cell_area * radiated
 
 
 def synthesize_far_field(scene: Scene, resolution: int = 120) -> FarFieldData:

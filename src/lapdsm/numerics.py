@@ -77,19 +77,25 @@ def grid_bands(resolution: int) -> list[slice]:
     return [slice(start * n, stop * n) for start, stop in zip(edges[:-1], edges[1:])]
 
 
-def grid_band_waves(grid, xhat, k: float) -> Callable[[slice], np.ndarray]:
+def grid_band_waves(grid, xhat, k: float) -> Callable[..., np.ndarray]:
     """The plane waves ey x ex of one band of grid_bands, as a function of the band's slice of grid.points.
 
     Each call returns shape (band points, Q): plane_waves of those points to
-    rounding.  Only the axis factors are held between calls, so a grid probe
-    is built band by band and no array of the whole grid's waves exists.
+    rounding.  Given add_to, an array of that shape, it adds the waves into
+    it one grid row at a time instead, with the same bits, and returns it.
+    Only the axis factors are held between calls, so a grid probe is built
+    band by band and no array of the whole grid's waves exists.
     """
     ex, ey = grid_plane_waves(grid, xhat, k)
     n = grid.resolution
 
-    def waves(rows: slice) -> np.ndarray:
+    def waves(rows: slice, add_to: np.ndarray | None = None) -> np.ndarray:
         band = ey[rows.start // n : rows.stop // n]
-        return (band[:, None, :] * ex[None, :, :]).reshape(-1, ex.shape[1])
+        if add_to is None:
+            return (band[:, None, :] * ex[None, :, :]).reshape(-1, ex.shape[1])
+        for i, e in enumerate(band):
+            add_to[i * n : (i + 1) * n] += e * ex
+        return add_to
 
     return waves
 

@@ -78,6 +78,19 @@ class TestNetworkForward:
         acts = dpn._forward_cached(params, z)
         np.testing.assert_array_equal(network_forward(params, z), dpn._coefficients(acts[-1], cfg.order))
 
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2048, 2080, 16900])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_blocked_pass_equals_one_pass_bit_for_bit(self, count, seed):
+        # the paper-sized network runs in near-equal blocks of at most 1,024 points: one block up to 1,024,
+        # two of 1,024 at a grid-128 band, three of 693 or 694 at 2,080 and seventeen at grid 130's 16,900
+        params = NetworkParams.initialize(TrainConfig(), CounterRng(seed))
+        z = CounterRng(seed).uniform_box(count, -1.0, 1.0, -1.0, 1.0)
+        assert len(dpn._blocks(count, 8 * max(params.layer_dims))) == -(-count // 1024)
+        for y in dpn._layers(params, z):
+            pass
+        np.testing.assert_array_equal(network_forward(params, z), dpn._coefficients(y, params.order))
+
     def test_finite_difference_of_output(self):
         cfg = tiny_config()
         params = NetworkParams.initialize(cfg, CounterRng(4))
@@ -180,7 +193,9 @@ class TestProbingEval:
         # peaks at grid 128 with the paper-sized network, in probing sets (128^2 x 100 complex):
         # 1.41 with the probe written whole; band by band 0.41 if the last band is still held while
         # the next is built, or if a band's plane waves are built before its network pass, and 0.29
-        # with neither.  A band's two 2,048 x 200 activations alone are 0.25 of a set.
+        # with neither, set alike by a band's two 2,048 x 200 activations and by its samples beside its
+        # plane waves.  With the network run by blocks of 1,024 points and the plane waves added one grid
+        # row at a time: 0.21 for reconstruct, and 0.22 for rn, whose norms square a band's samples.
         params = NetworkParams.initialize(TrainConfig(), CounterRng(3))
         ap, grid = config1_aperture(), SamplingGrid(DOMAIN, 128)
         u = np.random.default_rng(3).normal(size=(2, 1, ap.total_receivers))
@@ -195,7 +210,7 @@ class TestProbingEval:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.3 * grid.resolution**2 * ap.total_receivers * 16
+        assert peak < 0.23 * grid.resolution**2 * ap.total_receivers * 16
 
     def test_angle_periodicity(self):
         params = NetworkParams.initialize(tiny_config(), CounterRng(2))
@@ -248,6 +263,25 @@ class TestBatchTarget:
         batch = sample_batch(cfg, DOMAIN, config1_aperture(receivers=20), k, CounterRng(seed))
         got, want = dpn._batch_target(batch, k), batch_target_bessel(batch, k)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("points", [1, 7, 399, 400, 401])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_blocked_target_equals_the_whole_target_bit_for_bit(self, points, seed):
+        # at the paper's M = 400 a step subtracts the target in near-equal blocks of at most 256 rows:
+        # one block up to L = 256, two of 199 to 201 rows from there to 401
+        cfg = tiny_config(batch_functions=400, points_per_iteration=points)
+        ap = config1_aperture()
+        batch = sample_batch(cfg, DOMAIN, ap, K, CounterRng(seed))
+        whole = dpn._batch_target(batch, K)
+        rule = dpn._target_rule(batch, K)
+        blocks = dpn._blocks(points, 16 * cfg.batch_functions)
+        assert len(blocks) == -(-points // 256)
+        np.testing.assert_array_equal(np.concatenate([dpn._batch_target(batch, K, rows, rule) for rows in blocks]), whole)
+        params = NetworkParams.initialize(cfg, CounterRng(seed))
+        r, *_ = dpn._residual(params, batch, ap, K)
+        g = probing_eval(params, batch.eval_points, ap.receiver_angles(), K)
+        np.testing.assert_array_equal(r, g @ (ap.quadrature_weights() * np.conj(batch.v_noisy)).T - whole)
 
 
 class TestLoss:
@@ -400,9 +434,10 @@ class TestTraining:
             np.testing.assert_array_equal(w1, w2)
 
     def test_paper_network_step_holds_two_batch_arrays(self):
-        # a step needs the residual and, while it is formed, the target: two L x M complex arrays.
-        # tracemalloc peaks at M = L = 1,200 for two iterations: 82.0 MiB when the inner products,
-        # the target and their difference coexist, 63.1 MiB with the target subtracted in place
+        # a step needs the residual and, while it is formed, one block of the target: less than two L x M
+        # complex arrays.  tracemalloc peaks at M = L = 1,200 for two iterations: 82.0 MiB when the inner
+        # products, the target and their difference coexist, 63.1 MiB with the whole target subtracted in
+        # place and 50.6 MiB with it subtracted by blocks of 80 rows
         cfg = TrainConfig(batch_functions=1200, points_per_iteration=1200, iterations=2)
         tracemalloc.start()
         try:
@@ -411,6 +446,21 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak < 3 * cfg.points_per_iteration * cfg.batch_functions * 16
+
+    def test_paper_batch_step_holds_one_target_block(self):
+        # loss_gradient with the paper network at M = L = 400; tracemalloc peaks in L x M complex arrays:
+        # 3.77 with the whole target beside the residual, 3.09 with it subtracted by blocks of 200 rows
+        cfg = TrainConfig()
+        ap = config1_aperture()
+        params = NetworkParams.initialize(cfg, CounterRng(3))
+        batch = sample_batch(cfg, DOMAIN, ap, K, CounterRng(4))
+        tracemalloc.start()
+        try:
+            loss_gradient(params, batch, ap, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.3 * cfg.points_per_iteration * cfg.batch_functions * 16
 
     def test_learning_rate_schedule(self):
         assert dpn.learning_rate(0) == pytest.approx(0.005)
