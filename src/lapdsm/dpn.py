@@ -17,8 +17,8 @@ subtracts the target from the L x M residual one block of rows at a time.
 On a sampling grid the trained probe is built one band of grid rows at a
 time, for dsm to pair or norm before it asks for the next, so no n * n x Q
 array is built, and the network runs over a band one block of points at a
-time.  The blocks are near-equal and sized by _BLOCK_BYTES; every row has
-the bits of one pass over all the points.
+time.  The blocks are numerics.blocks, near-equal and within BLOCK_BYTES;
+every row has the bits of one pass over all the points.
 """
 
 from __future__ import annotations
@@ -29,16 +29,11 @@ import numpy as np
 
 from .dsm import BandedProbe
 from .errors import NumericalError, ValidationError
-from .numerics import circle_angles, directions, fourier_modes, grid_band_waves, plane_waves, reach
+from .numerics import blocks, circle_angles, directions, fourier_modes, grid_band_waves, plane_waves, reach
 from .scene import ApertureSet, Box, pollute
 from .rng import CounterRng
 
 DIVERGENCE_FACTOR = 1e3
-
-# bytes of the widest array one block of points holds: network_forward runs its layers over blocks of points
-# whose widest activation (1,024 points of 200 values) fits, and a training step subtracts its target from the
-# residual in blocks of rows that fit.  Blocks are near-equal, never a few rows, as numerics.grid_bands explains
-_BLOCK_BYTES = 1600 << 10
 
 # Adam's published defaults (Kingma & Ba 2015) and the staircase schedule:
 # the learning rate falls by LR_DECAY every LR_DECAY_EVERY iterations.
@@ -120,13 +115,6 @@ def _layers(params: NetworkParams, a: np.ndarray):
         yield a
 
 
-def _blocks(count: int, row_bytes: int) -> list[slice]:
-    """The fewest near-equal slices of count rows that keep each within _BLOCK_BYTES at row_bytes a row."""
-    blocks = -(-count // max(1, _BLOCK_BYTES // row_bytes))
-    edges = [count * i // blocks for i in range(blocks + 1)]
-    return [slice(start, stop) for start, stop in zip(edges[:-1], edges[1:])]
-
-
 def _forward_cached(params: NetworkParams, z: np.ndarray) -> list[np.ndarray]:
     """Forward pass keeping the input and every activation for reverse mode."""
     z = np.asarray(z, dtype=float)
@@ -142,14 +130,14 @@ def _coefficients(y: np.ndarray, order: int) -> np.ndarray:
 def network_forward(params: NetworkParams, z) -> np.ndarray:
     """Complex Fourier coefficients f_{-P..P}(z) for points z of shape (n, 2).
 
-    Unlike _forward_cached it holds the activations of one block of _blocks
-    at a time, the last beside the next, and writes each block's
-    coefficients into one n x (2P+1) array: every row has the bits of one
-    pass over all the points.
+    Unlike _forward_cached it holds the activations of one block of
+    numerics.blocks at a time (1,024 points of the paper's 200 units), the
+    last beside the next, and writes each block's coefficients into one
+    n x (2P+1) array: every row has the bits of one pass over all the points.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     coeffs = np.empty((len(z), 2 * params.order + 1), dtype=np.complex128)
-    for rows in _blocks(len(z), 8 * max(params.layer_dims)):
+    for rows in blocks(len(z), 8 * max(params.layer_dims)):
         for y in _layers(params, z[rows]):
             pass
         coeffs[rows] = _coefficients(y, params.order)
@@ -224,14 +212,13 @@ def _target_rule(batch: TrainingBatch, k: float) -> tuple[np.ndarray, np.ndarray
     return directions(t), np.conj(_test_functions(batch.source_coeffs, batch.source_points, t, k)).T
 
 
-def _batch_target(batch: TrainingBatch, k: float, rows: slice = slice(None), rule=None) -> np.ndarray:
+def _batch_target(batch: TrainingBatch, k: float, rows: slice, rule) -> np.ndarray:
     """<e^{-ik xhat . z_l}, v_m>_{S^1} = 2 pi sum_n conj(c_nm) J_0(k |z_l - y_nm|) for the points z_l of rows.
 
     Shape (rows, M).  The trapezoid rule pairs the plane waves of z with the
-    test functions at the circle_angles directions; rule is _target_rule's,
-    made here when not given.
+    test functions at the circle_angles directions of rule, _target_rule's.
     """
-    xhat, conj_v = rule if rule is not None else _target_rule(batch, k)
+    xhat, conj_v = rule
     target = plane_waves(batch.eval_points[rows], xhat, k) @ conj_v
     target *= 2.0 * np.pi / len(xhat)
     return target
@@ -241,8 +228,8 @@ def _residual(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet
     """Residual matrix of the discrete loss plus the caches reverse mode needs.
 
     The target is subtracted from the inner products in their buffer, one
-    block of _blocks rows at a time with the batch's one circle rule, so
-    beside the L x M residual a step holds the target of one block only.
+    block of numerics.blocks rows at a time with the batch's one circle
+    rule, so beside the L x M residual a step holds one block's target only.
     """
     angles = aperture.receiver_angles()
     acts = _forward_cached(params, batch.eval_points)
@@ -251,7 +238,7 @@ def _residual(params: NetworkParams, batch: TrainingBatch, aperture: ApertureSet
     r = g @ (w * np.conj(batch.v_noisy)).T  # (L, M) inner products
     del g
     rule = _target_rule(batch, k)
-    for rows in _blocks(len(r), r.itemsize * r.shape[1]):
+    for rows in blocks(len(r), r.itemsize * r.shape[1]):
         r[rows] -= _batch_target(batch, k, rows, rule)
     return r, acts, w
 

@@ -21,6 +21,7 @@ from .errors import ValidationError
 from .numerics import (
     arc_mode_table,
     arc_norm,
+    blocks,
     circle_angles,
     directions,
     green_far_prefactor,
@@ -30,10 +31,6 @@ from .numerics import (
     reach,
 )
 from .scene import ApertureSet, FarFieldData, SamplingGrid
-
-# bytes of plane waves kernel_gamma holds at once (24 an entry: the complex waves and their float phase);
-# each band is a 2-D matrix-vector product, whose rows round as in the whole product
-_KERNEL_BAND_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,9 @@ def kernel_gamma(z, y, aperture: ApertureSet, k: float):
     weights w_t = (2/T) sum_{|n| <= nu} I[n] e^{-int_t}, one FFT of the table
     placed mod T.  Any T > 2 nu keeps every aliased term below 1e-16; T = 8 nu
     also averages the ~1e-16 k |z - y| rounding of each plane wave's phase
-    over enough angles on a short arc.  The plane waves are made for a band
-    of at least 16 points at a time within _KERNEL_BAND_BYTES, so no
-    points x T array is held when T is large.
+    over enough angles on a short arc.  The plane waves are made one block of
+    numerics.blocks at a time (24 bytes an entry: the waves and their phase),
+    each a 2-D matrix-vector product whose rows round as in the whole one.
     """
     p = np.asarray(z, dtype=float) - np.asarray(y, dtype=float)
     nu = circle_angles(k, reach(p)).size
@@ -139,11 +136,9 @@ def kernel_gamma(z, y, aperture: ApertureSet, k: float):
     folded[: nu + 1], folded[-nu:] = table[nu:], table[:nu]  # I[n] at n mod T
     weights = np.fft.fft(folded) * (2.0 / angles.size)
     xhat, flat = directions(angles), p.reshape(-1, 2)
-    rows = max(16, _KERNEL_BAND_BYTES // (24 * angles.size))
     values = np.empty(len(flat), dtype=np.complex128)
-    for start in range(0, len(flat), rows):
-        band = slice(start, start + rows)
-        values[band] = plane_waves(flat[band], xhat, k) @ weights
+    for rows in blocks(len(flat), 24 * angles.size):
+        values[rows] = plane_waves(flat[rows], xhat, k) @ weights
     return values.reshape(p.shape[:-1]) / (8.0 * k * np.pi)
 
 

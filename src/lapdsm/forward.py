@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import directions, green_far_prefactor, plane_waves
+from .numerics import directions, green_far_prefactor, grid_plane_waves, plane_waves
 from .scene import FarFieldData, Scene, SamplingGrid, refractive_index_grid
 
 MIN_CELLS_PER_WAVELENGTH = 10.0
@@ -324,16 +324,14 @@ def far_field(grid: ContrastGrid, currents: np.ndarray, angles) -> np.ndarray:
     returns shape (n_incidences, n_angles).
     """
     k = grid.wavenumber
-    xhat = directions(np.atleast_1d(angles))
-    ex = plane_waves(grid.xs[:, None], xhat[:, :1], k)
-    ey = plane_waves(grid.ys[:, None], xhat[:, 1:], k)
-    radiated = np.empty((len(currents), len(xhat)), dtype=np.complex128)
+    ex, ey = grid_plane_waves(grid, directions(np.atleast_1d(angles)), k)
+    radiated = np.empty((len(currents), ex.shape[1]), dtype=np.complex128)
     for j, c in enumerate(currents):
         radiated[j] = np.einsum("rq,rq->q", c @ ex, ey)
     return green_far_prefactor(k) * grid.cell_area * radiated
 
 
-def synthesize_far_field(scene: Scene, resolution: int = 120) -> FarFieldData:
+def synthesize_far_field(scene: Scene, resolution: int) -> FarFieldData:
     """Noiseless far-field data for every incidence at the scene's receivers."""
     grid = contrast_grid(scene, resolution)
     return FarFieldData(far_field(grid, solve_currents(grid), scene.aperture.receiver_angles()), scene.aperture)

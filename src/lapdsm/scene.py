@@ -87,7 +87,7 @@ class ApertureSet:
         )
 
 
-def full_circle(receivers: int = 512) -> ApertureSet:
+def full_circle(receivers: int) -> ApertureSet:
     """The full-aperture S^1 measurement set (single arc of half-width pi)."""
     return ApertureSet((Arc(alpha=np.pi, beta=0.0, receivers=receivers),))
 

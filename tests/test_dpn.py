@@ -20,6 +20,7 @@ from lapdsm.dpn import (
     train,
 )
 from lapdsm.dsm import ProbingSet, averaged_index, relative_norm
+from lapdsm.numerics import blocks
 from lapdsm.presets import config1_aperture, config2_aperture
 from lapdsm.rng import CounterRng
 from lapdsm.scene import ApertureSet, Arc, Box, FarFieldData, SamplingGrid, full_circle
@@ -86,7 +87,7 @@ class TestNetworkForward:
         # two of 1,024 at a grid-128 band, three of 693 or 694 at 2,080 and seventeen at grid 130's 16,900
         params = NetworkParams.initialize(TrainConfig(), CounterRng(seed))
         z = CounterRng(seed).uniform_box(count, -1.0, 1.0, -1.0, 1.0)
-        assert len(dpn._blocks(count, 8 * max(params.layer_dims))) == -(-count // 1024)
+        assert len(blocks(count, 8 * max(params.layer_dims))) == -(-count // 1024)
         for y in dpn._layers(params, z):
             pass
         np.testing.assert_array_equal(network_forward(params, z), dpn._coefficients(y, params.order))
@@ -142,7 +143,8 @@ class TestProbingEval:
             r, *_ = dpn._residual(params, batch, ap, K)
             g = probing_eval(params, batch.eval_points, ap.receiver_angles(), K)
             w = ap.quadrature_weights()
-            np.testing.assert_array_equal(r, g @ (w * np.conj(batch.v_noisy)).T - dpn._batch_target(batch, K))
+            target = dpn._batch_target(batch, K, slice(None), dpn._target_rule(batch, K))
+            np.testing.assert_array_equal(r, g @ (w * np.conj(batch.v_noisy)).T - target)
 
     @settings(max_examples=25, deadline=None)
     @given(resolution=st.integers(1, 16), seed=st.integers(0, 2**64 - 1), k=st.floats(0.5, 20.0))
@@ -261,7 +263,7 @@ class TestBatchTarget:
         # the trapezoid rule over the circle reproduces 2 pi sum conj(c) J_0(k |z - y|)
         cfg = tiny_config(batch_functions=functions, sources_per_function=sources, points_per_iteration=30)
         batch = sample_batch(cfg, DOMAIN, config1_aperture(receivers=20), k, CounterRng(seed))
-        got, want = dpn._batch_target(batch, k), batch_target_bessel(batch, k)
+        got, want = dpn._batch_target(batch, k, slice(None), dpn._target_rule(batch, k)), batch_target_bessel(batch, k)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("points", [1, 7, 399, 400, 401])
@@ -273,11 +275,11 @@ class TestBatchTarget:
         cfg = tiny_config(batch_functions=400, points_per_iteration=points)
         ap = config1_aperture()
         batch = sample_batch(cfg, DOMAIN, ap, K, CounterRng(seed))
-        whole = dpn._batch_target(batch, K)
         rule = dpn._target_rule(batch, K)
-        blocks = dpn._blocks(points, 16 * cfg.batch_functions)
-        assert len(blocks) == -(-points // 256)
-        np.testing.assert_array_equal(np.concatenate([dpn._batch_target(batch, K, rows, rule) for rows in blocks]), whole)
+        whole = dpn._batch_target(batch, K, slice(None), rule)
+        rows = blocks(points, 16 * cfg.batch_functions)
+        assert len(rows) == -(-points // 256)
+        np.testing.assert_array_equal(np.concatenate([dpn._batch_target(batch, K, r, rule) for r in rows]), whole)
         params = NetworkParams.initialize(cfg, CounterRng(seed))
         r, *_ = dpn._residual(params, batch, ap, K)
         g = probing_eval(params, batch.eval_points, ap.receiver_angles(), K)

@@ -84,17 +84,20 @@ class TestKernel:
 
     @pytest.mark.parametrize("k", [8.0, 200.0])
     def test_bands_of_points_equal_the_whole_product_bit_for_bit(self, monkeypatch, k):
-        # 603 points as in the kernel command, in bands of 16 or 40 rows and a last band of 11 or 3
-        # (a band of one 2-D row rounds as the whole product too; a 1-D row, a dot product, need not)
-        from lapdsm import dsm
+        # 603 points as in the kernel command, in one block and in near-equal blocks within 16 or 40 rows:
+        # 38 of 15 or 16 and 16 of 37 or 38 (a block of one 2-D row rounds as the whole product too; a 1-D
+        # row, a dot product, need not)
+        from lapdsm import numerics
 
         ap = ApertureSet((Arc(alpha=np.pi / 3, beta=0.0, receivers=8),))
         r = np.linspace(0.0, 2.0, 201)
         y = np.concatenate([r[:, None] * [np.cos(b), np.sin(b)] for b in (0.0, 0.7853981633974483, 1.5707963267948966)])
+        row_bytes = 24 * 8 * numerics.circle_angles(k, 2.0).size
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", len(y) * row_bytes)
         whole = kernel_gamma((0.0, 0.0), y, ap, k)
-        nu = dsm.circle_angles(k, 2.0).size
-        for rows in (16, 40):
-            monkeypatch.setattr(dsm, "_KERNEL_BAND_BYTES", rows * 24 * 8 * nu)
+        for rows, count in ((16, 38), (40, 16)):
+            monkeypatch.setattr(numerics, "BLOCK_BYTES", rows * row_bytes)
+            assert len(numerics.blocks(len(y), row_bytes)) == count
             np.testing.assert_array_equal(kernel_gamma((0.0, 0.0), y, ap, k), whole)
 
     def test_maximum_at_coincidence(self):

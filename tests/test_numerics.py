@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from lapdsm.errors import ValidationError
 from lapdsm.numerics import (
+    BLOCK_BYTES,
     arc_norm,
     arc_quadrature,
+    blocks,
     circle_angles,
     circle_modes,
     directions,
@@ -145,6 +147,27 @@ class TestPlaneWaves:
         np.testing.assert_allclose(plane_waves(np.add(p, q), xhat, k), wp * wq, rtol=0, atol=1e-12)
         # e^{ik d . x}, the incident wave, is the plane wave of direction -d
         np.testing.assert_allclose(plane_waves(np.array(p), -xhat, k), np.conj(wp), rtol=0, atol=1e-15)
+
+
+class TestBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(0, 20_000), row_bytes=st.integers(1, 2 * BLOCK_BYTES))
+    # the network pass of the paper's 200 units over grid 130's 16,900 points, a training step's target rows
+    # at M = 400, and the kernel command's 603 points at a 70,000-angle rule, a row beyond the budget
+    @example(count=16900, row_bytes=8 * 200)
+    @example(count=401, row_bytes=16 * 400)
+    @example(count=603, row_bytes=24 * 70_000)
+    @example(count=20_000, row_bytes=1)
+    def test_fewest_near_equal_blocks_within_the_budget_tile_the_rows(self, count, row_bytes):
+        rows = blocks(count, row_bytes)
+        cap = max(1, BLOCK_BYTES // row_bytes)
+        bounds = [0, *(r.stop for r in rows)]
+        assert [r.start for r in rows] == bounds[:-1] and bounds[-1] == count
+        sizes = [r.stop - r.start for r in rows]
+        assert all(r.step is None for r in rows)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert max(sizes, default=0) <= cap
+        assert len(rows) == -(-count // cap)
 
 
 class TestGridPlaneWaves:
